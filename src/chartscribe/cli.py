@@ -28,7 +28,7 @@ from .corpus import (
     ConfigError, CorpusConfig, default_config, generate_corpus, load_config,
     load_manifest, stats, validate_corpus,
 )
-from .evalmetrics import corpus_report, format_report, score_pair
+from .evalmetrics import References, corpus_report, format_report, score_pair
 from .narrate import generate_description_set
 from .rng import Rng
 from .templatebank import load_bank, load_default_bank
@@ -115,6 +115,13 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
         if isinstance(doc, dict) and "text" in doc:
             key = doc.get("image_index", line_no)
             text = doc["text"]
+            if not isinstance(text, str):
+                raise CliError(f"eval: {path} line {line_no + 1}: \"text\" "
+                               f"must be a string, got {type(text).__name__}")
+            if isinstance(key, (list, dict)):
+                raise CliError(f"eval: {path} line {line_no + 1}: "
+                               f"\"image_index\" must be a number or string, "
+                               f"not {type(key).__name__}")
             styles.add("json")
         else:
             key = line_no
@@ -129,9 +136,17 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
 
 
 def _kind_lookup(manifest_path) -> Dict[int, str]:
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    return {entry["image_index"]: entry["kind"]
-            for entry in manifest["records"]}
+    try:
+        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"eval: --by-kind {manifest_path} is not JSON: {exc}")
+    try:
+        return {entry["image_index"]: entry["kind"]
+                for entry in manifest["records"]}
+    except (KeyError, TypeError) as exc:
+        raise CliError(f"eval: --by-kind {manifest_path} is not a corpus "
+                       f"manifest: records need image_index and kind "
+                       f"({type(exc).__name__}: {exc})")
 
 
 def _cmd_eval(args) -> int:
@@ -157,8 +172,9 @@ def _cmd_eval(args) -> int:
             if not isinstance(key, int) or key not in kinds:
                 raise CliError(f"eval: key {key!r} not in --by-kind manifest")
             kind = kinds[key]
+        key_refs = References.from_texts(refs[key])
         for hyp_text in hyp_texts:
-            pairs.append(score_pair(hyp_text, refs[key], kind=kind))
+            pairs.append(score_pair(hyp_text, key_refs, kind=kind))
 
     report = corpus_report(pairs)
     print(format_report(report))
@@ -222,7 +238,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, FileNotFoundError) as exc:
+    except (CliError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

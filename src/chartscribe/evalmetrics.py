@@ -6,12 +6,21 @@ tokens, except that '.' and ',' sitting directly between two digits stay
 inside the token (decimals like 3.5 and groupings like 120,000 survive).
 
 Scores are reported on a 0..100 scale.
+
+The reference side of a pair is prepared once per reference set: a
+`References` holds the reference token tuples, their lengths and, per
+n-gram order, the per-reference counts (ROUGE-N) and their maxima (BLEU),
+so several hypotheses scored against one set share that work.  ROUGE-L
+finds each longest common subsequence with a bit-parallel recurrence on
+Python ints (Allison & Dix 1986; Hyyro 2004): the hypothesis token
+positions become bit masks once per call, and each reference costs a few
+int operations per token instead of one table row per token.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 Tokens = Tuple[str, ...]
 
@@ -48,17 +57,65 @@ def tokenize(text: str) -> List[str]:
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def bleu(hyp: Sequence[str], refs: Sequence[Sequence[str]], max_n: int = 4) -> float:
+def _clipped(counts: Dict[tuple, int], limits: Dict[tuple, int]) -> int:
+    """Sum over the n-grams in both tables of the smaller count."""
+    return sum(min(counts[g], limits[g]) for g in counts.keys() & limits.keys())
+
+
+class References:
+    """One reference set, tokenized and counted once and then shared by
+    every hypothesis scored against it.  The n-gram tables of an order are
+    built the first time a metric asks for that order."""
+
+    def __init__(self, refs: Iterable[Sequence[str]]):
+        self.tokens: Tuple[Tokens, ...] = tuple(tuple(r) for r in refs)
+        if not self.tokens:
+            raise ValueError("refs: need at least one reference")
+        self.lengths: Tuple[int, ...] = tuple(len(r) for r in self.tokens)
+        self._counts: Dict[int, Tuple[Counter, ...]] = {}
+        self._max_counts: Dict[int, Dict[tuple, int]] = {}
+
+    @classmethod
+    def from_texts(cls, texts: Iterable[str]) -> "References":
+        """References from raw texts, through the frozen tokenizer."""
+        return cls(tokenize(t) for t in texts)
+
+    def counts(self, n: int) -> Tuple[Counter, ...]:
+        """The n-gram counts of each reference."""
+        if n not in self._counts:
+            self._counts[n] = tuple(_ngrams(r, n) for r in self.tokens)
+        return self._counts[n]
+
+    def max_counts(self, n: int) -> Dict[tuple, int]:
+        """Each n-gram's highest count in any one reference."""
+        if n not in self._max_counts:
+            best: Dict[tuple, int] = {}
+            get = best.get
+            for counts in self.counts(n):
+                for gram, cnt in counts.items():
+                    if cnt > get(gram, 0):
+                        best[gram] = cnt
+            self._max_counts[n] = best
+        return self._max_counts[n]
+
+
+RefsLike = Union[References, Sequence[Sequence[str]]]
+
+
+def _references(refs: RefsLike) -> References:
+    return refs if isinstance(refs, References) else References(refs)
+
+
+def bleu(hyp: Sequence[str], refs: RefsLike, max_n: int = 4) -> float:
     """BLEU with uniform weights, brevity penalty, and add-one smoothing
     applied to n >= 2 orders that have zero matches.  Zero unigram overlap
     scores 0."""
     if max_n < 1:
         raise ValueError(f"max_n: must be >= 1, got {max_n}")
-    if not refs:
-        raise ValueError("refs: need at least one reference")
+    refs = _references(refs)
     c = len(hyp)
     if c == 0:
         return 0.0
@@ -66,12 +123,7 @@ def bleu(hyp: Sequence[str], refs: Sequence[Sequence[str]], max_n: int = 4) -> f
     for n in range(1, max_n + 1):
         hyp_counts = _ngrams(hyp, n)
         total = max(c - n + 1, 0)
-        best: Counter = Counter()
-        for ref in refs:
-            for gram, cnt in _ngrams(ref, n).items():
-                if cnt > best[gram]:
-                    best[gram] = cnt
-        matched = sum(min(cnt, best[gram]) for gram, cnt in hyp_counts.items())
+        matched = _clipped(hyp_counts, refs.max_counts(n))
         if n == 1 and matched == 0:
             return 0.0
         if matched == 0 and n >= 2:
@@ -80,7 +132,7 @@ def bleu(hyp: Sequence[str], refs: Sequence[Sequence[str]], max_n: int = 4) -> f
             p = matched / total
         log_sum += math.log(p)
     # brevity penalty against the reference length closest to c (ties: shorter)
-    r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]
+    r = min((abs(length - c), length) for length in refs.lengths)[1]
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
     return 100.0 * bp * math.exp(log_sum / max_n)
 
@@ -91,57 +143,65 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def rouge_n(hyp: Sequence[str], refs: Sequence[Sequence[str]], n: int) -> float:
+def rouge_n(hyp: Sequence[str], refs: RefsLike, n: int) -> float:
     """ROUGE-N F1, maximum over references."""
     if n < 1:
         raise ValueError(f"n: must be >= 1, got {n}")
-    if not refs:
-        raise ValueError("refs: need at least one reference")
+    refs = _references(refs)
     hyp_counts = _ngrams(hyp, n)
     hyp_total = max(len(hyp) - n + 1, 0)
     best = 0.0
-    for ref in refs:
-        ref_counts = _ngrams(ref, n)
-        ref_total = max(len(ref) - n + 1, 0)
+    for ref_len, ref_counts in zip(refs.lengths, refs.counts(n)):
+        ref_total = max(ref_len - n + 1, 0)
         if hyp_total == 0 or ref_total == 0:
             continue
-        overlap = sum(min(cnt, ref_counts[gram])
-                      for gram, cnt in hyp_counts.items())
+        overlap = _clipped(hyp_counts, ref_counts)
         best = max(best, _f1(overlap / hyp_total, overlap / ref_total))
     return 100.0 * best
 
 
+def _position_masks(tokens: Sequence[str]) -> Dict[str, int]:
+    """Token -> int with bit i set where tokens[i] is that token."""
+    masks: Dict[str, int] = {}
+    for i, tok in enumerate(tokens):
+        masks[tok] = masks.get(tok, 0) | (1 << i)
+    return masks
+
+
+def _lcs_masked(masks: Dict[str, int], m: int, b: Sequence[str]) -> int:
+    """LCS length of b and the length-m sequence behind `masks`.
+
+    Bit-vector recurrence (Hyyro 2004): V starts as m one-bits and, for
+    each token of b, U = V & mask and V = (V + U) | (V - U), kept to m
+    bits.  The number of zero bits in V is the LCS length so far.
+    """
+    full = (1 << m) - 1
+    v = full
+    get = masks.get
+    for y in b:
+        u = v & get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return m - v.bit_count()
+
+
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length, two-row dynamic program."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        append = cur.append
-        best = 0
-        for j, y in enumerate(b):
-            if x == y:
-                v = prev[j] + 1
-            else:
-                v = cur[j] if cur[j] >= prev[j + 1] else prev[j + 1]
-            append(v)
-        prev = cur
-    return prev[-1]
+    """Longest common subsequence length."""
+    return _lcs_masked(_position_masks(a), len(a), b)
 
 
-def rouge_l(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> float:
+def rouge_l(hyp: Sequence[str], refs: RefsLike) -> float:
     """ROUGE-L F1 from LCS length, maximum over references."""
-    if not refs:
-        raise ValueError("refs: need at least one reference")
+    refs = _references(refs)
     if not hyp:
         return 0.0
+    m = len(hyp)
+    masks = _position_masks(hyp)
     best = 0.0
-    for ref in refs:
-        if not ref:
+    for ref, ref_len in zip(refs.tokens, refs.lengths):
+        if not ref_len:
             continue
-        lcs = _lcs_len(hyp, ref)
-        best = max(best, _f1(lcs / len(hyp), lcs / len(ref)))
+        lcs = _lcs_masked(masks, m, ref)
+        best = max(best, _f1(lcs / m, lcs / ref_len))
     return 100.0 * best
 
 
@@ -156,11 +216,14 @@ class ScoredPair:
 DEFAULT_METRICS = ("bleu4", "rouge1", "rouge2", "rougeL")
 
 
-def score_pair(hyp_text: str, ref_texts: Sequence[str], kind: str = "",
+def score_pair(hyp_text: str, ref_texts: Union[References, Sequence[str]],
+               kind: str = "",
                metrics: Sequence[str] = DEFAULT_METRICS) -> ScoredPair:
-    """Tokenize and score one hypothesis against its references."""
+    """Tokenize and score one hypothesis against its references, given as
+    texts or as a `References.from_texts` set shared across hypotheses."""
+    refs = (ref_texts if isinstance(ref_texts, References)
+            else References.from_texts(ref_texts))
     hyp = tuple(tokenize(hyp_text))
-    refs = tuple(tuple(tokenize(r)) for r in ref_texts)
     scores: Dict[str, float] = {}
     for m in metrics:
         if m == "bleu4":
@@ -173,7 +236,7 @@ def score_pair(hyp_text: str, ref_texts: Sequence[str], kind: str = "",
             scores[m] = rouge_l(hyp, refs)
         else:
             raise ValueError(f"metrics: unknown metric {m!r}")
-    return ScoredPair(hyp, refs, scores, kind)
+    return ScoredPair(hyp, refs.tokens, scores, kind)
 
 
 def corpus_report(pairs: Sequence[ScoredPair]) -> Dict[str, Dict[str, float]]:

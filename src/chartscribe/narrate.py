@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .catalog import DataSeries
 from .chartgen import ChartMeta
 from .evalmetrics import tokenize
-from .rng import Rng, derive_seed, TAG_DESCRIPTION, TAG_BASELINE
+from .rng import Rng, derive_seed, TAG_DESCRIPTION
 from .templatebank import Template, TemplateBank, query
 
 __all__ = [

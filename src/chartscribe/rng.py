@@ -16,9 +16,7 @@ GAMMA = 0x9E3779B97F4A7C15
 # Stream tags used by derive_seed callers; listed here so the full seed
 # derivation tree is auditable in one place.
 TAG_TREND_RESAMPLE = 0x54524E44  # trend-series resample attempts
-TAG_RECORD = 0x52454344          # per-record corpus seeds
 TAG_DESCRIPTION = 0x44455343     # per-variant description seeds
-TAG_BASELINE = 0x4241534C        # baseline description seeds
 TAG_RETRY = 0x52545259           # record retry seeds
 
 

@@ -222,6 +222,40 @@ class TestEval:
         rc = main(["eval", "--hyp", str(hyp), "--ref", str(ref)])
         assert rc == 2
 
+    @pytest.mark.parametrize("record, message", [
+        ({"image_index": 1, "text": 5}, '"text" must be a string'),
+        ({"image_index": [1], "text": "a"}, '"image_index" must be a number'),
+    ], ids=["text-not-string", "index-unhashable"])
+    def test_bad_json_line(self, tmp_path, capsys, record, message):
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text(json.dumps(record) + "\n")
+        ref = tmp_path / "ref.jsonl"
+        ref.write_text(json.dumps({"image_index": 1, "text": "a"}) + "\n")
+        rc = main(["eval", "--hyp", str(hyp), "--ref", str(ref)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest, message", [
+        ("not json\n", "is not JSON"),
+        (json.dumps({"records": [{"image_index": 1}]}), "not a corpus manifest"),
+    ], ids=["not-json", "record-without-kind"])
+    def test_bad_by_kind_manifest(self, tmp_path, capsys, manifest, message):
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text(json.dumps({"image_index": 1, "text": "a"}) + "\n")
+        by_kind = tmp_path / "manifest.json"
+        by_kind.write_text(manifest)
+        rc = main(["eval", "--hyp", str(hyp), "--ref", str(hyp),
+                   "--by-kind", str(by_kind)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_hyp_is_directory(self, tmp_path, capsys):
+        ref = tmp_path / "ref.txt"
+        ref.write_text("a\n")
+        rc = main(["eval", "--hyp", str(tmp_path), "--ref", str(ref)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestParser:
     """Top-level argument handling."""

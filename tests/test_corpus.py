@@ -295,6 +295,15 @@ class TestGenerateCorpus:
         assert back.seed == config.seed
         assert back.cell_counts == config.cell_counts
 
+    def test_golden_tree_hash(self, tmp_path):
+        # a change to any output byte must bump FORMAT_VERSION and this hash
+        out = tmp_path / "golden"
+        manifest = generate_corpus(
+            CorpusConfig(seed=41, output_dir=str(out), count_scale=0.002))
+        assert manifest["totals"]["charts"] == 15
+        assert tree_hash(out) == (
+            "09f4d98757d2060810b8b5b58cdf1336099cfa59699c882b65e82d44a007978f")
+
     def test_two_runs_byte_identical(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"

@@ -1,12 +1,14 @@
 """Tokenizer and overlap-metric behavior, including the frozen oracle values."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chartscribe.evalmetrics import (
-    EmptyReportError, ScoredPair, bleu, corpus_report, format_report,
-    rouge_l, rouge_n, score_pair, tokenize,
+    EmptyReportError, References, ScoredPair, _lcs_len, bleu, corpus_report,
+    format_report, rouge_l, rouge_n, score_pair, tokenize,
 )
 
 
@@ -139,6 +141,110 @@ class TestRougeL:
 
     def test_empty_hypothesis(self):
         assert rouge_l([], [toks("a")]) == 0.0
+
+
+def lcs_len_dp(a, b):
+    """Longest common subsequence length, two-row dynamic program: the
+    oracle for the bit-parallel _lcs_len."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b):
+            if x == y:
+                cur.append(prev[j] + 1)
+            else:
+                cur.append(max(cur[j], prev[j + 1]))
+        prev = cur
+    return prev[-1]
+
+
+def token_lists(alphabet_size):
+    alphabet = [f"t{i}" for i in range(alphabet_size)]
+    return st.lists(st.sampled_from(alphabet), max_size=200)
+
+
+class TestBitParallelLcs:
+    """The bit-vector LCS against the dynamic program, across the 64-bit
+    word boundaries of the hypothesis masks."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(token_lists(3), token_lists(3))
+    def test_small_alphabet_matches_dp(self, a, b):
+        assert _lcs_len(a, b) == lcs_len_dp(a, b)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(token_lists(50), token_lists(50))
+    def test_large_alphabet_matches_dp(self, a, b):
+        assert _lcs_len(a, b) == lcs_len_dp(a, b)
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 129, 200])
+    def test_word_boundary_lengths(self, m):
+        rng = random.Random(m)
+        a = [rng.choice("abc") for _ in range(m)]
+        b = [rng.choice("abc") for _ in range(m + 7)]
+        assert _lcs_len(a, b) == lcs_len_dp(a, b)
+        assert _lcs_len(a, a) == m
+
+
+WORDS = ("the values rose fell steadily sharply from to in 1970 2015 3.5 "
+         "120,000 % , . ( ) peak low coffee exports tonnes").split()
+
+
+def words(seed, n):
+    rng = random.Random(seed)
+    return " ".join(rng.choice(WORDS) for _ in range(n))
+
+
+# hypothesis, references, and the scores the two-row-DP implementation gave
+PINNED = (
+    ("Coffee exports rose steadily from 120,000 tonnes in 1970 to 3.5 "
+     "million in 2015.",
+     ("Coffee exports rose from 120,000 tonnes in 1970 to 3.5 million by "
+      "2015.",
+      "Exports of coffee grew steadily (from 120,000 tonnes) between 1970 "
+      "and 2015.",
+      "In 2015, coffee exports peaked at 3.5 million tonnes."),
+     {"bleu4": 63.688528974715474, "rouge1": 89.65517241379311,
+      "rouge2": 74.07407407407408, "rougeL": 89.65517241379311}),
+    (words(1, 150), tuple(words(s, 60 + 17 * s) for s in range(2, 9)),
+     {"bleu4": 16.908958611401932, "rouge1": 79.48717948717949,
+      "rouge2": 23.870967741935488, "rougeL": 32.78688524590164}),
+    ("a b c d", ("x y z", "", "a", "d c b a"),
+     {"bleu4": 45.18010018049224, "rouge1": 100.0, "rouge2": 0.0,
+      "rougeL": 40.0}),
+)
+
+
+class TestPreparedReferences:
+    """Scores stay exact when the reference side is prepared once."""
+
+    @pytest.mark.parametrize("hyp, refs, expected", PINNED,
+                             ids=["sentence", "long-random", "edge"])
+    def test_pinned_scores(self, hyp, refs, expected):
+        assert score_pair(hyp, refs).scores == expected
+        assert score_pair(hyp, References.from_texts(refs)).scores == expected
+
+    def test_shared_set_matches_fresh_lists(self):
+        ref_texts = [words(s, 40 + s) for s in range(10, 16)]
+        refs = References.from_texts(ref_texts)
+        fresh = [tokenize(t) for t in ref_texts]
+        for seed in range(20, 26):
+            hyp = tokenize(words(seed, 30 + 3 * seed))
+            for max_n in (4, 2, 5):
+                assert bleu(hyp, refs, max_n) == bleu(hyp, fresh, max_n)
+            for n in (2, 1, 3):
+                assert rouge_n(hyp, refs, n) == rouge_n(hyp, fresh, n)
+            assert rouge_l(hyp, refs) == rouge_l(hyp, fresh)
+
+    def test_pair_keeps_reference_tokens(self):
+        pair = score_pair("a b", References.from_texts(["A b.", "c"]))
+        assert pair.references == (("a", "b", "."), ("c",))
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError):
+            References([])
 
 
 class TestScoringAndReport:
