@@ -54,6 +54,8 @@ def _cmd_generate(args) -> int:
         overrides["output_dir"] = args.out
     if overrides:
         config = dataclasses.replace(config, **overrides)
+    if args.jobs < 1:
+        raise CliError(f"generate: --jobs must be >= 1, got {args.jobs}")
     manifest = generate_corpus(config, jobs=args.jobs)
     totals = manifest["totals"]
     print(f"wrote {totals['charts']} charts, {totals['descriptions']} "
@@ -81,10 +83,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_describe(args) -> int:
+    if args.variants < 1:
+        raise CliError(f"describe: --variants must be >= 1, got {args.variants}")
     meta_path = Path(args.meta)
     if not meta_path.exists():
         raise CliError(f"describe: no meta file at {args.meta}")
-    meta = ChartMeta.from_json(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = ChartMeta.from_json(meta_path.read_text(encoding="utf-8"))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"describe: {args.meta} is not chart metadata: "
+                       f"{type(exc).__name__}: {exc}") from None
     bank = (load_default_bank() if args.bank == "builtin"
             else load_bank(args.bank))
     descriptions = generate_description_set(
@@ -92,6 +100,13 @@ def _cmd_describe(args) -> int:
     for desc in descriptions:
         print(desc.to_json_line())
     return 0
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"eval: {path} is not UTF-8 text: {exc}") from None
 
 
 def _read_scored_lines(path) -> Dict[object, List[str]]:
@@ -103,7 +118,7 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
     """
     texts: Dict[object, List[str]] = {}
     styles = set()
-    raw = Path(path).read_text(encoding="utf-8")
+    raw = _read_text(path)
     for line_no, line in enumerate(raw.splitlines()):
         if not line.strip():
             continue
@@ -137,7 +152,7 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
 
 def _kind_lookup(manifest_path) -> Dict[int, str]:
     try:
-        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+        manifest = json.loads(_read_text(manifest_path))
     except json.JSONDecodeError as exc:
         raise CliError(f"eval: --by-kind {manifest_path} is not JSON: {exc}")
     try:

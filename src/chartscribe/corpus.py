@@ -177,12 +177,25 @@ def default_config(seed: int, output_dir: str = "corpus_out") -> CorpusConfig:
     return CorpusConfig(seed=seed, output_dir=output_dir)
 
 
+def _config_number(cast, section: str, key: str, value: str):
+    try:
+        return cast(value)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(
+            f"config: [{section}] {key} = {value!r} is not {kind}") from None
+
+
 def load_config(path) -> CorpusConfig:
     """Read an INI config file; see docs/config.md for the commented example."""
     import configparser
 
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = "; ".join(str(exc).splitlines())
+        raise ConfigError(f"config: {path} does not parse: {detail}") from None
     if not read:
         raise ConfigError(f"config: cannot read {path}")
     if "corpus" not in parser:
@@ -197,7 +210,7 @@ def load_config(path) -> CorpusConfig:
             if "." not in key:
                 raise ConfigError(f"config: cell key {key!r} is not category.kind")
             category, kind = key.rsplit(".", 1)
-            cells[(category, kind)] = int(value)
+            cells[(category, kind)] = _config_number(int, "cells", key, value)
 
     plan_kwargs = {}
     if "generator" in parser:
@@ -207,23 +220,27 @@ def load_config(path) -> CorpusConfig:
                               ("m31_min", "m31_min"), ("m31_max", "m31_max")):
             if ini_key in gen:
                 cast = float if ini_key.startswith("p_") else int
-                plan_kwargs[attr] = cast(gen[ini_key])
+                plan_kwargs[attr] = _config_number(cast, "generator", ini_key,
+                                                   gen[ini_key])
 
     try:
         params = PlanParams(**plan_kwargs)
     except ValueError as exc:
         raise ConfigError(f"config: [generator] {exc}") from exc
 
-    descriptions = corpus.getint(
-        "descriptions_per_chart",
-        parser.getint("generator", "descriptions_per_chart", fallback=3)
-        if "generator" in parser else 3)
+    descriptions = 3
+    for section in ("generator", "corpus"):  # [corpus] wins
+        if section in parser and "descriptions_per_chart" in parser[section]:
+            descriptions = _config_number(
+                int, section, "descriptions_per_chart",
+                parser[section]["descriptions_per_chart"])
 
     return CorpusConfig(
-        seed=corpus.getint("seed"),
+        seed=_config_number(int, "corpus", "seed", corpus["seed"]),
         output_dir=corpus.get("output_dir", "corpus_out"),
         cell_counts=cells,
-        count_scale=corpus.getfloat("count_scale", 1.0),
+        count_scale=_config_number(float, "corpus", "count_scale",
+                                   corpus.get("count_scale", "1.0")),
         catalog_source=corpus.get("catalog_source", "synthetic(24, 30)"),
         template_bank=corpus.get("template_bank", "builtin"),
         descriptions_per_chart=descriptions,
@@ -347,6 +364,16 @@ def _record_name(image_index: int) -> str:
     return f"{image_index:06d}"
 
 
+# a record's files: manifest key, directory, suffix
+_LAYOUT = (("chart", "charts", ".svg"), ("meta", "meta", ".json"),
+           ("descriptions", "descriptions", ".txt"))
+
+
+def _record_files(image_index: int) -> Dict[str, str]:
+    name = _record_name(image_index)
+    return {key: f"{sub}/{name}{suffix}" for key, sub, suffix in _LAYOUT}
+
+
 def _attempt_record(plan: RecordPlan, attempt_seed: int, attempt: int,
                     catalog: Catalog, bank: TemplateBank,
                     config: CorpusConfig) -> RecordPayload:
@@ -365,7 +392,6 @@ def _attempt_record(plan: RecordPlan, attempt_seed: int, attempt: int,
         n_variants=config.descriptions_per_chart,
         params=config.plan_params)
 
-    name = _record_name(plan.image_index)
     entry = {
         "image_index": plan.image_index,
         "category": plan.category,
@@ -376,11 +402,7 @@ def _attempt_record(plan: RecordPlan, attempt_seed: int, attempt: int,
         "arity": len(series),
         "trend_classes": [sm.trend_class for sm in meta.series],
         "n_descriptions": len(descriptions),
-        "files": {
-            "chart": f"charts/{name}.svg",
-            "meta": f"meta/{name}.json",
-            "descriptions": f"descriptions/{name}.txt",
-        },
+        "files": _record_files(plan.image_index),
     }
     desc_text = "".join(d.to_json_line() + "\n" for d in descriptions)
     return RecordPayload(plan.image_index, svg, meta.to_json(), desc_text, entry)
@@ -561,42 +583,36 @@ def _iter_bboxes(meta: ChartMeta):
     yield "plot_area", meta.plot_area
 
 
-def _validate_record(root: Path, entry: dict, seen_counts: dict) -> List[str]:
+# what reading a field of decoded JSON raises when the field has the wrong
+# type or shape: the validator reports it as a violation of the record
+_MALFORMED = (ArithmeticError, AttributeError, LookupError, TypeError,
+              ValueError)
+
+# the fields of a manifest record that the validator reads
+_RECORD_FIELDS = (("image_index", int), ("category", str), ("kind", str),
+                  ("n_descriptions", int), ("files", dict))
+
+
+def _record_shape(entry) -> Optional[str]:
+    """Why a manifest record cannot be checked, or None when it can.  Its
+    files must be exactly its layout paths, so nothing outside the corpus
+    root is ever opened."""
+    if not isinstance(entry, dict):
+        return f"is a {type(entry).__name__}, not an object"
+    for key, kind in _RECORD_FIELDS:
+        if key not in entry:
+            return f"has no {key}"
+        value = entry[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            return f"has {key} {value!r}, not of type {kind.__name__}"
+    expected = _record_files(entry["image_index"])
+    if entry["files"] != expected:
+        return f"has files {entry['files']!r}, not the layout paths {expected!r}"
+    return None
+
+
+def _check_geometry(tag: str, meta: ChartMeta) -> List[str]:
     problems: List[str] = []
-    idx = entry["image_index"]
-    tag = f"record {idx:06d}"
-    files = entry["files"]
-
-    svg_path = root / files["chart"]
-    meta_path = root / files["meta"]
-    desc_path = root / files["descriptions"]
-    for label, path in (("chart", svg_path), ("meta", meta_path),
-                        ("descriptions", desc_path)):
-        if not path.exists():
-            problems.append(f"{tag}: missing {label} file {path.name}")
-    if problems:
-        return problems
-
-    try:
-        ET.fromstring(svg_path.read_bytes())
-    except ET.ParseError as exc:
-        problems.append(f"{tag}: chart svg does not parse: {exc}")
-
-    try:
-        meta = ChartMeta.from_json(meta_path.read_text(encoding="utf-8"))
-    except (ValueError, KeyError, TypeError) as exc:
-        problems.append(f"{tag}: meta does not parse: {exc}")
-        return problems
-
-    if meta.image_index != idx:
-        problems.append(f"{tag}: meta image_index {meta.image_index} mismatch")
-    if meta.category != entry["category"]:
-        problems.append(f"{tag}: meta category {meta.category!r} mismatch, "
-                        f"manifest says {entry['category']!r}")
-    if meta.chart_kind != entry["kind"]:
-        problems.append(f"{tag}: meta kind {meta.chart_kind!r} mismatch, "
-                        f"manifest says {entry['kind']!r}")
-
     for name, bbox in _iter_bboxes(meta):
         if not bbox.within_canvas():
             problems.append(f"{tag}: {name} bbox outside canvas: {bbox.to_dict()}")
@@ -615,14 +631,59 @@ def _validate_record(root: Path, entry: dict, seen_counts: dict) -> List[str]:
                     and -0.5 <= point.y_canvas <= meta.canvas_height + 0.5):
                 problems.append(
                     f"{tag}: series[{s}].points[{p_i}] plotted off canvas")
+    return problems
+
+
+def _validate_record(root: Path, entry: dict, seen_counts: dict) -> List[str]:
+    """Check one record whose manifest entry has passed `_record_shape`."""
+    problems: List[str] = []
+    idx = entry["image_index"]
+    tag = f"record {_record_name(idx)}"
+    paths = {key: root / rel for key, rel in entry["files"].items()}
+    for label, path in paths.items():
+        if not path.is_file():
+            problems.append(f"{tag}: missing {label} file {path.name}")
+    if problems:
+        return problems
+
+    try:
+        ET.fromstring(paths["chart"].read_bytes())
+    except ET.ParseError as exc:
+        problems.append(f"{tag}: chart svg does not parse: {exc}")
+
+    try:
+        meta = ChartMeta.from_json(paths["meta"].read_text(encoding="utf-8"))
+    except _MALFORMED as exc:
+        problems.append(f"{tag}: meta does not parse: {exc}")
+        return problems
+
+    if meta.image_index != idx:
+        problems.append(f"{tag}: meta image_index {meta.image_index} mismatch")
+    if meta.category != entry["category"]:
+        problems.append(f"{tag}: meta category {meta.category!r} mismatch, "
+                        f"manifest says {entry['category']!r}")
+    if meta.chart_kind != entry["kind"]:
+        problems.append(f"{tag}: meta kind {meta.chart_kind!r} mismatch, "
+                        f"manifest says {entry['kind']!r}")
+
+    try:
+        problems += _check_geometry(tag, meta)
+    except _MALFORMED as exc:
+        problems.append(f"{tag}: meta geometry is malformed: "
+                        f"{type(exc).__name__}: {exc}")
 
     try:
         facts = extract_facts(meta)
-    except (ValueError, KeyError) as exc:
+        facts.digit_tokens  # reads every fact text the digit audit uses
+    except _MALFORMED as exc:
         problems.append(f"{tag}: facts not extractable: {exc}")
         facts = None
 
-    lines = desc_path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = paths["descriptions"].read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        problems.append(f"{tag}: description file is not UTF-8: {exc}")
+        lines = []
     if not lines:
         problems.append(f"{tag}: description file is empty")
     if len(lines) != entry["n_descriptions"]:
@@ -632,7 +693,7 @@ def _validate_record(root: Path, entry: dict, seen_counts: dict) -> List[str]:
     for line_no, line in enumerate(lines):
         try:
             desc = Description.from_json_line(line)
-        except (ValueError, KeyError, TypeError) as exc:
+        except _MALFORMED as exc:
             problems.append(
                 f"{tag}: description line {line_no} does not parse: {exc}")
             continue
@@ -660,31 +721,59 @@ def _validate_record(root: Path, entry: dict, seen_counts: dict) -> List[str]:
     return problems
 
 
+def _manifest_part(manifest: dict, key: str, default, problems: List[str]):
+    """manifest[key] when it has the type of default; else default, and the
+    mismatch is reported."""
+    value = manifest.get(key, default)
+    if isinstance(value, type(default)):
+        return value
+    problems.append(f"manifest: {key} is a {type(value).__name__}, "
+                    f"not a {type(default).__name__}")
+    return default
+
+
+def _cell_key(cell) -> Optional[Tuple[str, str]]:
+    if (isinstance(cell, dict) and isinstance(cell.get("category"), str)
+            and isinstance(cell.get("kind"), str) and "count" in cell):
+        return cell["category"], cell["kind"]
+    return None
+
+
 def validate_corpus(corpus_dir) -> List[str]:
     """Re-check every invariant checkable from disk; empty list means clean.
 
-    Never aborts early: all violations across all records are collected.
+    Never aborts early and never raises on a damaged corpus: all violations
+    across all records are collected, and a record whose manifest entry is
+    malformed is reported instead of read.  Only files at the layout paths
+    under the corpus root are opened.
     """
     root = Path(corpus_dir)
     try:
         manifest = load_manifest(root)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return [f"manifest: {exc}"]
+    if not isinstance(manifest, dict):
+        return [f"manifest: is a {type(manifest).__name__}, not an object"]
     problems: List[str] = []
     if manifest.get("format_version") != FORMAT_VERSION:
         problems.append(
             f"manifest: unknown format_version {manifest.get('format_version')}")
 
+    records = _manifest_part(manifest, "records", [], problems)
     seen = {"charts": 0, "descriptions": 0, "cells": {}}
     indices = set()
-    for entry in manifest.get("records", []):
+    for pos, entry in enumerate(records):
+        shape = _record_shape(entry)
+        if shape is not None:
+            problems.append(f"manifest: records[{pos}] {shape}")
+            continue
         idx = entry["image_index"]
         if idx in indices:
             problems.append(f"manifest: duplicate image_index {idx}")
         indices.add(idx)
         problems.extend(_validate_record(root, entry, seen))
 
-    totals = manifest.get("totals", {})
+    totals = _manifest_part(manifest, "totals", {}, problems)
     if totals.get("charts") != seen["charts"]:
         problems.append(
             f"manifest: totals.charts {totals.get('charts')} but "
@@ -693,16 +782,20 @@ def validate_corpus(corpus_dir) -> List[str]:
         problems.append(
             f"manifest: totals.descriptions {totals.get('descriptions')} but "
             f"{seen['descriptions']} description lines on disk")
-    for cell in manifest.get("cells", []):
-        key = (cell["category"], cell["kind"])
+    cells = _manifest_part(manifest, "cells", [], problems)
+    for cell in cells:
+        key = _cell_key(cell)
+        if key is None:
+            problems.append(f"manifest: cell {cell!r} needs a category, "
+                            f"a kind and a count")
+            continue
         actual = seen["cells"].get(key, 0)
         if cell["count"] != actual:
             problems.append(
                 f"manifest: cell {key[0]}/{key[1]} declares {cell['count']} "
                 f"records, found {actual}")
 
-    for sub, suffix in (("charts", ".svg"), ("meta", ".json"),
-                        ("descriptions", ".txt")):
+    for _, sub, suffix in _LAYOUT:
         folder = root / sub
         if not folder.is_dir():
             problems.append(f"layout: missing directory {sub}/")

@@ -19,7 +19,8 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .catalog import DataSeries
 from .chartgen import ChartMeta
@@ -163,6 +164,20 @@ class ChartFacts:
     entity_list: Tuple[str, ...]
     series: Tuple[SeriesFacts, ...]
     cross: Optional[CrossFacts]
+
+    @cached_property
+    def digit_tokens(self) -> FrozenSet[str]:
+        """The digit-bearing tokens of every fact a slot can print.  The
+        texts are joined with spaces and tokenized in one call, which gives
+        the tokens of one call per text: whitespace always ends a token."""
+        texts = [self.title, self.x_label, self.y_label, self.unit,
+                 str(self.n_categories), *self.entity_list]
+        for sf in self.series:
+            texts += (sf.name, sf.x_first, sf.x_last, sf.x_at_max, sf.x_at_min)
+            texts += (_plain_number(_round_2sf(v)) for v in (
+                sf.y_first, sf.y_last, sf.y_max, sf.y_min, sf.y_mean, sf.delta))
+        return frozenset(tok for tok in tokenize(" ".join(texts))
+                         if _has_digit(tok))
 
 
 def _check_consistency(meta: ChartMeta, series: Sequence[DataSeries]) -> None:
@@ -535,14 +550,14 @@ class Description:
     @classmethod
     def from_json_line(cls, line: str) -> "Description":
         doc = json.loads(line)
-        return cls(
-            image_index=doc["image_index"],
-            variant_index=doc["variant_index"],
-            sentences=tuple(
-                Sentence(s["move"], s["template_id"], s["text"])
-                for s in doc["sentences"]
-            ),
-        )
+        sentences = tuple(Sentence(s["move"], s["template_id"], s["text"])
+                          for s in doc["sentences"])
+        if not all(isinstance(v, str) for s in sentences
+                   for v in (s.move, s.template_id, s.text)):
+            raise ValueError("sentence move, template_id and text must be "
+                             "strings")
+        return cls(image_index=doc["image_index"],
+                   variant_index=doc["variant_index"], sentences=sentences)
 
 
 def generate_description(meta: ChartMeta,
@@ -669,38 +684,19 @@ def check_move_order(moves: Sequence[str]) -> List[str]:
     return violations
 
 
-def fact_digit_tokens(facts: ChartFacts) -> Set[str]:
-    """Every digit-bearing token that a faithful description could contain."""
-    allowed: Set[str] = set()
+def _has_digit(tok: str) -> bool:
+    # a letter is never a digit, so an all-letter token needs no scan
+    return not tok.isalpha() and any(map(str.isdigit, tok))
 
-    def add(text: str) -> None:
-        for tok in tokenize(text):
-            if any(c.isdigit() for c in tok):
-                allowed.add(tok)
 
-    add(facts.title)
-    add(facts.x_label)
-    add(facts.y_label)
-    add(facts.unit)
-    add(str(facts.n_categories))
-    for label in facts.entity_list:
-        add(label)
-    for sf in facts.series:
-        add(sf.name)
-        for label in (sf.x_first, sf.x_last, sf.x_at_max, sf.x_at_min):
-            add(label)
-        for v in (sf.y_first, sf.y_last, sf.y_max, sf.y_min, sf.y_mean, sf.delta):
-            add(_plain_number(_round_2sf(v)))
-    if facts.cross is not None:
-        for v in (facts.cross.gap_first, facts.cross.gap_last):
-            add(_plain_number(_round_2sf(v)))
-    return allowed
+def fact_digit_tokens(facts: ChartFacts) -> FrozenSet[str]:
+    """Every digit-bearing token that a faithful description could contain;
+    built once per fact table."""
+    return facts.digit_tokens
 
 
 def hallucination_check(text: str, facts: ChartFacts) -> List[str]:
     """Digit-bearing tokens in the text that match no value in the facts."""
-    allowed = fact_digit_tokens(facts)
-    return [
-        tok for tok in tokenize(text)
-        if any(c.isdigit() for c in tok) and tok not in allowed
-    ]
+    allowed = facts.digit_tokens
+    return [tok for tok in tokenize(text)
+            if tok not in allowed and _has_digit(tok)]

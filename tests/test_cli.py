@@ -10,6 +10,12 @@ from chartscribe.corpus import MANIFEST_NAME
 from chartscribe.narrate import Description
 
 
+def one_line_error(capsys, text):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert text in err
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "corpus"
@@ -58,6 +64,31 @@ class TestGenerate:
         rc = main(["generate", "--config", str(ini)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("body, message", [
+        ("[corpus]\nseed = 1\n[cells]\ntemporal-trend.bar = many\n",
+         "[cells] temporal-trend.bar = 'many' is not an integer"),
+        ("[corpus]\nseed = one\n", "[corpus] seed = 'one' is not an integer"),
+        ("[corpus]\nseed = 1\ncount_scale = half\n",
+         "[corpus] count_scale = 'half' is not a number"),
+        ("[corpus]\nseed = 1\n[generator]\np_move2 = often\n",
+         "[generator] p_move2 = 'often' is not a number"),
+        ("seed = 1\n", "does not parse"),
+    ], ids=["cell-count", "seed", "count-scale", "generator", "no-section"])
+    def test_config_value_not_a_number(self, tmp_path, capsys, body, message):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(body)
+        rc = main(["generate", "--config", str(ini),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        one_line_error(capsys, message)
+
+    def test_jobs_zero(self, tmp_path, capsys):
+        rc = main(["generate", "--seed", "1", "--count-scale", "0.002",
+                   "--jobs", "0", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        one_line_error(capsys, "--jobs must be >= 1")
 
 
 class TestStats:
@@ -125,6 +156,21 @@ class TestDescribe:
                    "--variants", "1"])
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
+    def test_variants_zero(self, corpus_dir, capsys):
+        meta = corpus_dir / "meta" / "000000.json"
+        rc = main(["describe", "--meta", str(meta), "--variants", "0"])
+        assert rc == 2
+        one_line_error(capsys, "--variants must be >= 1")
+
+    @pytest.mark.parametrize("body", ['"not json', '{"image_index": 1}'],
+                             ids=["not-json", "not-meta"])
+    def test_meta_not_chart_metadata(self, tmp_path, capsys, body):
+        meta = tmp_path / "meta.json"
+        meta.write_text(body)
+        rc = main(["describe", "--meta", str(meta)])
+        assert rc == 2
+        one_line_error(capsys, "is not chart metadata")
 
     def test_missing_meta(self, tmp_path, capsys):
         rc = main(["describe", "--meta", str(tmp_path / "none.json")])
@@ -255,6 +301,21 @@ class TestEval:
         rc = main(["eval", "--hyp", str(tmp_path), "--ref", str(ref)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flag", ["--hyp", "--by-kind"])
+    def test_input_not_utf8(self, tmp_path, capsys, flag):
+        good = tmp_path / "good.jsonl"
+        good.write_text(json.dumps({"image_index": 1, "text": "a"}) + "\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe a b\n")
+        args = {"--hyp": good, "--ref": good, "--by-kind": None}
+        args[flag] = bad
+        argv = ["eval"] + [str(x) for k, v in args.items()
+                           if v is not None for x in (k, v)]
+        rc = main(argv)
+        assert rc == 2
+        one_line_error(capsys, "is not UTF-8 text")
 
 
 class TestParser:

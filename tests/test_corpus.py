@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chartscribe.catalog import synth_catalog, write_catalog
 from chartscribe.chartgen import ChartMeta
@@ -489,3 +490,152 @@ class TestValidate:
         assert any("missing chart" in p for p in problems)
         assert any("not in manifest" in p for p in problems)
         assert any("bbox outside canvas" in p for p in problems)
+
+
+def edit_json(path, mutate):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    mutate(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+class TestValidateDamagedManifest:
+    """A malformed manifest record is reported, not read and not raised on,
+    and no file outside the corpus root is opened."""
+
+    @pytest.fixture()
+    def fresh(self, tmp_path):
+        out = tmp_path / "corpus"
+        generate_corpus(CorpusConfig(seed=13, output_dir=str(out),
+                                     count_scale=0.002))
+        return out
+
+    def test_record_without_files(self, fresh):
+        edit_json(fresh / MANIFEST_NAME,
+                  lambda doc: doc["records"][2].pop("files"))
+        assert "manifest: records[2] has no files" in validate_corpus(fresh)
+
+    @pytest.mark.parametrize("field", ["category", "n_descriptions", "kind"])
+    def test_record_without_field(self, fresh, field):
+        edit_json(fresh / MANIFEST_NAME,
+                  lambda doc: doc["records"][4].pop(field))
+        assert f"manifest: records[4] has no {field}" in validate_corpus(fresh)
+
+    def test_image_index_not_an_int(self, fresh):
+        edit_json(fresh / MANIFEST_NAME,
+                  lambda doc: doc["records"][1].__setitem__("image_index", "x"))
+        problems = validate_corpus(fresh)
+        assert any(p.startswith("manifest: records[1] has image_index 'x'")
+                   for p in problems)
+
+    def test_records_not_a_list(self, fresh):
+        edit_json(fresh / MANIFEST_NAME,
+                  lambda doc: doc.__setitem__("records", 5))
+        assert "manifest: records is a int, not a list" in \
+            validate_corpus(fresh)
+
+    @pytest.mark.parametrize("relative", [True, False])
+    def test_file_path_outside_the_root_is_not_opened(self, fresh, tmp_path,
+                                                      monkeypatch, relative):
+        outside = tmp_path / "outside.svg"
+        outside.write_text("not an svg", encoding="utf-8")
+        target = "../outside.svg" if relative else str(outside)
+        edit_json(fresh / MANIFEST_NAME, lambda doc:
+                  doc["records"][3]["files"].__setitem__("chart", target))
+        opened = []
+        real = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: opened.append(self) or real(self))
+        problems = validate_corpus(fresh)
+        assert any(p.startswith("manifest: records[3] has files") for p in problems)
+        assert not any("does not parse" in p for p in problems)
+        assert all(fresh in p.parents for p in opened)
+
+    def test_manifest_not_an_object(self, fresh):
+        (fresh / MANIFEST_NAME).write_text("[1, 2]", encoding="utf-8")
+        assert validate_corpus(fresh) == ["manifest: is a list, not an object"]
+
+    @pytest.mark.parametrize("field, value", [("text", 5), ("move", ["M1"])])
+    def test_sentence_field_of_wrong_type(self, fresh, field, value):
+        path = fresh / "descriptions" / "000001.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[0])
+        doc["sentences"][0][field] = value
+        lines[0] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert any(p.startswith("record 000001: description line 0 does not "
+                                "parse") for p in validate_corpus(fresh))
+
+    def test_description_file_not_utf8(self, fresh):
+        (fresh / "descriptions" / "000002.txt").write_bytes(b"\xff\xfe{}")
+        assert any(p.startswith("record 000002: description file is not UTF-8")
+                   for p in validate_corpus(fresh))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def mutate_at(doc, steps, action, value):
+    """Walk into doc, step i choosing child i modulo the container size,
+    then replace or delete the node reached (the root is replaced)."""
+    parent, key, node = None, None, doc
+    for step in steps:
+        if isinstance(node, dict) and node:
+            k = sorted(node)[step % len(node)]
+        elif isinstance(node, list) and node:
+            k = step % len(node)
+        else:
+            break
+        parent, key, node = node, k, node[k]
+    if parent is None:
+        return value
+    if action == "delete":
+        del parent[key]
+    else:
+        parent[key] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "corpus"
+    manifest = generate_corpus(CorpusConfig(seed=41, output_dir=str(out),
+                                            count_scale=0.002))
+    return out, len(manifest["records"])
+
+
+class TestValidateFuzz:
+    """Mutated manifest, meta and description JSON: validate_corpus returns
+    a list of strings and raises nothing."""
+
+    @settings(max_examples=200)
+    @given(target=st.sampled_from(["manifest", "meta", "descriptions"]),
+           record=st.integers(0, 1000),
+           steps=st.lists(st.integers(0, 1000), max_size=6),
+           action=st.sampled_from(["replace", "delete"]),
+           value=JSON_VALUES)
+    def test_never_raises(self, fuzz_corpus, target, record, steps, action,
+                          value):
+        root, n_records = fuzz_corpus
+        name = f"{record % n_records:06d}"
+        path = {"manifest": root / MANIFEST_NAME,
+                "meta": root / "meta" / f"{name}.json",
+                "descriptions": root / "descriptions" / f"{name}.txt"}[target]
+        original = path.read_text(encoding="utf-8")
+        lines = original.splitlines()
+        line = steps[0] % len(lines) if steps and target == "descriptions" else 0
+        if target != "descriptions":
+            lines = [original]
+        lines[line] = json.dumps(
+            mutate_at(json.loads(lines[line]), steps, action, value))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            problems = validate_corpus(root)
+        finally:
+            path.write_text(original, encoding="utf-8")
+        assert isinstance(problems, list)
+        assert all(isinstance(p, str) for p in problems)

@@ -1,8 +1,12 @@
 """Fact extraction, number formatting, move planning, and text generation."""
 
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from chartscribe import narrate
 
 from chartscribe.catalog import DataSeries, sample_series, synth_catalog
 from chartscribe.chartgen import ChartKind, build_chart_spec, render
@@ -13,6 +17,7 @@ from chartscribe.narrate import (
     format_number, generate_description, generate_description_set,
     hallucination_check, plan_moves, realize,
 )
+from chartscribe.evalmetrics import tokenize
 from chartscribe.rng import Rng
 from chartscribe.templatebank import Template, load_default_bank
 
@@ -508,3 +513,51 @@ class TestHallucinationCheck:
         facts = visitor_facts()
         tokens = fact_digit_tokens(facts)
         assert {"2013", "2015", "15", "12"} <= tokens
+
+    def test_cross_gap_is_not_allowed(self):
+        # no slot prints the gap between two series: gaps 370 and 370
+        # match no label or per-series value, so citing one is flagged
+        meta = crafted_meta(crafted([500, 600, 720]),
+                            crafted([130, 240, 350], name="Beta"))
+        facts = extract_facts(meta)
+        assert facts.cross.gap_first == facts.cross.gap_last == 370
+        assert hallucination_check("The gap is 370 kt.", facts) == ["370"]
+        assert hallucination_check("Beta ends at 350 kt.", facts) == []
+
+    def test_allowed_set_built_once_per_fact_table(self, monkeypatch):
+        calls = []
+        real = narrate.tokenize
+        monkeypatch.setattr(narrate, "tokenize",
+                            lambda text: calls.append(text) or real(text))
+        facts = visitor_facts()
+        for _ in range(3):
+            assert hallucination_check("It hit 15 million.", facts) == []
+        assert len(calls) == 4
+        assert fact_digit_tokens(facts) is facts.digit_tokens
+
+    def test_allowed_set_matches_one_tokenize_call_per_text(self):
+        _, meta = make_chart(True, 2, seed=5, min_len=5)
+        facts = extract_facts(meta)
+        texts = [facts.title, facts.x_label, facts.y_label, facts.unit,
+                 str(facts.n_categories), *facts.entity_list]
+        for sf in facts.series:
+            texts += [sf.name, sf.x_first, sf.x_last, sf.x_at_max, sf.x_at_min]
+            texts += [narrate._plain_number(narrate._round_2sf(v)) for v in (
+                sf.y_first, sf.y_last, sf.y_max, sf.y_min, sf.y_mean, sf.delta)]
+        expected = {tok for text in texts for tok in tokenize(text)
+                    if any(c.isdigit() for c in tok)}
+        assert fact_digit_tokens(facts) == expected
+
+
+class TestDigitTest:
+    """The per-token digit test against a scan of every character."""
+
+    @settings(max_examples=500)
+    @given(st.text())
+    def test_matches_character_scan(self, tok):
+        assert narrate._has_digit(tok) == any(c.isdigit() for c in tok)
+
+    def test_no_code_point_is_both_letter_and_digit(self):
+        both = [c for c in map(chr, range(sys.maxunicode + 1))
+                if c.isalpha() and c.isdigit()]
+        assert both == []
