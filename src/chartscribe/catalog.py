@@ -144,6 +144,12 @@ class Catalog:
     _index: Optional[Dict[str, List[str]]] = field(
         default=None, repr=False, compare=False
     )
+    _usable: Dict[Tuple[str, int], List[Tuple[str, List[List[int]]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _by_year: Dict[str, Dict[int, List[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for (ind_id, ent_id), by_year in self.observations.items():
@@ -191,6 +197,37 @@ class Catalog:
             for ents in index.values():
                 ents.sort()
             self._index = index
+
+    def usable_runs(self, ind_id: str,
+                    min_len: int) -> List[Tuple[str, List[List[int]]]]:
+        """(entity id, its runs of consecutive years at least min_len long)
+        for each entity of the indicator that has such a run, in entity
+        order.  Computed once per (indicator, min_len); callers must not
+        modify the result."""
+        key = (ind_id, min_len)
+        usable = self._usable.get(key)
+        if usable is None:
+            usable = []
+            for ent_id in self.entities_for(ind_id):
+                runs = [r for r in _runs(self.years_for(ind_id, ent_id))
+                        if len(r) >= min_len]
+                if runs:
+                    usable.append((ent_id, runs))
+            self._usable[key] = usable
+        return usable
+
+    def entities_by_year(self, ind_id: str) -> Dict[int, List[str]]:
+        """year -> sorted ids of the entities the indicator covers in that
+        year (sorted because `entities_for` is).  Computed once per
+        indicator; callers must not modify it."""
+        by_year = self._by_year.get(ind_id)
+        if by_year is None:
+            by_year = {}
+            for ent_id in self.entities_for(ind_id):
+                for y in self.observations[(ind_id, ent_id)]:
+                    by_year.setdefault(y, []).append(ent_id)
+            self._by_year[ind_id] = by_year
+        return by_year
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +547,7 @@ def sample_series(catalog: Catalog, temporal: bool, arity: int, rng: Rng,
 def _sample_temporal(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
                      min_len: int) -> Optional[List[DataSeries]]:
     ind = catalog.indicators[ind_id]
-    usable = []
-    for ent_id in catalog.entities_for(ind_id):
-        runs = [r for r in _runs(catalog.years_for(ind_id, ent_id)) if len(r) >= min_len]
-        if runs:
-            usable.append((ent_id, runs))
+    usable = catalog.usable_runs(ind_id, min_len)
     if arity == 1:
         if not usable:
             return None
@@ -558,13 +591,7 @@ def _sample_temporal(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
 def _sample_categorical(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
                         min_len: int) -> Optional[List[DataSeries]]:
     ind = catalog.indicators[ind_id]
-    by_year: Dict[int, List[str]] = {}
-    for ent_id in catalog.entities_for(ind_id):
-        for y in catalog.observations[(ind_id, ent_id)]:
-            by_year.setdefault(y, []).append(ent_id)
-    for ents in by_year.values():
-        ents.sort()
-
+    by_year = catalog.entities_by_year(ind_id)
     if arity == 1:
         years = sorted(y for y, ents in by_year.items() if len(ents) >= min_len)
         if not years:

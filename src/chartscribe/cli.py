@@ -25,11 +25,11 @@ from typing import Dict, List, Optional
 
 from .chartgen import ChartMeta
 from .corpus import (
-    ConfigError, CorpusConfig, default_config, generate_corpus, load_config,
-    load_manifest, stats, validate_corpus,
+    _MALFORMED, ConfigError, CorpusConfig, ManifestError, default_config,
+    generate_corpus, load_config, load_manifest, stats, validate_corpus,
 )
 from .evalmetrics import References, corpus_report, format_report, score_pair
-from .narrate import generate_description_set
+from .narrate import extract_facts, generate_description_set
 from .rng import Rng
 from .templatebank import load_bank, load_default_bank
 
@@ -92,6 +92,11 @@ def _cmd_describe(args) -> int:
         meta = ChartMeta.from_json(meta_path.read_text(encoding="utf-8"))
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"describe: {args.meta} is not chart metadata: "
+                       f"{type(exc).__name__}: {exc}") from None
+    try:
+        extract_facts(meta).digit_tokens  # reads every fact a slot can print
+    except _MALFORMED as exc:
+        raise CliError(f"describe: {args.meta} has malformed chart facts: "
                        f"{type(exc).__name__}: {exc}") from None
     bank = (load_default_bank() if args.bank == "builtin"
             else load_bank(args.bank))
@@ -253,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, OSError) as exc:
+    except (CliError, ConfigError, ManifestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -83,6 +83,10 @@ class ConfigError(ValueError):
     """Malformed corpus configuration."""
 
 
+class ManifestError(ValueError):
+    """A manifest whose records `stats` or `regenerate_record` cannot read."""
+
+
 class CorpusGenerationError(RuntimeError):
     """A record kept failing after every retry."""
 
@@ -509,11 +513,19 @@ def regenerate_record(corpus_dir, image_index: int) -> List[str]:
     relative paths written."""
     root = Path(corpus_dir)
     manifest = load_manifest(root)
-    config = CorpusConfig.from_dict(manifest["config"])
-    entry = next((e for e in manifest["records"]
-                  if e["image_index"] == image_index), None)
+    entry = next((e for e in _manifest_records(manifest)
+                  if isinstance(e, dict)
+                  and e.get("image_index") == image_index), None)
     if entry is None:
         raise KeyError(f"image_index {image_index} not in manifest")
+    shape = _record_shape(entry, _RECORD_FIELDS + _REGEN_FIELDS)
+    if shape is not None:
+        raise ManifestError(f"manifest: record {image_index} {shape}")
+    try:
+        config = CorpusConfig.from_dict(manifest["config"])
+    except _MALFORMED as exc:
+        raise ManifestError(f"manifest: config is malformed: "
+                            f"{type(exc).__name__}: {exc}") from None
     plan = RecordPlan(image_index, entry["category"], entry["kind"],
                       entry["cell_index"], entry["seed"])
     payload = build_record(plan, _build_catalog(config), _build_bank(config),
@@ -529,13 +541,19 @@ def regenerate_record(corpus_dir, image_index: int) -> List[str]:
 def stats(corpus_dir) -> Tuple[dict, str]:
     """Category x kind grid plus description totals, as a dict and an
     aligned text table."""
-    manifest = load_manifest(corpus_dir)
+    records = _manifest_records(load_manifest(corpus_dir))
     grid = {(category, kind): 0 for category in CATEGORIES for kind in KINDS}
     descriptions = 0
-    for entry in manifest["records"]:
+    for pos, entry in enumerate(records):
+        shape = _record_shape(entry)
+        if shape is None and (entry["category"], entry["kind"]) not in grid:
+            shape = (f"has cell {entry['category']}/{entry['kind']}, "
+                     f"not in the grid")
+        if shape is not None:
+            raise ManifestError(f"manifest: records[{pos}] {shape}")
         grid[(entry["category"], entry["kind"])] += 1
         descriptions += entry["n_descriptions"]
-    charts = len(manifest["records"])
+    charts = len(records)
 
     doc = {
         "charts": charts,
@@ -591,15 +609,25 @@ _MALFORMED = (ArithmeticError, AttributeError, LookupError, TypeError,
 # the fields of a manifest record that the validator reads
 _RECORD_FIELDS = (("image_index", int), ("category", str), ("kind", str),
                   ("n_descriptions", int), ("files", dict))
+# and the ones regenerate_record also reads
+_REGEN_FIELDS = (("cell_index", int), ("seed", int))
 
 
-def _record_shape(entry) -> Optional[str]:
-    """Why a manifest record cannot be checked, or None when it can.  Its
-    files must be exactly its layout paths, so nothing outside the corpus
-    root is ever opened."""
+def _manifest_records(manifest) -> list:
+    """The manifest's record list; ManifestError when there is none."""
+    records = manifest.get("records") if isinstance(manifest, dict) else None
+    if not isinstance(records, list):
+        raise ManifestError("manifest: records is not a list")
+    return records
+
+
+def _record_shape(entry, fields=_RECORD_FIELDS) -> Optional[str]:
+    """Why a manifest record cannot be read, or None when it can: it needs
+    each (key, type) of `fields`.  Its files must be exactly its layout
+    paths, so nothing outside the corpus root is ever opened."""
     if not isinstance(entry, dict):
         return f"is a {type(entry).__name__}, not an object"
-    for key, kind in _RECORD_FIELDS:
+    for key, kind in fields:
         if key not in entry:
             return f"has no {key}"
         value = entry[key]

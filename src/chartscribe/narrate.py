@@ -3,7 +3,10 @@
 The pipeline is: extract a fact table from chart metadata, plan an ordered
 sequence of rhetorical moves, then realize one template per move with every
 slot filled from the fact table.  All randomness flows through a single Rng,
-so a (chart, seed) pair always yields byte-identical text.
+so a (chart, seed) pair always yields byte-identical text.  A chart's facts
+are extracted once for all its variants, a template's text is split into
+literal and slot pieces once per bank, and the applicable templates of a
+move come from the bank's index.
 
 Move tags and their ordering contract:
 
@@ -17,7 +20,6 @@ Move tags and their ordering contract:
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -115,9 +117,6 @@ COMPARISON_PHRASES: Dict[str, Tuple[str, ...]] = {
     "mixed": ("trading places with", "crossing paths with"),
 }
 
-_SLOT_RE = re.compile(r"\{([A-Za-z0-9_]+)\}")
-
-
 # ---------------------------------------------------------------------------
 # fact extraction
 
@@ -146,8 +145,6 @@ class CrossFacts:
     """Two-series relations; dominance is from the first series' viewpoint."""
 
     dominance: str  # first | second | tie | mixed
-    gap_first: float
-    gap_last: float
     crossings: Tuple[Tuple[str, str], ...]
 
 
@@ -256,7 +253,7 @@ def extract_facts(meta: ChartMeta,
                 for i in range(len(diffs) - 1)
                 if diffs[i] * diffs[i + 1] < 0
             )
-            cross = CrossFacts(dominance, abs(diffs[0]), abs(diffs[-1]), crossings)
+            cross = CrossFacts(dominance, crossings)
 
     first = meta.series[0]
     return ChartFacts(
@@ -498,12 +495,11 @@ def _slot_value(slot: str, facts: ChartFacts, series_index: int, rng: Rng) -> st
 def realize(template: Template, facts: ChartFacts, series_index: int,
             rng: Rng) -> str:
     """Fill every slot of a template; slots are filled left to right so the
-    rng draw order is fixed."""
-    def fill(m: "re.Match[str]") -> str:
-        return _slot_value(m.group(1), facts, series_index, rng)
-
-    text = _SLOT_RE.sub(fill, template.text)
-    text = re.sub(r"\s+", " ", text).strip()
+    rng draw order is fixed.  Whitespace runs collapse to one space."""
+    pieces = list(template.pieces)
+    for i in range(1, len(pieces), 2):
+        pieces[i] = _slot_value(pieces[i], facts, series_index, rng)
+    text = " ".join("".join(pieces).split())
     text = text.replace(" %", "%")
     if text and text[0].islower():
         text = text[0].upper() + text[1:]
@@ -572,7 +568,12 @@ def generate_description(meta: ChartMeta,
     trend class; templates already used in this description are avoided
     until the pool runs dry.
     """
-    facts = extract_facts(meta, series)
+    return _describe(extract_facts(meta, series), bank, variant_index, rng,
+                     params)
+
+
+def _describe(facts: ChartFacts, bank: TemplateBank, variant_index: int,
+              rng: Rng, params: PlanParams) -> Description:
     plan = plan_moves(facts.category, rng, n_series=len(facts.series),
                       params=params)
     arity = len(facts.series)
@@ -592,7 +593,7 @@ def generate_description(meta: ChartMeta,
         used.add(template.id)
         sentences.append(Sentence(move, template.id,
                                   realize(template, facts, target, rng)))
-    return Description(meta.image_index, variant_index, tuple(sentences))
+    return Description(facts.image_index, variant_index, tuple(sentences))
 
 
 def generate_description_set(meta: ChartMeta,
@@ -603,15 +604,17 @@ def generate_description_set(meta: ChartMeta,
                              params: PlanParams = DEFAULT_PLAN_PARAMS,
                              ) -> List[Description]:
     """Up to n_variants descriptions for one chart, deduplicated on exact
-    text; at least one always survives."""
+    text; at least one always survives.  The facts are extracted (and
+    checked against the series) once for every variant."""
     if n_variants < 1:
         raise ValueError(f"n_variants: must be >= 1, got {n_variants}")
     base = rng.next_raw()
+    facts = extract_facts(meta, series)
     out: List[Description] = []
     seen: Set[str] = set()
     for v in range(n_variants):
         sub = Rng(derive_seed(base, TAG_DESCRIPTION, v))
-        desc = generate_description(meta, series, bank, v, sub, params=params)
+        desc = _describe(facts, bank, v, sub, params)
         if desc.text not in seen:
             seen.add(desc.text)
             out.append(desc)

@@ -8,15 +8,18 @@ classes it may describe, and how many series it expects.
 
 Banks load from a tab-separated file, one record per line; the shipped
 seed bank lives in the package's data directory.  Loading validates slot
-vocabulary, move tags, and coverage of every (move, category, trend,
-arity) cell the description planner can request.
+vocabulary and move tags, splits each template's text into literal and
+slot pieces, and indexes the templates by every (move, category, trend,
+arity) cell the description planner can request; a cell with no template
+is a coverage error.  `query` on such a cell is a lookup.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .trend import TrendClass
 
@@ -57,6 +60,9 @@ REACHABLE_CELLS: Tuple[Tuple[str, Optional[str], int], ...] = tuple(
 )
 
 
+CellKey = Tuple[str, str, Optional[str], int]  # move, category, trend, arity
+
+
 class BankFormatError(ValueError):
     """Malformed bank file (field counts, enums, duplicate ids)."""
 
@@ -72,7 +78,7 @@ class UnknownMoveError(BankFormatError):
 class CoverageError(ValueError):
     """Bank leaves some reachable (move, category, trend, arity) cell empty."""
 
-    def __init__(self, holes: Sequence[Tuple[str, str, Optional[str], int]]):
+    def __init__(self, holes: Sequence[CellKey]):
         self.holes = list(holes)
         cells = "; ".join(
             f"({m}, {c}, {t or 'any'}, arity={a})" for m, c, t, a in self.holes[:8]
@@ -95,8 +101,14 @@ class Template:
     origin: str  # human | paraphrase
     text: str
 
+    @cached_property
+    def pieces(self) -> Tuple[str, ...]:
+        """The text split once into alternating literal and slot-name
+        pieces: even positions are literal text, odd positions slot names."""
+        return tuple(_SLOT_RE.split(self.text))
+
     def slots(self) -> List[str]:
-        return _SLOT_RE.findall(self.text)
+        return list(self.pieces[1::2])
 
     def matches(self, move: str, category: str, trend: Optional[str],
                 arity: int) -> bool:
@@ -117,18 +129,38 @@ class Template:
                 + (self.series_arity == 0))
 
 
+def _scan(ranked: Iterable[Template], move: str, category: str,
+          trend: Optional[str], arity: int) -> List[Template]:
+    """The templates of `ranked` that match the request, in its order."""
+    return [t for t in ranked if t.matches(move, category, trend, arity)]
+
+
 @dataclass
 class TemplateBank:
-    templates: Tuple[Template, ...]
+    """The templates, in bank order, and their index: every cell of
+    `REACHABLE_CELLS` x `MOVES` maps to its `_scan` result, built once when
+    the bank is made.  The templates must not change after that."""
 
-    def census(self) -> Dict[str, Dict[str, int]]:
-        """Template counts by move and by origin."""
-        by_move: Dict[str, int] = {m: 0 for m in MOVES}
-        by_origin: Dict[str, int] = {}
-        for t in self.templates:
-            by_move[t.move] += 1
-            by_origin[t.origin] = by_origin.get(t.origin, 0) + 1
-        return {"by_move": by_move, "by_origin": by_origin}
+    templates: Tuple[Template, ...]
+    # query order: exact matches before `any` matches, ties broken by id
+    _ranked: Tuple[Template, ...] = field(init=False, repr=False,
+                                          compare=False)
+    _index: Dict[CellKey, Tuple[Template, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        self._ranked = tuple(sorted(
+            self.templates, key=lambda t: (t.wildcard_count(), t.id)))
+        by_move: Dict[str, List[Template]] = {m: [] for m in MOVES}
+        for t in self._ranked:
+            by_move.setdefault(t.move, []).append(t)
+        self._index = {
+            (move, category, trend, arity):
+                tuple(_scan(by_move[move], move, category, trend, arity))
+            for category, trend, arity in REACHABLE_CELLS
+            for move in MOVES
+        }
 
 
 def _validate_template(t: Template) -> None:
@@ -150,8 +182,8 @@ def _validate_template(t: Template) -> None:
     for slot in t.slots():
         if slot not in SLOT_VOCABULARY:
             raise UnknownSlotError(f"template {t.id}: unknown slot {{{slot}}}")
-    stripped = _SLOT_RE.sub("", t.text)
-    if "{" in stripped or "}" in stripped:
+    literal = "".join(t.pieces[::2])
+    if "{" in literal or "}" in literal:
         raise BankFormatError(f"template {t.id}: stray brace in text")
     if t.move in ("M3", "M4") and "{trend_phrase}" in t.text \
             and not t.trend_applicability:
@@ -159,17 +191,6 @@ def _validate_template(t: Template) -> None:
             f"template {t.id}: {t.move} mentions a trend phrase but declares "
             f"trend applicability 'any'"
         )
-
-
-def _validate_coverage(bank: TemplateBank) -> None:
-    holes = []
-    for category, trend, arity in REACHABLE_CELLS:
-        for move in MOVES:
-            if not any(t.matches(move, category, trend, arity)
-                       for t in bank.templates):
-                holes.append((move, category, trend, arity))
-    if holes:
-        raise CoverageError(holes)
 
 
 def parse_bank(text: str, source: str = "<bank>") -> TemplateBank:
@@ -211,7 +232,9 @@ def parse_bank(text: str, source: str = "<bank>") -> TemplateBank:
     if not templates:
         raise BankFormatError(f"{source}: no templates found")
     bank = TemplateBank(tuple(templates))
-    _validate_coverage(bank)
+    holes = [key for key, hits in bank._index.items() if not hits]
+    if holes:
+        raise CoverageError(holes)
     return bank
 
 
@@ -245,11 +268,14 @@ def serialize_bank(bank: TemplateBank) -> str:
 def query(bank: TemplateBank, move: str, category: str,
           trend: Optional[str], arity: int) -> List[Template]:
     """Templates matching the request; exact matches before `any` matches,
-    ties broken by template id.  Never empty on a validated bank."""
+    ties broken by template id.  Never empty on a validated bank.  A
+    reachable cell is read from the bank's index; any other request is
+    scanned.  The list is the caller's own."""
     if move not in MOVES:
         raise UnknownMoveError(f"unknown move {move!r}")
-    hits = [t for t in bank.templates if t.matches(move, category, trend, arity)]
-    hits.sort(key=lambda t: (t.wildcard_count(), t.id))
+    indexed = bank._index.get((move, category, trend, arity))
+    hits = (list(indexed) if indexed is not None
+            else _scan(bank._ranked, move, category, trend, arity))
     if not hits:
         raise EmptyQueryError(
             f"no template for (move={move}, category={category}, "

@@ -3,6 +3,8 @@
 import pytest
 
 from chartscribe.catalog import (
+    MAX_TICKS,
+    MIN_TICKS,
     Catalog,
     CatalogFormatError,
     DataSeries,
@@ -37,6 +39,34 @@ def small_catalog():
         ("lit", "sgp"): {y: 90.0 + 0.1 * (y - 2000) for y in range(2000, 2012)},
     }
     return Catalog(inds, ents, obs)
+
+
+def usable_runs_scan(catalog, ind_id, min_len):
+    """Each entity's runs of consecutive years, recomputed on every call:
+    the oracle of `Catalog.usable_runs`."""
+    usable = []
+    for ent_id in catalog.entities_for(ind_id):
+        runs = []
+        for year in catalog.years_for(ind_id, ent_id):
+            if runs and runs[-1][-1] == year - 1:
+                runs[-1].append(year)
+            else:
+                runs.append([year])
+        runs = [r for r in runs if len(r) >= min_len]
+        if runs:
+            usable.append((ent_id, runs))
+    return usable
+
+
+def entities_by_year_scan(catalog, ind_id):
+    """year -> sorted entity ids, recomputed on every call: the oracle of
+    `Catalog.entities_by_year`."""
+    by_year = {}
+    for (ind, ent_id), values in catalog.observations.items():
+        if ind == ind_id:
+            for year in values:
+                by_year.setdefault(year, []).append(ent_id)
+    return {year: sorted(ents) for year, ents in by_year.items()}
 
 
 class TestCatalogValidation:
@@ -232,6 +262,40 @@ class TestSampleSeries:
         cat = Catalog(inds, ents, obs)
         with pytest.raises(InsufficientCoverageError):
             sample_series(cat, temporal=True, arity=1, rng=Rng(1))
+
+    def test_usable_runs_equal_recomputation(self):
+        gappy = small_catalog()
+        for year in (1995, 1996, 2001):
+            del gappy.observations[("co2", "usa")][year]
+        for cat in (small_catalog(), gappy, synth_catalog(24, 24, 30),
+                    synth_catalog(5, 20, 10)):
+            pairs = [(ind_id, min_len) for ind_id in cat.covered_indicators()
+                     for min_len in range(MIN_TICKS, MAX_TICKS + 1)]
+            for ind_id, min_len in pairs:
+                assert (cat.usable_runs(ind_id, min_len)
+                        == usable_runs_scan(cat, ind_id, min_len))
+            rng = Rng(12)
+            for k in range(200):
+                sample_series(cat, temporal=True, arity=1 + k % 2, rng=rng,
+                              min_len=(3, 5)[k % 2])
+            for ind_id, min_len in pairs:
+                cached = cat.usable_runs(ind_id, min_len)
+                assert cached is cat.usable_runs(ind_id, min_len)
+                assert cached == usable_runs_scan(cat, ind_id, min_len)
+
+    def test_entities_by_year_equal_recomputation(self):
+        for cat in (small_catalog(), synth_catalog(24, 24, 30),
+                    synth_catalog(5, 20, 10)):
+            for ind_id in cat.covered_indicators():
+                assert (cat.entities_by_year(ind_id)
+                        == entities_by_year_scan(cat, ind_id))
+            rng = Rng(13)
+            for k in range(200):
+                sample_series(cat, temporal=False, arity=1 + k % 2, rng=rng)
+            for ind_id in cat.covered_indicators():
+                cached = cat.entities_by_year(ind_id)
+                assert cached is cat.entities_by_year(ind_id)
+                assert cached == entities_by_year_scan(cat, ind_id)
 
     def test_deterministic_given_rng(self):
         cat = synth_catalog(5, 20, 10)

@@ -106,6 +106,16 @@ class TestStats:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_record_without_kind(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        out.mkdir()
+        manifest = json.loads((corpus_dir / MANIFEST_NAME).read_text())
+        del manifest["records"][0]["kind"]
+        (out / MANIFEST_NAME).write_text(json.dumps(manifest))
+        rc = main(["stats", str(out)])
+        assert rc == 2
+        one_line_error(capsys, "records[0] has no kind")
+
 
 class TestValidate:
     """The validate subcommand."""
@@ -171,6 +181,15 @@ class TestDescribe:
         rc = main(["describe", "--meta", str(meta)])
         assert rc == 2
         one_line_error(capsys, "is not chart metadata")
+
+    def test_meta_value_of_wrong_type(self, corpus_dir, tmp_path, capsys):
+        doc = json.loads((corpus_dir / "meta" / "000000.json").read_text())
+        doc["series"][0]["points"][0]["value"] = "12"
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps(doc))
+        rc = main(["describe", "--meta", str(meta)])
+        assert rc == 2
+        one_line_error(capsys, "has malformed chart facts")
 
     def test_missing_meta(self, tmp_path, capsys):
         rc = main(["describe", "--meta", str(tmp_path / "none.json")])

@@ -11,7 +11,7 @@ from chartscribe.catalog import synth_catalog, write_catalog
 from chartscribe.chartgen import ChartMeta
 from chartscribe.corpus import (
     CATEGORIES, DEFAULT_CELL_COUNTS, KINDS, MANIFEST_NAME, ConfigError,
-    CorpusConfig, RecordPlan, build_plans, build_record, default_config,
+    CorpusConfig, ManifestError, RecordPlan, build_plans, build_record, default_config,
     generate_corpus, load_config, load_manifest, regenerate_record, stats,
     validate_corpus, _build_bank, _build_catalog,
 )
@@ -351,6 +351,21 @@ class TestGenerateCorpus:
         with pytest.raises(KeyError):
             regenerate_record(out, 999999)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda entry: entry.pop("kind"), "has no kind"),
+        (lambda entry: entry.update(seed="7"), "has seed '7'"),
+        (lambda entry: entry.pop("cell_index"), "has no cell_index"),
+    ], ids=["no-kind", "seed-not-int", "no-cell-index"])
+    def test_regenerate_damaged_record(self, tmp_path, damage, message):
+        out = tmp_path / "corpus"
+        generate_corpus(CorpusConfig(seed=9, output_dir=str(out),
+                                     count_scale=0.002))
+        manifest = load_manifest(out)
+        damage(manifest["records"][0])
+        (out / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match=message):
+            regenerate_record(out, manifest["records"][0]["image_index"])
+
     def test_file_catalog_source(self, tmp_path):
         catalog = synth_catalog(2, 8, 10)
         cat_path = tmp_path / "catalog.tsv"
@@ -377,6 +392,21 @@ class TestStats:
             for kind in KINDS:
                 want = config.scaled_count(category, kind)
                 assert doc["grid"][f"{category}/{kind}"] == want
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda m: m["records"][0].pop("kind"), "records[0] has no kind"),
+        (lambda m: m["records"][1].update(category="pie"),
+         "records[1] has cell pie/"),
+        (lambda m: m.update(records={}), "records is not a list"),
+    ], ids=["no-kind", "unknown-category", "records-not-a-list"])
+    def test_damaged_manifest(self, tiny_corpus, tmp_path, damage, message):
+        out, _, _ = tiny_corpus
+        manifest = load_manifest(out)
+        damage(manifest)
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError) as err:
+            stats(tmp_path)
+        assert message in str(err.value)
 
     def test_table_text(self, tiny_corpus):
         out, _, manifest = tiny_corpus

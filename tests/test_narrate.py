@@ -1,6 +1,7 @@
 """Fact extraction, number formatting, move planning, and text generation."""
 
 import json
+import re
 import sys
 
 import pytest
@@ -18,8 +19,8 @@ from chartscribe.narrate import (
     hallucination_check, plan_moves, realize,
 )
 from chartscribe.evalmetrics import tokenize
-from chartscribe.rng import Rng
-from chartscribe.templatebank import Template, load_default_bank
+from chartscribe.rng import TAG_DESCRIPTION, Rng, derive_seed
+from chartscribe.templatebank import SLOT_VOCABULARY, Template, load_default_bank
 
 CATALOG = synth_catalog(11, 14, 18)
 BANK = load_default_bank()
@@ -167,8 +168,6 @@ class TestExtractFacts:
         cross = extract_facts(meta).cross
         assert cross.dominance == "mixed"
         assert cross.crossings == (("2000", "2001"), ("2001", "2002"))
-        assert cross.gap_first == pytest.approx(2.0)
-        assert cross.gap_last == pytest.approx(2.0)
 
     def test_single_series_has_no_cross(self):
         assert extract_facts(crafted_meta(crafted([1, 2, 3]))).cross is None
@@ -273,6 +272,86 @@ class TestRealize:
                                base.series, None)
             out = realize(template("Entities: {entity_list}."), facts, 0, Rng(1))
             assert out == f"Entities: {joined}."
+
+
+_SLOT_RE = re.compile(r"\{([A-Za-z0-9_]+)\}")
+
+
+def realize_regex(template, facts, series_index, rng):
+    """Realization by two regex substitutions over the template text: the
+    oracle of the pre-split pieces."""
+    def fill(m):
+        return narrate._slot_value(m.group(1), facts, series_index, rng)
+
+    text = _SLOT_RE.sub(fill, template.text)
+    text = re.sub(r"\s+", " ", text).strip()
+    text = text.replace(" %", "%")
+    if text and text[0].islower():
+        text = text[0].upper() + text[1:]
+    return text
+
+
+def realize_outcome(fn, template, facts, series_index, seed):
+    """(text or error, the rng's next word) of one realization."""
+    rng = Rng(seed)
+    try:
+        out = fn(template, facts, series_index, rng)
+    except RealizationError as exc:
+        out = ("RealizationError", str(exc))
+    return out, rng.next_raw()
+
+
+def oracle_fact_tables():
+    sf = visitor_facts().series[0]
+    percent = ChartFacts(0, "temporal-trend", "line chart", "T", "Year",
+                         "share", "%", 4, ("2013",), (sf,), None)
+    tables = [visitor_facts(), percent]
+    for temporal, arity, kind, seed in [
+            (True, 1, ChartKind.LINE, 31), (True, 2, ChartKind.LINE, 32),
+            (False, 1, ChartKind.VERTICAL_BAR, 33),
+            (False, 2, ChartKind.HORIZONTAL_BAR, 34),
+            (True, 2, ChartKind.SCATTER, 35)]:
+        _, meta = make_chart(temporal, arity, kind=kind, seed=seed)
+        tables.append(extract_facts(meta))
+    return tables
+
+
+class TestRealizeOracle:
+    """Filling pre-split pieces equals the regex substitution it replaced:
+    same text, same errors, same rng draws."""
+
+    def test_every_bank_template(self):
+        for facts in oracle_fact_tables():
+            for t in BANK.templates:
+                for series_index in range(len(facts.series)):
+                    for seed in range(4):
+                        got = realize_outcome(realize, t, facts,
+                                              series_index, seed)
+                        want = realize_outcome(realize_regex, t, facts,
+                                               series_index, seed)
+                        assert got == want, (t.id, series_index, seed)
+
+    @given(st.lists(st.one_of(
+        st.text(alphabet=st.characters(blacklist_characters="{}")),
+        st.sampled_from(sorted(SLOT_VOCABULARY)).map(lambda s: "{" + s + "}"),
+    ), max_size=8), st.integers(0, 3))
+    @settings(max_examples=300)
+    def test_generated_templates(self, parts, seed):
+        t = template("".join(parts))
+        assert (realize_outcome(realize, t, visitor_facts(), 0, seed)
+                == realize_outcome(realize_regex, t, visitor_facts(), 0, seed))
+
+    @given(st.text())
+    @settings(max_examples=500)
+    def test_whitespace_collapse_equals_regex(self, text):
+        assert " ".join(text.split()) == re.sub(r"\s+", " ", text).strip()
+
+    def test_whitespace_code_points_agree(self):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1)
+                  if chr(c).isspace()]
+        assert spaces == [chr(c) for c in range(sys.maxunicode + 1)
+                          if re.fullmatch(r"\s", chr(c))]
+        assert all("a{}b".format(ch).split() == ["a", "b"] for ch in spaces)
 
 
 class TestPlanMoves:
@@ -441,6 +520,32 @@ class TestDescriptionSet:
         b = generate_description_set(meta, series, BANK, Rng(5))
         assert a == b
 
+    def test_equals_one_description_per_variant(self):
+        for seed in range(24):
+            temporal = seed % 3 != 0
+            series, meta = make_chart(temporal, 1 + seed % 2,
+                                      seed=1200 + seed, min_len=4)
+            base = Rng(seed).next_raw()
+            want, seen = [], set()
+            for v in range(3):
+                desc = generate_description(
+                    meta, series, BANK, v,
+                    Rng(derive_seed(base, TAG_DESCRIPTION, v)))
+                if desc.text not in seen:
+                    seen.add(desc.text)
+                    want.append(desc)
+            assert generate_description_set(meta, series, BANK,
+                                             Rng(seed)) == want
+
+    def test_facts_extracted_once_per_chart(self, monkeypatch):
+        calls = []
+        real = narrate.extract_facts
+        monkeypatch.setattr(narrate, "extract_facts",
+                            lambda *a: calls.append(a) or real(*a))
+        series, meta = make_chart(True, 2, seed=1300, min_len=4)
+        generate_description_set(meta, series, BANK, Rng(1), n_variants=3)
+        assert len(calls) == 1
+
 
 class TestBaseline:
     """The unstructured control must be measurably worse-ordered."""
@@ -520,7 +625,8 @@ class TestHallucinationCheck:
         meta = crafted_meta(crafted([500, 600, 720]),
                             crafted([130, 240, 350], name="Beta"))
         facts = extract_facts(meta)
-        assert facts.cross.gap_first == facts.cross.gap_last == 370
+        a, b = ([p.value for p in sm.points] for sm in meta.series)
+        assert a[0] - b[0] == a[-1] - b[-1] == 370
         assert hallucination_check("The gap is 370 kt.", facts) == ["370"]
         assert hallucination_check("Beta ends at 350 kt.", facts) == []
 

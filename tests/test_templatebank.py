@@ -10,7 +10,9 @@ from chartscribe.templatebank import (
     SLOT_VOCABULARY,
     BankFormatError,
     CoverageError,
+    EmptyQueryError,
     Template,
+    TemplateBank,
     UnknownMoveError,
     UnknownSlotError,
     load_bank,
@@ -19,6 +21,40 @@ from chartscribe.templatebank import (
     query,
     serialize_bank,
 )
+from chartscribe.trend import TrendClass
+
+
+def query_scan(bank, move, category, trend, arity):
+    """The query as a scan of every template: the oracle of the index."""
+    if move not in MOVES:
+        raise UnknownMoveError(f"unknown move {move!r}")
+    hits = [t for t in bank.templates if t.matches(move, category, trend, arity)]
+    hits.sort(key=lambda t: (t.wildcard_count(), t.id))
+    if not hits:
+        raise EmptyQueryError(
+            f"no template for (move={move}, category={category}, "
+            f"trend={trend}, arity={arity})"
+        )
+    return hits
+
+
+def coverage_holes_scan(bank):
+    """The coverage check as a scan of every template, in its report order."""
+    return [(move, category, trend, arity)
+            for category, trend, arity in REACHABLE_CELLS
+            for move in MOVES
+            if not any(t.matches(move, category, trend, arity)
+                       for t in bank.templates)]
+
+
+def query_outcome(fn, *args):
+    try:
+        return [t.id for t in fn(*args)]
+    except (EmptyQueryError, UnknownMoveError) as exc:
+        return type(exc), str(exc)
+
+
+TRENDS = tuple(c.value for c in TrendClass) + (None,)
 
 
 def bank_line(tid, move, category="any", trend="any", arity="any",
@@ -39,10 +75,10 @@ class TestSeedBank:
         assert len(bank.templates) >= 60
 
     def test_census_every_move_has_human_templates(self):
-        census = load_default_bank().census()
+        templates = load_default_bank().templates
         for move in MOVES:
-            assert census["by_move"][move] >= 1
-        assert census["by_origin"]["human"] >= 60
+            assert any(t.move == move for t in templates), move
+        assert sum(t.origin == "human" for t in templates) >= 60
 
     def test_two_templates_per_move_category_cell(self):
         bank = load_default_bank()
@@ -118,6 +154,78 @@ class TestQuery:
     def test_unknown_move_rejected(self, bank):
         with pytest.raises(UnknownMoveError):
             query(bank, "M9", "categorical", None, 1)
+
+
+class TestIndexedQuery:
+    """The index answers every query exactly as a scan of the bank does."""
+
+    @pytest.fixture(scope="class")
+    def banks(self):
+        full = load_default_bank()
+        # sparse banks leave cells empty; built directly, so no coverage check
+        return [full,
+                TemplateBank(full.templates[::2]),
+                TemplateBank(full.templates[1::3])]
+
+    def test_index_covers_every_reachable_cell(self, bank):
+        assert len(REACHABLE_CELLS) * len(MOVES) == 132
+        assert set(bank._index) == {(move, *cell) for cell in REACHABLE_CELLS
+                                    for move in MOVES}
+
+    def test_every_key_equals_scan(self, banks):
+        for b in banks:
+            for move in MOVES:
+                for category in CATEGORIES:
+                    for trend in TRENDS:
+                        for arity in (1, 2):
+                            args = (b, move, category, trend, arity)
+                            assert (query_outcome(query, *args)
+                                    == query_outcome(query_scan, *args)), args
+
+    @pytest.mark.parametrize("move, category, trend, arity", [
+        ("M1", "pie-chart", None, 1),
+        ("M3", "unknown", "plateau", 2),
+        ("M2", "categorical", None, 0),
+        ("M3", "temporal-trend", "linear-increase", 0),
+        ("M1", "categorical", None, 3),
+        ("M5", "temporal-random", "plateau", 3),
+        ("M4", "categorical", "sideways", 1),
+    ])
+    def test_off_grid_keys_equal_scan(self, banks, move, category, trend,
+                                      arity):
+        for b in banks:
+            args = (b, move, category, trend, arity)
+            assert query_outcome(query, *args) == query_outcome(query_scan,
+                                                                *args)
+
+    @pytest.mark.parametrize("move", ["M9", "m1", "", "M3_2"])
+    def test_unknown_move_still_raises(self, bank, move):
+        with pytest.raises(UnknownMoveError):
+            query(bank, move, "categorical", None, 1)
+        with pytest.raises(UnknownMoveError):
+            query(bank, move, "pie-chart", None, 3)
+
+    def test_returns_a_fresh_list(self, bank):
+        first = query(bank, "M1", "categorical", None, 1)
+        want = [t.id for t in first]
+        first.clear()
+        assert [t.id for t in query(bank, "M1", "categorical", None, 1)] == want
+
+    def test_coverage_holes_equal_scan(self, banks):
+        for b in banks[1:]:
+            holes = coverage_holes_scan(b)
+            assert holes
+            with pytest.raises(CoverageError) as err:
+                parse_bank(serialize_bank(b))
+            assert err.value.holes == holes
+        assert coverage_holes_scan(banks[0]) == []
+
+    def test_pieces_alternate_literal_and_slot(self, bank):
+        for t in bank.templates:
+            assert "".join(
+                "{" + p + "}" if i % 2 else p for i, p in enumerate(t.pieces)
+            ) == t.text
+            assert t.slots() == list(t.pieces[1::2])
 
 
 class TestParseErrors:
