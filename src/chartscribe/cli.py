@@ -25,8 +25,9 @@ from typing import Dict, List, Optional
 
 from .chartgen import ChartMeta
 from .corpus import (
-    _MALFORMED, ConfigError, CorpusConfig, ManifestError, default_config,
-    generate_corpus, load_config, load_manifest, stats, validate_corpus,
+    _MALFORMED, CATEGORIES, ConfigError, CorpusConfig, ManifestError,
+    default_config, generate_corpus, load_config, load_manifest, stats,
+    validate_corpus,
 )
 from .evalmetrics import References, corpus_report, format_report, score_pair
 from .narrate import extract_facts, generate_description_set
@@ -93,6 +94,10 @@ def _cmd_describe(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"describe: {args.meta} is not chart metadata: "
                        f"{type(exc).__name__}: {exc}") from None
+    if meta.category not in CATEGORIES:
+        raise CliError(f"describe: {args.meta} has category "
+                       f"{meta.category!r}, not one of "
+                       f"{', '.join(CATEGORIES)}")
     try:
         extract_facts(meta).digit_tokens  # reads every fact a slot can print
     except _MALFORMED as exc:

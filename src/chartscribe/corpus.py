@@ -11,17 +11,25 @@ Determinism contract: the corpus bytes are a pure function of the config.
 Each record's seed mixes (global seed, category code, kind code, position
 within the cell), so any record can be regenerated in isolation and records
 can be built concurrently.
+
+`validate_corpus` reads each record's three files once, as bytes, and
+checks everything from those bytes: the SVG with a namespace-aware expat
+parser that gives ElementTree's verdict and message without building a
+tree, the meta and description JSON, the stored description text against
+its sentences, the move order, and the digit audit.
 """
 
 import json
 import logging
 import math
+import os
 import re
-import xml.etree.ElementTree as ET
+import stat
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+from xml.parsers import expat
 
 from .catalog import (
     Catalog, DataSeries, load_catalog, perturb_to_trend, sample_series,
@@ -505,7 +513,11 @@ def load_manifest(corpus_dir) -> dict:
     path = Path(corpus_dir) / MANIFEST_NAME
     if not path.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {corpus_dir}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ManifestError(
+            f"manifest: {MANIFEST_NAME} does not parse: {exc}") from None
 
 
 def regenerate_record(corpus_dir, image_index: int) -> List[str]:
@@ -662,25 +674,90 @@ def _check_geometry(tag: str, meta: ChartMeta) -> List[str]:
     return problems
 
 
+def _svg_error(data: bytes) -> Optional[str]:
+    """Why data is not a well-formed XML document with every namespace
+    prefix declared, in the words of `xml.etree.ElementTree.fromstring`;
+    None when it is one.
+
+    A bare namespace-aware expat parser builds no tree.  Expat skips an
+    undeclared entity, or passes an external one on, when a DOCTYPE may
+    declare it elsewhere, where ElementTree rejects both; so once a DOCTYPE
+    starts, a default handler rejects every entity reference that reaches
+    it as ElementTree does.  Without a DOCTYPE no Python handler runs.
+    """
+    parser = expat.ParserCreate(None, "}")
+
+    def entity_reference(text: str) -> None:
+        if text[:1] == "&":
+            raise expat.ExpatError(
+                f"undefined entity {text}: line {parser.CurrentLineNumber}, "
+                f"column {parser.CurrentColumnNumber}")
+
+    def start_doctype(*_) -> None:
+        # character data and character references then bypass the default
+        # handler, as they do in ElementTree
+        parser.CharacterDataHandler = lambda data: None
+        parser.DefaultHandlerExpand = entity_reference
+
+    parser.StartDoctypeDeclHandler = start_doctype
+    try:
+        parser.Parse(data, True)
+    except (expat.ExpatError, LookupError, ValueError) as exc:
+        # an encoding the declaration names but Python lacks, or one with
+        # multi-byte characters, raises LookupError or ValueError
+        return str(exc)
+    return None
+
+
+# with O_NONBLOCK, opening a FIFO does not wait for a writer; Windows has
+# neither the flag nor FIFOs in its file system
+_O_NONBLOCK = getattr(os, "O_NONBLOCK", 0)
+
+
+def _read_file(path: Path) -> bytes:
+    """The bytes of the regular file at path, from one open; OSError when
+    there is none.  A directory, FIFO or device there is refused unread."""
+    fd = os.open(path, os.O_RDONLY | _O_NONBLOCK)
+    with open(fd, "rb", buffering=0) as f:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError(f"{path} is not a regular file")
+        return f.read()
+
+
+def _decode_text(data: bytes) -> str:
+    """data as `Path.read_text(encoding="utf-8")` returns it: UTF-8, with
+    universal newlines."""
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _validate_record(root: Path, entry: dict, seen_counts: dict) -> List[str]:
-    """Check one record whose manifest entry has passed `_record_shape`."""
+    """Check one record whose manifest entry has passed `_record_shape`.
+
+    Each of the record's files is read once, as bytes, with no stat before;
+    a file that cannot be read, or is not a regular file, is reported
+    missing."""
     problems: List[str] = []
     idx = entry["image_index"]
     tag = f"record {_record_name(idx)}"
-    paths = {key: root / rel for key, rel in entry["files"].items()}
-    for label, path in paths.items():
-        if not path.is_file():
+    data: Dict[str, bytes] = {}
+    for label, rel in entry["files"].items():
+        path = root / rel
+        try:
+            data[label] = _read_file(path)
+        except OSError:
             problems.append(f"{tag}: missing {label} file {path.name}")
     if problems:
         return problems
 
-    try:
-        ET.fromstring(paths["chart"].read_bytes())
-    except ET.ParseError as exc:
-        problems.append(f"{tag}: chart svg does not parse: {exc}")
+    error = _svg_error(data["chart"])
+    if error is not None:
+        problems.append(f"{tag}: chart svg does not parse: {error}")
 
     try:
-        meta = ChartMeta.from_json(paths["meta"].read_text(encoding="utf-8"))
+        meta = ChartMeta.from_json(_decode_text(data["meta"]))
     except _MALFORMED as exc:
         problems.append(f"{tag}: meta does not parse: {exc}")
         return problems
@@ -708,7 +785,7 @@ def _validate_record(root: Path, entry: dict, seen_counts: dict) -> List[str]:
         facts = None
 
     try:
-        lines = paths["descriptions"].read_text(encoding="utf-8").splitlines()
+        lines = _decode_text(data["descriptions"]).splitlines()
     except UnicodeDecodeError as exc:
         problems.append(f"{tag}: description file is not UTF-8: {exc}")
         lines = []
@@ -729,7 +806,12 @@ def _validate_record(root: Path, entry: dict, seen_counts: dict) -> List[str]:
             problems.append(
                 f"{tag}: description line {line_no} image_index "
                 f"{desc.image_index} mismatch")
-        if "{" in desc.text or "}" in desc.text:
+        text = desc.text
+        if desc.stored_text != text:
+            problems.append(
+                f"{tag}: description line {line_no} text is not its "
+                f"sentences joined")
+        if "{" in text or "}" in text:
             problems.append(
                 f"{tag}: description line {line_no} has residual slots")
         violations = check_move_order(desc.moves)
@@ -737,7 +819,7 @@ def _validate_record(root: Path, entry: dict, seen_counts: dict) -> List[str]:
             problems.append(
                 f"{tag}: description line {line_no} move order: {violation}")
         if facts is not None:
-            for token in hallucination_check(desc.text, facts):
+            for token in hallucination_check(text, facts):
                 problems.append(
                     f"{tag}: description line {line_no} digit token "
                     f"{token!r} matches no chart fact")
@@ -778,7 +860,9 @@ def validate_corpus(corpus_dir) -> List[str]:
     root = Path(corpus_dir)
     try:
         manifest = load_manifest(root)
-    except (OSError, ValueError) as exc:
+    except ManifestError as exc:
+        return [str(exc)]
+    except OSError as exc:
         return [f"manifest: {exc}"]
     if not isinstance(manifest, dict):
         return [f"manifest: is a {type(manifest).__name__}, not an object"]

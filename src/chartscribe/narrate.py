@@ -6,7 +6,8 @@ slot filled from the fact table.  All randomness flows through a single Rng,
 so a (chart, seed) pair always yields byte-identical text.  A chart's facts
 are extracted once for all its variants, a template's text is split into
 literal and slot pieces once per bank, and the applicable templates of a
-move come from the bank's index.
+move come from the bank's index.  The digit audit tokenizes a chart's facts
+once, and each text once, over only its words that are not all letters.
 
 Move tags and their ordering contract:
 
@@ -165,16 +166,16 @@ class ChartFacts:
     @cached_property
     def digit_tokens(self) -> FrozenSet[str]:
         """The digit-bearing tokens of every fact a slot can print.  The
-        texts are joined with spaces and tokenized in one call, which gives
-        the tokens of one call per text: whitespace always ends a token."""
+        texts are joined with spaces and go through one `_digit_tokens`
+        call, which gives the tokens of one call per text: whitespace
+        always ends a token."""
         texts = [self.title, self.x_label, self.y_label, self.unit,
                  str(self.n_categories), *self.entity_list]
         for sf in self.series:
             texts += (sf.name, sf.x_first, sf.x_last, sf.x_at_max, sf.x_at_min)
             texts += (_plain_number(_round_2sf(v)) for v in (
                 sf.y_first, sf.y_last, sf.y_max, sf.y_min, sf.y_mean, sf.delta))
-        return frozenset(tok for tok in tokenize(" ".join(texts))
-                         if _has_digit(tok))
+        return frozenset(_digit_tokens(" ".join(texts)))
 
 
 def _check_consistency(meta: ChartMeta, series: Sequence[DataSeries]) -> None:
@@ -522,6 +523,10 @@ class Description:
     image_index: int
     variant_index: int
     sentences: Tuple[Sentence, ...]
+    # the value of the "text" field of the JSON line this was decoded
+    # from (None when the line has none, or for a generated description):
+    # eval scores that field, and the validator checks it equals `text`
+    stored_text: object = field(default=None, compare=False, repr=False)
 
     @property
     def text(self) -> str:
@@ -553,7 +558,8 @@ class Description:
             raise ValueError("sentence move, template_id and text must be "
                              "strings")
         return cls(image_index=doc["image_index"],
-                   variant_index=doc["variant_index"], sentences=sentences)
+                   variant_index=doc["variant_index"], sentences=sentences,
+                   stored_text=doc.get("text"))
 
 
 def generate_description(meta: ChartMeta,
@@ -692,6 +698,15 @@ def _has_digit(tok: str) -> bool:
     return not tok.isalpha() and any(map(str.isdigit, tok))
 
 
+def _digit_tokens(text: str) -> List[str]:
+    """The digit-bearing tokens of text, in order, from one `tokenize`
+    call.  Words that are all letters are dropped first: such a word is a
+    single token without a digit, and whitespace ends every token, so the
+    other words tokenize as they would in the full text."""
+    words = [word for word in text.lower().split() if not word.isalpha()]
+    return [tok for tok in tokenize(" ".join(words)) if _has_digit(tok)]
+
+
 def fact_digit_tokens(facts: ChartFacts) -> FrozenSet[str]:
     """Every digit-bearing token that a faithful description could contain;
     built once per fact table."""
@@ -701,5 +716,4 @@ def fact_digit_tokens(facts: ChartFacts) -> FrozenSet[str]:
 def hallucination_check(text: str, facts: ChartFacts) -> List[str]:
     """Digit-bearing tokens in the text that match no value in the facts."""
     allowed = facts.digit_tokens
-    return [tok for tok in tokenize(text)
-            if tok not in allowed and _has_digit(tok)]
+    return [tok for tok in _digit_tokens(text) if tok not in allowed]

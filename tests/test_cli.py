@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,8 @@ import pytest
 from chartscribe.cli import build_parser, main
 from chartscribe.corpus import MANIFEST_NAME
 from chartscribe.narrate import Description
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def one_line_error(capsys, text):
@@ -116,6 +121,12 @@ class TestStats:
         assert rc == 2
         one_line_error(capsys, "records[0] has no kind")
 
+    def test_manifest_not_json(self, tmp_path, capsys):
+        (tmp_path / MANIFEST_NAME).write_text("not json", encoding="utf-8")
+        rc = main(["stats", str(tmp_path)])
+        assert rc == 2
+        one_line_error(capsys, "manifest: manifest.json does not parse: ")
+
 
 class TestValidate:
     """The validate subcommand."""
@@ -136,6 +147,25 @@ class TestValidate:
         printed = capsys.readouterr().out
         assert "missing chart" in printed
         assert "violation(s)" in printed
+
+
+class TestDevMode:
+    """generate and validate under `python -X dev`, with ResourceWarning an
+    error: a file handle left open on the write or read path fails here."""
+
+    def test_generate_then_validate(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = tmp_path / "corpus"
+        for argv in (["generate", "--seed", "41", "--count-scale", "0.002",
+                      "--out", str(out)], ["validate", str(out)]):
+            done = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                 "-m", "chartscribe.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr[-2000:]
+            # a warning raised in a finalizer is printed, not propagated
+            assert "ResourceWarning" not in done.stderr, done.stderr[-2000:]
+        assert "ok: 15 charts" in done.stdout
 
 
 class TestDescribe:
@@ -190,6 +220,18 @@ class TestDescribe:
         rc = main(["describe", "--meta", str(meta)])
         assert rc == 2
         one_line_error(capsys, "has malformed chart facts")
+
+    @pytest.mark.parametrize("category", ["pie", 3, None])
+    def test_meta_unknown_category(self, corpus_dir, tmp_path, capsys,
+                                   category):
+        doc = json.loads((corpus_dir / "meta" / "000000.json").read_text())
+        doc["category"] = category
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps(doc))
+        rc = main(["describe", "--meta", str(meta)])
+        assert rc == 2
+        one_line_error(capsys, f"has category {category!r}, not one of "
+                               f"temporal-trend, temporal-random, categorical")
 
     def test_missing_meta(self, tmp_path, capsys):
         rc = main(["describe", "--meta", str(tmp_path / "none.json")])

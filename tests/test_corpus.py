@@ -2,21 +2,29 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chartscribe import corpus
 from chartscribe.catalog import synth_catalog, write_catalog
 from chartscribe.chartgen import ChartMeta
 from chartscribe.corpus import (
     CATEGORIES, DEFAULT_CELL_COUNTS, KINDS, MANIFEST_NAME, ConfigError,
     CorpusConfig, ManifestError, RecordPlan, build_plans, build_record, default_config,
     generate_corpus, load_config, load_manifest, regenerate_record, stats,
-    validate_corpus, _build_bank, _build_catalog,
+    validate_corpus, _build_bank, _build_catalog, _decode_text, _svg_error,
 )
 from chartscribe.narrate import Description, PlanParams
 from chartscribe.trend import DIRECTIONAL_CLASSES, FLAT_CLASSES, classify_trend
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def tree_hash(root) -> str:
@@ -521,6 +529,79 @@ class TestValidate:
         assert any("not in manifest" in p for p in problems)
         assert any("bbox outside canvas" in p for p in problems)
 
+    def test_stored_text_replaced(self, fresh):
+        """eval scores the stored "text"; it must be the sentences joined."""
+        path = fresh / "descriptions" / "000003.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[1])
+        doc["text"] = "It peaked at 987654 units."
+        lines[1] = json.dumps(doc, ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert validate_corpus(fresh) == [
+            "record 000003: description line 1 text is not its sentences "
+            "joined"]
+
+    @pytest.mark.parametrize("value", [None, 5, ["a"]],
+                             ids=["missing", "int", "list"])
+    def test_stored_text_missing_or_not_a_string(self, fresh, value):
+        path = fresh / "descriptions" / "000000.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[0])
+        if value is None:
+            del doc["text"]
+        else:
+            doc["text"] = value
+        lines[0] = json.dumps(doc, ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert validate_corpus(fresh) == [
+            "record 000000: description line 0 text is not its sentences "
+            "joined"]
+
+    def test_meta_path_is_a_directory(self, fresh):
+        path = fresh / "meta" / "000004.json"
+        path.unlink()
+        path.mkdir()
+        problems = validate_corpus(fresh)
+        assert "record 000004: missing meta file 000004.json" in problems
+        assert not any(p.startswith("record 000004: meta") for p in problems)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_and_device_are_not_read(self, fresh):
+        (fresh / "meta" / "000005.json").unlink()
+        os.mkfifo(fresh / "meta" / "000005.json")
+        (fresh / "charts" / "000006.svg").unlink()
+        (fresh / "charts" / "000006.svg").symlink_to(os.devnull)
+        # in a child process, so that a read which blocks fails the test
+        # instead of hanging the suite
+        done = subprocess.run(
+            [sys.executable, "-c", "import json, sys; from chartscribe.corpus "
+             "import validate_corpus; print(json.dumps(validate_corpus("
+             "sys.argv[1])))", str(fresh)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        problems = json.loads(done.stdout)
+        assert "record 000005: missing meta file 000005.json" in problems
+        assert "record 000006: missing chart file 000006.svg" in problems
+
+    def test_missing_files_reported_together(self, fresh):
+        (fresh / "charts" / "000001.svg").unlink()
+        (fresh / "descriptions" / "000001.txt").unlink()
+        problems = validate_corpus(fresh)
+        assert [p for p in problems if p.startswith("record 000001")] == [
+            "record 000001: missing chart file 000001.svg",
+            "record 000001: missing descriptions file 000001.txt"]
+
+    @pytest.mark.parametrize("encoding", ["no-such-codec", "shift_jis"])
+    def test_svg_encoding_python_cannot_parse(self, fresh, encoding):
+        path = fresh / "charts" / "000002.svg"
+        path.write_bytes(f'<?xml version="1.0" encoding="{encoding}"?>'
+                         .encode() + path.read_bytes())
+        problems = validate_corpus(fresh)
+        reason = et_error(path.read_bytes())
+        assert [p for p in problems if p.startswith("record 000002")] == [
+            f"record 000002: chart svg does not parse: {reason}"]
+
 
 def edit_json(path, mutate):
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -572,12 +653,13 @@ class TestValidateDamagedManifest:
         edit_json(fresh / MANIFEST_NAME, lambda doc:
                   doc["records"][3]["files"].__setitem__("chart", target))
         opened = []
-        real = Path.read_bytes
-        monkeypatch.setattr(Path, "read_bytes",
-                            lambda self: opened.append(self) or real(self))
+        real = corpus._read_file
+        monkeypatch.setattr(corpus, "_read_file",
+                            lambda path: opened.append(path) or real(path))
         problems = validate_corpus(fresh)
         assert any(p.startswith("manifest: records[3] has files") for p in problems)
         assert not any("does not parse" in p for p in problems)
+        assert len(opened) == 3 * 14
         assert all(fresh in p.parents for p in opened)
 
     def test_manifest_not_an_object(self, fresh):
@@ -599,6 +681,19 @@ class TestValidateDamagedManifest:
         (fresh / "descriptions" / "000002.txt").write_bytes(b"\xff\xfe{}")
         assert any(p.startswith("record 000002: description file is not UTF-8")
                    for p in validate_corpus(fresh))
+
+    @pytest.mark.parametrize("body",
+                             [b"not json", b'{"records": [', b"\xff{}"],
+                             ids=["not-json", "cut", "not-utf8"])
+    def test_manifest_does_not_parse(self, fresh, body):
+        (fresh / MANIFEST_NAME).write_bytes(body)
+        with pytest.raises(ManifestError) as err:
+            load_manifest(fresh)
+        message = str(err.value)
+        assert message.startswith("manifest: manifest.json does not parse: ")
+        assert validate_corpus(fresh) == [message]
+        with pytest.raises(ManifestError):
+            stats(fresh)
 
 
 JSON_VALUES = st.recursive(
@@ -669,3 +764,159 @@ class TestValidateFuzz:
             path.write_text(original, encoding="utf-8")
         assert isinstance(problems, list)
         assert all(isinstance(p, str) for p in problems)
+
+
+def et_error(data):
+    """The SVG check the validator made before expat: the message of
+    ElementTree's parse error, or of the LookupError or ValueError it
+    raises for an encoding it cannot use; None when the SVG parses."""
+    try:
+        ET.fromstring(data)
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        return str(exc)
+    return None
+
+
+@pytest.fixture(scope="module")
+def chart_svgs(tiny_corpus):
+    out, _, _ = tiny_corpus
+    return [p.read_bytes() for p in sorted((out / "charts").iterdir())]
+
+
+EXTERNAL_DOCTYPE = b'<!DOCTYPE svg SYSTEM "svg.dtd">\n'
+DOCTYPES = [
+    b"",
+    EXTERNAL_DOCTYPE,
+    b'<!DOCTYPE svg PUBLIC "-//W3C//DTD SVG 1.1//EN" "svg11.dtd">',
+    b"<!DOCTYPE svg>",
+    b'<!DOCTYPE svg [<!ENTITY e "kt">]>',
+    b'<!DOCTYPE svg [<!ENTITY e SYSTEM "e.txt">]>',
+    b'<!DOCTYPE svg SYSTEM "svg.dtd" [<!ENTITY e SYSTEM "e.txt">]>',
+    b'<!DOCTYPE svg [<!ENTITY f SYSTEM "f.txt"><!ENTITY e "a&f;b">]>',
+    b'<!DOCTYPE svg [<!ENTITY e "&undeclared;">]>',
+    b'<!DOCTYPE svg SYSTEM "svg.dtd" [<!ENTITY e "&undeclared;">]>',
+    b'<!DOCTYPE svg SYSTEM "svg.dtd" [%pe;]>',
+    b'<!DOCTYPE svg [<!ENTITY % pe SYSTEM "pe.dtd"> %pe;]>',
+    b'<?xml version="1.0" standalone="yes"?><!DOCTYPE svg SYSTEM "svg.dtd">',
+]
+# pieces a mutation inserts: entity and character references, an undeclared
+# prefix, bytes that are not UTF-8 or not XML, markup and stray text
+PIECES = [b"&e;", b"&name;", b"&amp;", b"&#65;", b"&#0;", b"&", b"<q:g/>",
+          b' q:x="1"', b"\xff", b"\x00", b"\xc3", b"\x80", b"\xe9\x80\x80",
+          b"<", b">", b"</g>", b"<g>", b"]]>", b"<!-- c -->", b"<?pi x?>",
+          b'"', b"junk", b"<svg/>", b"\n", b"\r\n"]
+
+
+def assert_svg_check_matches(data):
+    assert _svg_error(data) == et_error(data), data[:200]
+
+
+class TestSvgCheck:
+    """The expat well-formedness check against ElementTree.fromstring, the
+    parser it replaced: both accept, or both reject with one message."""
+
+    def test_generated_charts_parse(self, chart_svgs):
+        assert [_svg_error(svg) for svg in chart_svgs] == \
+            [None] * len(chart_svgs)
+
+    def test_every_truncation_point(self, chart_svgs):
+        svg = chart_svgs[0]
+        for end in range(len(svg) + 1):
+            assert_svg_check_matches(svg[:end])
+
+    @pytest.mark.parametrize("doctype", DOCTYPES)
+    def test_inserted_entity(self, chart_svgs, doctype):
+        svg = chart_svgs[1]
+        # after every tag and inside every quoted attribute value
+        cuts = [i + 1 for i, b in enumerate(svg) if b in b'>"']
+        for cut in cuts[::3] + [len(svg)]:
+            for ref in (b"&e;", b"&name;", b"&amp;&#65;"):
+                assert_svg_check_matches(doctype + svg[:cut] + ref + svg[cut:])
+
+    def test_undeclared_prefix(self, chart_svgs):
+        svg = chart_svgs[2]
+        for old, new in ((b"<text", b"<q:text"), (b"</text>", b"</q:text>"),
+                         (b" x=", b" q:x="), (b"<svg ", b"<svg:svg "),
+                         (b"<svg ", b'<svg xmlns:q="" ')):
+            assert_svg_check_matches(svg.replace(old, new, 1))
+            assert_svg_check_matches(svg.replace(old, new))
+
+    def test_invalid_bytes(self, chart_svgs):
+        svg = chart_svgs[3]
+        for bad in (b"\xff", b"\x00", b"\xc3", b"\x80", b"\xed\xa0\x80",
+                    b"\x0b"):
+            for cut in range(0, len(svg), max(1, len(svg) // 40)):
+                assert_svg_check_matches(svg[:cut] + bad + svg[cut:])
+
+    @pytest.mark.parametrize("tail", [b"junk", b"<svg/>", b"</svg>",
+                                      b"<!-- c -->", b"<?pi x?>", b"\n \t",
+                                      b"&amp;", b"\x00"])
+    def test_junk_after_root(self, chart_svgs, tail):
+        assert_svg_check_matches(chart_svgs[4] + tail)
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "UTF-8", "ascii",
+                                          "latin-1", "utf-16", "cp1252",
+                                          "no-such-codec", "shift_jis"])
+    def test_encoding_declaration(self, chart_svgs, encoding):
+        decl = f'<?xml version="1.0" encoding="{encoding}"?>\n'.encode()
+        assert_svg_check_matches(decl + chart_svgs[5])
+        assert_svg_check_matches(decl + chart_svgs[5] + b"\xe9")
+
+    def test_byte_order_marks(self, chart_svgs):
+        svg = chart_svgs[6]
+        assert_svg_check_matches(b"\xef\xbb\xbf" + svg)
+        utf16 = svg.decode().encode("utf-16-le")
+        assert_svg_check_matches(b"\xff\xfe" + utf16)
+        assert_svg_check_matches(b"\xff\xfe" + svg)
+
+    @settings(max_examples=400)
+    @given(chart=st.integers(0, 1000), doctype=st.sampled_from(DOCTYPES),
+           inserts=st.lists(
+               st.tuples(st.floats(0, 1), st.sampled_from(PIECES)),
+               max_size=3),
+           end=st.one_of(st.none(), st.floats(0, 1)))
+    def test_mutated_charts(self, chart_svgs, chart, doctype, inserts, end):
+        svg = chart_svgs[chart % len(chart_svgs)]
+        for where, piece in inserts:
+            cut = int(where * len(svg))
+            svg = svg[:cut] + piece + svg[cut:]
+        if end is not None:
+            svg = svg[:int(end * len(svg))]
+        assert_svg_check_matches(doctype + svg)
+
+
+# pieces of a file that read_text decodes or rejects: newlines of three
+# kinds, a two-byte character, bytes that are not UTF-8, a cut character
+DECODE_PIECES = [b"a", b"{}", b"\r", b"\n", b"\r\n", b"\xc3\xa9", b"\xff",
+                 b"\xe2\x82", b"\x85", b"\xef\xbb\xbf"]
+
+
+@pytest.fixture(scope="module")
+def decode_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("decode") / "file.txt"
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnicodeDecodeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestDecodeText:
+    """The validator decodes the bytes it read as Path.read_text would."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(DECODE_PIECES), max_size=12))
+    def test_matches_read_text(self, decode_file, pieces):
+        data = b"".join(pieces)
+        decode_file.write_bytes(data)
+        assert outcome(_decode_text, data) == \
+            outcome(decode_file.read_text, "utf-8")
+
+    def test_long_file(self, decode_file):
+        # a cut character across the reader's 8 KiB chunks
+        data = b"x" * 8191 + b"\r\n" + b"y" * 8190 + b"\xe2\x82"
+        decode_file.write_bytes(data)
+        assert outcome(_decode_text, data) == \
+            outcome(decode_file.read_text, "utf-8")

@@ -1,5 +1,6 @@
 """Fact extraction, number formatting, move planning, and text generation."""
 
+import dataclasses
 import json
 import re
 import sys
@@ -599,6 +600,17 @@ class TestSerialization:
         assert doc["text"] == "A chart."
 
 
+def fact_texts(facts):
+    """Every fact text a slot can print."""
+    texts = [facts.title, facts.x_label, facts.y_label, facts.unit,
+             str(facts.n_categories), *facts.entity_list]
+    for sf in facts.series:
+        texts += [sf.name, sf.x_first, sf.x_last, sf.x_at_max, sf.x_at_min]
+        texts += [narrate._plain_number(narrate._round_2sf(v)) for v in (
+            sf.y_first, sf.y_last, sf.y_max, sf.y_min, sf.y_mean, sf.delta)]
+    return texts
+
+
 class TestHallucinationCheck:
     """Digit tokens must trace back to the fact table."""
 
@@ -644,13 +656,7 @@ class TestHallucinationCheck:
     def test_allowed_set_matches_one_tokenize_call_per_text(self):
         _, meta = make_chart(True, 2, seed=5, min_len=5)
         facts = extract_facts(meta)
-        texts = [facts.title, facts.x_label, facts.y_label, facts.unit,
-                 str(facts.n_categories), *facts.entity_list]
-        for sf in facts.series:
-            texts += [sf.name, sf.x_first, sf.x_last, sf.x_at_max, sf.x_at_min]
-            texts += [narrate._plain_number(narrate._round_2sf(v)) for v in (
-                sf.y_first, sf.y_last, sf.y_max, sf.y_min, sf.y_mean, sf.delta)]
-        expected = {tok for text in texts for tok in tokenize(text)
+        expected = {tok for text in fact_texts(facts) for tok in tokenize(text)
                     if any(c.isdigit() for c in tok)}
         assert fact_digit_tokens(facts) == expected
 
@@ -667,3 +673,80 @@ class TestDigitTest:
         both = [c for c in map(chr, range(sys.maxunicode + 1))
                 if c.isalpha() and c.isdigit()]
         assert both == []
+
+
+def has_digit_scan(tok):
+    return any(c.isdigit() for c in tok)
+
+
+def fact_digit_tokens_oracle(facts):
+    """The allowed set as it was built before words were pre-filtered:
+    tokenize the joined fact texts, then keep the digit-bearing tokens."""
+    return frozenset(tok for tok in tokenize(" ".join(fact_texts(facts)))
+                     if has_digit_scan(tok))
+
+
+def hallucination_check_oracle(text, facts):
+    """The digit audit before words were pre-filtered: tokenize the whole
+    text, then keep the digit-bearing tokens outside the allowed set."""
+    allowed = fact_digit_tokens_oracle(facts)
+    return [tok for tok in tokenize(text)
+            if tok not in allowed and has_digit_scan(tok)]
+
+
+# digits, the two kept separators, whitespace, a dash, digits that are not
+# decimal (superscript two, one half), a connector, a capital whose
+# lowercase is two characters, a capital sigma and two letters
+AUDIT_TRICKY = st.text(alphabet="12.,\t –²½_İΣaA",
+                       max_size=40)
+
+
+class TestDigitAuditOracle:
+    """The word-filtered digit audit against tokenize-then-filter."""
+
+    @staticmethod
+    def facts_with(title, entity):
+        facts = visitor_facts()
+        return dataclasses.replace(facts, title=title,
+                                   entity_list=facts.entity_list + (entity,))
+
+    @settings(max_examples=300)
+    @given(st.text(), st.text(), st.text())
+    def test_any_text(self, text, title, entity):
+        facts = self.facts_with(title, entity)
+        assert fact_digit_tokens(facts) == fact_digit_tokens_oracle(facts)
+        assert hallucination_check(text, facts) == \
+            hallucination_check_oracle(text, facts)
+
+    @settings(max_examples=300)
+    @given(AUDIT_TRICKY, AUDIT_TRICKY, AUDIT_TRICKY)
+    def test_tricky_alphabet(self, text, title, entity):
+        facts = self.facts_with(title, entity)
+        assert fact_digit_tokens(facts) == fact_digit_tokens_oracle(facts)
+        assert hallucination_check(text, facts) == \
+            hallucination_check_oracle(text, facts)
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.text(), AUDIT_TRICKY))
+    def test_digit_tokens_of_a_text(self, text):
+        assert narrate._digit_tokens(text) == \
+            [tok for tok in tokenize(text) if has_digit_scan(tok)]
+
+    def test_generated_descriptions(self):
+        for seed in range(6):
+            _, meta = make_chart(seed % 2 == 0, 1 + seed % 2, seed=seed,
+                                 min_len=5)
+            facts = extract_facts(meta)
+            assert fact_digit_tokens(facts) == fact_digit_tokens_oracle(facts)
+            for d in generate_description_set(meta, None, BANK, Rng(seed),
+                                              n_variants=3):
+                text = d.text + " It peaked at 987,654.5 units in 1999."
+                assert hallucination_check(text, facts) == \
+                    hallucination_check_oracle(text, facts)
+
+    def test_lowercasing_is_idempotent_and_keeps_whitespace(self):
+        # the audit lowercases its words, and tokenize lowercases them again
+        changed = [c for c in map(chr, range(sys.maxunicode + 1))
+                   if c.lower().lower() != c.lower()
+                   or any(ch.isspace() for ch in c.lower()) != c.isspace()]
+        assert changed == []
