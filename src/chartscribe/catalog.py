@@ -9,9 +9,11 @@ builder either raw or perturbed toward a requested trend class.
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .rng import Rng, derive_seed
 from .trend import (
@@ -134,15 +136,17 @@ class Catalog:
     """Immutable-after-construction observation store.
 
     observations: (indicator_id, entity_id) -> {year: value}.  Every value
-    is bound-checked against its indicator's value kind on construction.
+    is bound-checked against its indicator's value kind: a dict's on
+    construction, a synthetic pair's when it is drawn, on its first read.
+    `_index` (indicator -> {entity: covered years}) draws no values.
     """
 
     indicators: Dict[str, Indicator]
     entities: Dict[str, Entity]
-    observations: Dict[Tuple[str, str], Dict[int, float]]
+    observations: Mapping[Tuple[str, str], Dict[int, float]]
     year_range: Tuple[int, int] = (YEAR_MIN, YEAR_MAX)
-    _index: Optional[Dict[str, List[str]]] = field(
-        default=None, repr=False, compare=False
+    _index: Mapping[str, Mapping[str, Iterable[int]]] = field(
+        default=None, init=False, repr=False, compare=False
     )
     _usable: Dict[Tuple[str, int], List[Tuple[str, List[List[int]]]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -152,51 +156,33 @@ class Catalog:
     )
 
     def __post_init__(self):
-        for (ind_id, ent_id), by_year in self.observations.items():
-            if ind_id not in self.indicators:
-                raise CatalogFormatError(f"observation references unknown indicator {ind_id!r}")
-            if ent_id not in self.entities:
-                raise CatalogFormatError(f"observation references unknown entity {ent_id!r}")
-            lo, hi = self.indicators[ind_id].bounds
-            for year, value in by_year.items():
-                if not (self.year_range[0] <= year <= self.year_range[1]):
-                    raise CatalogFormatError(
-                        f"year {year} outside [{self.year_range[0]}, {self.year_range[1]}] "
-                        f"for ({ind_id}, {ent_id})"
-                    )
-                if not (lo <= value <= hi):
-                    raise CatalogFormatError(
-                        f"value {value} outside [{lo}, {hi}] for "
-                        f"{self.indicators[ind_id].value_kind} indicator {ind_id!r}"
-                    )
+        # no reference to self: a cycle would keep unused catalogs alive
+        check = partial(_check_pair, self.indicators, self.entities, self.year_range)
+        if isinstance(self.observations, _SynthObservations):
+            self.observations.check = check
+            self._index = self.observations.spans
+            return
+        index: Dict[str, Dict[str, Dict[int, float]]] = {}
+        for key, by_year in self.observations.items():
+            check(key, by_year)
+            index.setdefault(key[0], {})[key[1]] = by_year
+        self._index = {ind_id: dict(sorted(ents.items()))
+                       for ind_id, ents in index.items()}
 
     def stats(self) -> Dict[str, int]:
-        n_obs = sum(len(v) for v in self.observations.values())
-        return {
-            "indicators": len(self.indicators),
-            "entities": len(self.entities),
-            "observations": n_obs,
-        }
+        n_obs = sum(len(years) for ents in self._index.values()
+                    for years in ents.values())
+        return {"indicators": len(self.indicators),
+                "entities": len(self.entities), "observations": n_obs}
 
     def years_for(self, ind_id: str, ent_id: str) -> List[int]:
-        return sorted(self.observations.get((ind_id, ent_id), ()))
+        return sorted(self._index.get(ind_id, {}).get(ent_id, ()))
 
     def covered_indicators(self) -> List[str]:
-        self._ensure_index()
         return sorted(self._index)
 
     def entities_for(self, ind_id: str) -> List[str]:
-        self._ensure_index()
-        return self._index.get(ind_id, [])
-
-    def _ensure_index(self):
-        if self._index is None:
-            index: Dict[str, List[str]] = {}
-            for (ind_id, ent_id) in self.observations:
-                index.setdefault(ind_id, []).append(ent_id)
-            for ents in index.values():
-                ents.sort()
-            self._index = index
+        return list(self._index.get(ind_id, ()))
 
     def usable_runs(self, ind_id: str,
                     min_len: int) -> List[Tuple[str, List[List[int]]]]:
@@ -223,11 +209,30 @@ class Catalog:
         by_year = self._by_year.get(ind_id)
         if by_year is None:
             by_year = {}
-            for ent_id in self.entities_for(ind_id):
-                for y in self.observations[(ind_id, ent_id)]:
+            for ent_id, years in self._index.get(ind_id, {}).items():
+                for y in years:
                     by_year.setdefault(y, []).append(ent_id)
             self._by_year[ind_id] = by_year
         return by_year
+
+
+def _check_pair(indicators: Dict[str, Indicator], entities: Dict[str, Entity],
+                year_range: Tuple[int, int], key, by_year) -> None:
+    ind_id, ent_id = key
+    if ind_id not in indicators:
+        raise CatalogFormatError(f"observation references unknown indicator {ind_id!r}")
+    if ent_id not in entities:
+        raise CatalogFormatError(f"observation references unknown entity {ent_id!r}")
+    lo, hi = indicators[ind_id].bounds
+    for year, value in by_year.items():
+        if not (year_range[0] <= year <= year_range[1]):
+            raise CatalogFormatError(
+                f"year {year} outside [{year_range[0]}, {year_range[1]}] "
+                f"for ({ind_id}, {ent_id})")
+        if not (lo <= value <= hi):
+            raise CatalogFormatError(
+                f"value {value} outside [{lo}, {hi}] for "
+                f"{indicators[ind_id].value_kind} indicator {ind_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +403,8 @@ def synth_catalog(seed: int, n_indicators: int, n_entities: int,
     magnitudes are log-uniform over the allowed range per indicator.  Each
     (indicator, entity) pair is covered with the given probability and, if
     covered, holds a contiguous span of at least 8 years, so any covered
-    pair supports the full 2..8 tick range.
+    pair supports the full 2..8 tick range.  Spans and values are drawn
+    as they are read (docs/catalog-format.md).
     """
     if n_indicators < 1:
         raise ParameterError(f"n_indicators: must be >= 1, got {n_indicators}")
@@ -410,7 +416,6 @@ def synth_catalog(seed: int, n_indicators: int, n_entities: int,
 
     roster = Rng(derive_seed(seed, _TAG_INDICATOR))
     indicators: Dict[str, Indicator] = {}
-    ind_order: List[str] = []
     seen_names = set()
     while len(indicators) < n_indicators:
         r = roster.random()
@@ -432,48 +437,110 @@ def synth_catalog(seed: int, n_indicators: int, n_entities: int,
         seen_names.add(name)
         ind = Indicator(_slug(name), name, unit, kind)
         indicators[ind.id] = ind
-        ind_order.append(ind.id)
 
     entities: Dict[str, Entity] = {}
-    ent_order: List[str] = []
     pool = _COUNTRIES + [f"Territory {k}" for k in range(1, 1001)]
     for name in pool[:n_entities]:
         ent = Entity(_slug(name), name, "country")
         entities[ent.id] = ent
-        ent_order.append(ent.id)
 
-    # per-indicator magnitude scale, log-uniform over [1, VALUE_CAP]
-    scales: Dict[str, float] = {}
-    for idx, ind_id in enumerate(ind_order):
-        r = Rng(derive_seed(seed, _TAG_INDICATOR, idx + 1))
-        scales[ind_id] = math.exp(r.random() * math.log(VALUE_CAP))
+    observations = _SynthObservations(seed, coverage, list(indicators.values()),
+                                      list(entities))
+    return Catalog(indicators, entities, observations)
 
-    observations: Dict[Tuple[str, str], Dict[int, float]] = {}
-    for i, ind_id in enumerate(ind_order):
-        ind = indicators[ind_id]
-        for j, ent_id in enumerate(ent_order):
-            pair_rng = Rng(derive_seed(seed, _TAG_PAIR, i, j))
-            if pair_rng.random() >= coverage:
-                continue
-            span = _SPAN_MIN + pair_rng.randint(_SPAN_MAX - _SPAN_MIN + 1)
-            start = YEAR_MIN + pair_rng.randint(YEAR_MAX - YEAR_MIN + 1 - span + 1)
-            by_year: Dict[int, float] = {}
+
+class _SynthSpans(Mapping):
+    """indicator id -> {entity id: covered years}, entities sorted, of a
+    synthetic catalog.  An indicator's coins and spans are drawn on its
+    first lookup; listing the covered indicators draws each one's pairs up
+    to its first covered pair."""
+
+    def __init__(self, seed: int, coverage: float, ind_ids: List[str],
+                 ent_ids: List[str]):
+        # derive_seed folds word by word: each indicator's prefix is kept
+        self._seeds = {ind_id: derive_seed(seed, _TAG_PAIR, i)
+                       for i, ind_id in enumerate(ind_ids)}
+        self._ent_pos = {ent_id: j for j, ent_id in enumerate(ent_ids)}
+        self._coverage, self._drawn = coverage, {}
+        self._covered = [ind_id for ind_id in ind_ids
+                         if any(self.pair(ind_id, e)[1] for e in ent_ids)]
+
+    def pair(self, ind_id: str, ent_id: str) -> Tuple[Rng, Optional[range]]:
+        """The pair's stream after its coverage coin and span, and its years."""
+        rng = Rng(derive_seed(self._seeds[ind_id], self._ent_pos[ent_id]))
+        if rng.random() >= self._coverage:
+            return rng, None
+        span = _SPAN_MIN + rng.randint(_SPAN_MAX - _SPAN_MIN + 1)
+        start = YEAR_MIN + rng.randint(YEAR_MAX - YEAR_MIN + 1 - span + 1)
+        return rng, range(start, start + span)
+
+    def __getitem__(self, ind_id):
+        spans = self._drawn.get(ind_id)
+        if spans is None:  # `pair` raises KeyError for an unknown indicator
+            spans = self._drawn[ind_id] = {
+                ent_id: years for ent_id in sorted(self._ent_pos)
+                if (years := self.pair(ind_id, ent_id)[1])}
+        if not spans:
+            raise KeyError(ind_id)
+        return spans
+
+    def __iter__(self):
+        return iter(self._covered)
+
+    def __len__(self):
+        return len(self._covered)
+
+
+class _SynthObservations(Mapping):
+    """(indicator id, entity id) -> {year: value} of a synthetic catalog.
+    A pair's values are drawn on its first read, from its stream where
+    `spans.pair` left it, so any read order gives the same values; `check`
+    (set by the owning Catalog) sees them first.  Iteration, `len` and `in` draw
+    no values."""
+
+    def __init__(self, seed: int, coverage: float, indicators: List[Indicator],
+                 ent_ids: List[str]):
+        self.spans = _SynthSpans(seed, coverage, [ind.id for ind in indicators],
+                                 ent_ids)
+        self._seed, self.check = seed, None
+        self._indicators = {ind.id: (i, ind) for i, ind in enumerate(indicators)}
+        self._values: Dict[Tuple[str, str], Dict[int, float]] = {}
+
+    def __getitem__(self, key):
+        by_year = self._values.get(key)
+        if by_year is None:
+            if key not in self:
+                raise KeyError(key)
+            i, ind = self._indicators[key[0]]
+            rng, years = self.spans.pair(*key)
+            by_year = {}
             if ind.value_kind == "percentage":
-                v = 5.0 + 90.0 * pair_rng.random()
-                for year in range(start, start + span):
+                v = 5.0 + 90.0 * rng.random()
+                for year in years:
                     by_year[year] = v
-                    v = min(100.0, max(0.0, v + (pair_rng.random() - 0.5) * 6.0))
+                    v = min(100.0, max(0.0, v + (rng.random() - 0.5) * 6.0))
             else:
-                v = scales[ind_id] * (0.5 + pair_rng.random())
-                for year in range(start, start + span):
+                scale = Rng(derive_seed(self._seed, _TAG_INDICATOR, i + 1)).random()
+                v = math.exp(scale * math.log(VALUE_CAP)) * (0.5 + rng.random())
+                for year in years:
                     out = min(VALUE_CAP, max(0.0, v))
                     if ind.value_kind == "positive-integer":
                         out = float(round(out))
                     by_year[year] = out
-                    v = v * math.exp(0.08 * pair_rng.normal())
-            observations[(ind_id, ent_id)] = by_year
+                    v = v * math.exp(0.08 * rng.normal())
+            self.check(key, by_year)
+            self._values[key] = by_year
+        return by_year
 
-    return Catalog(indicators, entities, observations)
+    def __contains__(self, key):
+        return isinstance(key, tuple) and len(key) == 2 and key[1] in self.spans.get(key[0], ())
+
+    def __iter__(self):
+        return ((ind_id, ent_id) for ind_id, ents in self.spans.items()
+                for ent_id in ents)
+
+    def __len__(self):
+        return sum(map(len, self.spans.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -490,20 +557,6 @@ def _runs(years: List[int]) -> List[List[int]]:
     return runs
 
 
-def _series_from(ind: Indicator, ent: Entity, years: List[int],
-                 values: List[float]) -> DataSeries:
-    return DataSeries(
-        series_name=ent.name,
-        x_labels=[str(y) for y in years],
-        y_values=values,
-        y_unit=ind.unit,
-        temporal=True,
-        indicator_name=ind.name,
-        entity_kind=ent.kind,
-        value_kind=ind.value_kind,
-    )
-
-
 def sample_series(catalog: Catalog, temporal: bool, arity: int, rng: Rng,
                   min_len: int = MIN_TICKS) -> List[DataSeries]:
     """Sample one or two series from the catalog.
@@ -517,10 +570,9 @@ def sample_series(catalog: Catalog, temporal: bool, arity: int, rng: Rng,
         raise ParameterError(f"arity: must be 1 or 2, got {arity}")
     if not (MIN_TICKS <= min_len <= MAX_TICKS):
         raise ParameterError(f"min_len: {min_len} outside [{MIN_TICKS}, {MAX_TICKS}]")
-    if not catalog.observations:
-        raise InsufficientCoverageError("catalog has no observations")
-
     ind_ids = catalog.covered_indicators()
+    if not ind_ids:
+        raise InsufficientCoverageError("catalog has no observations")
     sampler = _sample_temporal if temporal else _sample_categorical
     # random picks first; exhaustive sorted scan as the fallback so a
     # sparse catalog still gets searched completely
@@ -552,40 +604,43 @@ def _sample_temporal(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
         if not usable:
             return None
         ent_id, runs = usable[rng.randint(len(usable))]
-        run = runs[rng.randint(len(runs))]
-        k = min_len + rng.randint(min(MAX_TICKS, len(run)) - min_len + 1)
-        start = rng.randint(len(run) - k + 1)
-        years = run[start:start + k]
-        ent = catalog.entities[ent_id]
-        values = [catalog.observations[(ind_id, ent_id)][y] for y in years]
-        return [_series_from(ind, ent, years, values)]
-
-    if len(usable) < 2:
-        return None
-    # random pairs first, then exhaustive scan, for overlapping year runs
-    candidates = []
-    for _ in range(20):
-        a, b = rng.sample(range(len(usable)), 2)
-        candidates.append((min(a, b), max(a, b)))
-    candidates += [(a, b) for a in range(len(usable)) for b in range(a + 1, len(usable))]
-    for a, b in candidates:
-        ya = set(catalog.years_for(ind_id, usable[a][0]))
-        yb = set(catalog.years_for(ind_id, usable[b][0]))
-        common = [r for r in _runs(sorted(ya & yb)) if len(r) >= min_len]
-        if not common:
-            continue
-        run = common[rng.randint(len(common))]
-        k = min_len + rng.randint(min(MAX_TICKS, len(run)) - min_len + 1)
-        start = rng.randint(len(run) - k + 1)
-        years = run[start:start + k]
-        out = []
-        for idx in (a, b):
-            ent_id = usable[idx][0]
-            ent = catalog.entities[ent_id]
-            values = [catalog.observations[(ind_id, ent_id)][y] for y in years]
-            out.append(_series_from(ind, ent, years, values))
-        return out
-    return None
+        ent_ids = [ent_id]
+    else:
+        if len(usable) < 2:
+            return None
+        # random pairs first, then exhaustive scan, for overlapping year runs
+        candidates = []
+        for _ in range(20):
+            a, b = rng.sample(range(len(usable)), 2)
+            candidates.append((min(a, b), max(a, b)))
+        candidates += [(a, b) for a in range(len(usable)) for b in range(a + 1, len(usable))]
+        for a, b in candidates:
+            ya = set(catalog.years_for(ind_id, usable[a][0]))
+            yb = set(catalog.years_for(ind_id, usable[b][0]))
+            runs = [r for r in _runs(sorted(ya & yb)) if len(r) >= min_len]
+            if runs:
+                break
+        else:
+            return None
+        ent_ids = [usable[a][0], usable[b][0]]
+    run = runs[rng.randint(len(runs))]
+    k = min_len + rng.randint(min(MAX_TICKS, len(run)) - min_len + 1)
+    start = rng.randint(len(run) - k + 1)
+    years = run[start:start + k]
+    out = []
+    for ent_id in ent_ids:
+        ent, by_year = catalog.entities[ent_id], catalog.observations[(ind_id, ent_id)]
+        out.append(DataSeries(
+            series_name=ent.name,
+            x_labels=[str(y) for y in years],
+            y_values=[by_year[y] for y in years],
+            y_unit=ind.unit,
+            temporal=True,
+            indicator_name=ind.name,
+            entity_kind=ent.kind,
+            value_kind=ind.value_kind,
+        ))
+    return out
 
 
 def _sample_categorical(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
@@ -597,61 +652,40 @@ def _sample_categorical(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
         if not years:
             return None
         year = years[rng.randint(len(years))]
-        ents = by_year[year]
-        k = min_len + rng.randint(min(MAX_TICKS, len(ents)) - min_len + 1)
-        chosen = rng.sample(ents, k)
-        ent_kind = catalog.entities[chosen[0]].kind
-        return [DataSeries(
-            series_name=ind.name,
-            x_labels=[catalog.entities[e].name for e in chosen],
-            y_values=[catalog.observations[(ind_id, e)][year] for e in chosen],
-            y_unit=ind.unit,
-            temporal=False,
-            indicator_name=ind.name,
-            entity_kind=ent_kind,
-            value_kind=ind.value_kind,
-        )]
+        named_years, common = [(ind.name, year)], by_year[year]
+    else:
+        # one indicator at two years over a shared entity set: random pairs
+        # first, then an exhaustive scan
+        years = sorted(by_year)
+        if len(years) < 2:
+            return None
 
-    # arity 2: one indicator at two years over a shared entity set
-    years = sorted(by_year)
-    if len(years) < 2:
-        return None
-    pair = None
-    for _ in range(20):
-        a, b = rng.sample(range(len(years)), 2)
-        y1, y2 = years[min(a, b)], years[max(a, b)]
-        common = sorted(set(by_year[y1]) & set(by_year[y2]))
-        if len(common) >= min_len:
-            pair = (y1, y2, common)
-            break
-    if pair is None:
-        for ai in range(len(years)):
-            for bi in range(ai + 1, len(years)):
-                common = sorted(set(by_year[years[ai]]) & set(by_year[years[bi]]))
-                if len(common) >= min_len:
-                    pair = (years[ai], years[bi], common)
-                    break
-            if pair is not None:
+        def candidates():
+            for _ in range(20):
+                a, b = rng.sample(range(len(years)), 2)
+                yield min(a, b), max(a, b)
+            yield from ((a, b) for a in range(len(years))
+                        for b in range(a + 1, len(years)))
+        for a, b in candidates():
+            common = sorted(set(by_year[years[a]]) & set(by_year[years[b]]))
+            if len(common) >= min_len:
                 break
-    if pair is None:
-        return None
-    y1, y2, common = pair
+        else:
+            return None
+        named_years = [(f"{ind.name} ({years[i]})", years[i]) for i in (a, b)]
     k = min_len + rng.randint(min(MAX_TICKS, len(common)) - min_len + 1)
     chosen = rng.sample(common, k)
-    ent_kind = catalog.entities[chosen[0]].kind
-    out = []
-    for year in (y1, y2):
-        out.append(DataSeries(
-            series_name=f"{ind.name} ({year})",
-            x_labels=[catalog.entities[e].name for e in chosen],
-            y_values=[catalog.observations[(ind_id, e)][year] for e in chosen],
-            y_unit=ind.unit,
-            temporal=False,
-            indicator_name=ind.name,
-            entity_kind=ent_kind,
-            value_kind=ind.value_kind,
-        ))
-    return out
+    rows = [catalog.observations[(ind_id, e)] for e in chosen]
+    return [DataSeries(
+        series_name=name,
+        x_labels=[catalog.entities[e].name for e in chosen],
+        y_values=[row[year] for row in rows],
+        y_unit=ind.unit,
+        temporal=False,
+        indicator_name=ind.name,
+        entity_kind=catalog.entities[chosen[0]].kind,
+        value_kind=ind.value_kind,
+    ) for name, year in named_years]
 
 
 # ---------------------------------------------------------------------------

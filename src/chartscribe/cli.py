@@ -26,8 +26,7 @@ from typing import Dict, List, Optional
 from .chartgen import ChartMeta
 from .corpus import (
     _MALFORMED, CATEGORIES, ConfigError, CorpusConfig, ManifestError,
-    default_config, generate_corpus, load_config, load_manifest, stats,
-    validate_corpus,
+    _validate, default_config, generate_corpus, load_config, stats,
 )
 from .evalmetrics import References, corpus_report, format_report, score_pair
 from .narrate import extract_facts, generate_description_set
@@ -71,15 +70,14 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    problems = validate_corpus(args.corpus_dir)
+    problems, seen = _validate(Path(args.corpus_dir))
     for problem in problems:
         print(problem)
     if problems:
         print(f"{len(problems)} violation(s)")
         return 1
-    manifest = load_manifest(args.corpus_dir)
-    print(f"ok: {manifest['totals']['charts']} charts, "
-          f"{manifest['totals']['descriptions']} descriptions, 0 violations")
+    print(f"ok: {seen['charts']} charts, "
+          f"{seen['descriptions']} descriptions, 0 violations")
     return 0
 
 

@@ -19,6 +19,7 @@ tree, the meta and description JSON, the stored description text against
 its sentences, the move order, and the digit audit.
 """
 
+import contextlib
 import json
 import logging
 import math
@@ -26,7 +27,7 @@ import os
 import re
 import stat
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 from xml.parsers import expat
@@ -157,14 +158,7 @@ class CorpusConfig:
             "catalog_source": self.catalog_source,
             "template_bank": self.template_bank,
             "descriptions_per_chart": self.descriptions_per_chart,
-            "plan_params": {
-                "p_move2": self.plan_params.p_move2,
-                "p_move4": self.plan_params.p_move4,
-                "m3_min": self.plan_params.m3_min,
-                "m3_max": self.plan_params.m3_max,
-                "m31_min": self.plan_params.m31_min,
-                "m31_max": self.plan_params.m31_max,
-            },
+            "plan_params": asdict(self.plan_params),
         }
 
     @classmethod
@@ -227,13 +221,10 @@ def load_config(path) -> CorpusConfig:
     plan_kwargs = {}
     if "generator" in parser:
         gen = parser["generator"]
-        for ini_key, attr in (("p_move2", "p_move2"), ("p_move4", "p_move4"),
-                              ("m3_min", "m3_min"), ("m3_max", "m3_max"),
-                              ("m31_min", "m31_min"), ("m31_max", "m31_max")):
-            if ini_key in gen:
-                cast = float if ini_key.startswith("p_") else int
-                plan_kwargs[attr] = _config_number(cast, "generator", ini_key,
-                                                   gen[ini_key])
+        for param in fields(PlanParams):  # each is cast as its default is
+            if param.name in gen:
+                plan_kwargs[param.name] = _config_number(
+                    type(param.default), "generator", param.name, gen[param.name])
 
     try:
         params = PlanParams(**plan_kwargs)
@@ -709,18 +700,18 @@ def _svg_error(data: bytes) -> Optional[str]:
     return None
 
 
-# with O_NONBLOCK, opening a FIFO does not wait for a writer; Windows has
-# neither the flag nor FIFOs in its file system
-_O_NONBLOCK = getattr(os, "O_NONBLOCK", 0)
-
-
-def _read_file(path: Path) -> bytes:
-    """The bytes of the regular file at path, from one open; OSError when
-    there is none.  A directory, FIFO or device there is refused unread."""
-    fd = os.open(path, os.O_RDONLY | _O_NONBLOCK)
+def _read_file(name: str, dir_fd: Optional[int]) -> bytes:
+    """The bytes of the regular file `name` in the layout directory open
+    as dir_fd (None: it did not open), from one open; OSError when there is
+    none.  A symlink, directory, FIFO or device there is refused unread;
+    with O_NONBLOCK, opening a FIFO does not wait for a writer."""
+    if dir_fd is None:
+        raise FileNotFoundError(name)
+    fd = os.open(name, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK,
+                 dir_fd=dir_fd)
     with open(fd, "rb", buffering=0) as f:
         if not stat.S_ISREG(os.fstat(fd).st_mode):
-            raise OSError(f"{path} is not a regular file")
+            raise OSError(f"{name} is not a regular file")
         return f.read()
 
 
@@ -733,22 +724,23 @@ def _decode_text(data: bytes) -> str:
     return text
 
 
-def _validate_record(root: Path, entry: dict, seen_counts: dict) -> List[str]:
+def _validate_record(dirs: Dict[str, int], entry: dict,
+                     seen_counts: dict) -> List[str]:
     """Check one record whose manifest entry has passed `_record_shape`.
 
-    Each of the record's files is read once, as bytes, with no stat before;
-    a file that cannot be read, or is not a regular file, is reported
-    missing."""
+    Each of the record's files is read once, as bytes, by name from its
+    open layout directory, with no stat before; a file that cannot be read,
+    or is not a regular file, is reported missing."""
     problems: List[str] = []
     idx = entry["image_index"]
     tag = f"record {_record_name(idx)}"
     data: Dict[str, bytes] = {}
     for label, rel in entry["files"].items():
-        path = root / rel
+        sub, _, name = rel.partition("/")
         try:
-            data[label] = _read_file(path)
+            data[label] = _read_file(name, dirs.get(sub))
         except OSError:
-            problems.append(f"{tag}: missing {label} file {path.name}")
+            problems.append(f"{tag}: missing {label} file {name}")
     if problems:
         return problems
 
@@ -855,65 +847,81 @@ def validate_corpus(corpus_dir) -> List[str]:
     Never aborts early and never raises on a damaged corpus: all violations
     across all records are collected, and a record whose manifest entry is
     malformed is reported instead of read.  Only files at the layout paths
-    under the corpus root are opened.
+    under the corpus root are opened: the layout directories once each, and
+    no symlink at a layout path is followed.
     """
-    root = Path(corpus_dir)
+    return _validate(Path(corpus_dir))[0]
+
+
+def _validate(root: Path) -> Tuple[List[str], dict]:
+    """validate_corpus's violations, and the charts and description lines
+    it validated (on a clean corpus, the manifest's totals)."""
+    seen = {"charts": 0, "descriptions": 0, "cells": {}}
     try:
         manifest = load_manifest(root)
     except ManifestError as exc:
-        return [str(exc)]
+        return [str(exc)], seen
     except OSError as exc:
-        return [f"manifest: {exc}"]
+        return [f"manifest: {exc}"], seen
     if not isinstance(manifest, dict):
-        return [f"manifest: is a {type(manifest).__name__}, not an object"]
-    problems: List[str] = []
-    if manifest.get("format_version") != FORMAT_VERSION:
-        problems.append(
-            f"manifest: unknown format_version {manifest.get('format_version')}")
-
-    records = _manifest_part(manifest, "records", [], problems)
-    seen = {"charts": 0, "descriptions": 0, "cells": {}}
-    indices = set()
-    for pos, entry in enumerate(records):
-        shape = _record_shape(entry)
-        if shape is not None:
-            problems.append(f"manifest: records[{pos}] {shape}")
-            continue
-        idx = entry["image_index"]
-        if idx in indices:
-            problems.append(f"manifest: duplicate image_index {idx}")
-        indices.add(idx)
-        problems.extend(_validate_record(root, entry, seen))
-
-    totals = _manifest_part(manifest, "totals", {}, problems)
-    if totals.get("charts") != seen["charts"]:
-        problems.append(
-            f"manifest: totals.charts {totals.get('charts')} but "
-            f"{seen['charts']} records validated")
-    if totals.get("descriptions") != seen["descriptions"]:
-        problems.append(
-            f"manifest: totals.descriptions {totals.get('descriptions')} but "
-            f"{seen['descriptions']} description lines on disk")
-    cells = _manifest_part(manifest, "cells", [], problems)
-    for cell in cells:
-        key = _cell_key(cell)
-        if key is None:
-            problems.append(f"manifest: cell {cell!r} needs a category, "
-                            f"a kind and a count")
-            continue
-        actual = seen["cells"].get(key, 0)
-        if cell["count"] != actual:
+        return [f"manifest: is a {type(manifest).__name__}, not an object"], seen
+    dirs: Dict[str, int] = {}  # the layout directories that opened
+    try:
+        for _, sub, _ in _LAYOUT:
+            with contextlib.suppress(OSError):
+                dirs[sub] = os.open(root / sub, os.O_RDONLY | os.O_NOFOLLOW
+                                    | os.O_DIRECTORY)
+        problems: List[str] = []
+        if manifest.get("format_version") != FORMAT_VERSION:
             problems.append(
-                f"manifest: cell {key[0]}/{key[1]} declares {cell['count']} "
-                f"records, found {actual}")
+                f"manifest: unknown format_version {manifest.get('format_version')}")
 
-    for _, sub, suffix in _LAYOUT:
-        folder = root / sub
-        if not folder.is_dir():
-            problems.append(f"layout: missing directory {sub}/")
-            continue
-        on_disk = {p.name for p in folder.iterdir()}
-        expected = {_record_name(i) + suffix for i in indices}
-        for orphan in sorted(on_disk - expected):
-            problems.append(f"layout: {sub}/{orphan} not in manifest")
-    return problems
+        records = _manifest_part(manifest, "records", [], problems)
+        indices = set()
+        for pos, entry in enumerate(records):
+            shape = _record_shape(entry)
+            if shape is not None:
+                problems.append(f"manifest: records[{pos}] {shape}")
+                continue
+            idx = entry["image_index"]
+            if idx in indices:
+                problems.append(f"manifest: duplicate image_index {idx}")
+            indices.add(idx)
+            problems.extend(_validate_record(dirs, entry, seen))
+
+        totals = _manifest_part(manifest, "totals", {}, problems)
+        if totals.get("charts") != seen["charts"]:
+            problems.append(
+                f"manifest: totals.charts {totals.get('charts')} but "
+                f"{seen['charts']} records validated")
+        if totals.get("descriptions") != seen["descriptions"]:
+            problems.append(
+                f"manifest: totals.descriptions {totals.get('descriptions')} but "
+                f"{seen['descriptions']} description lines on disk")
+        cells = _manifest_part(manifest, "cells", [], problems)
+        for cell in cells:
+            key = _cell_key(cell)
+            if key is None:
+                problems.append(f"manifest: cell {cell!r} needs a category, "
+                                f"a kind and a count")
+                continue
+            actual = seen["cells"].get(key, 0)
+            if cell["count"] != actual:
+                problems.append(
+                    f"manifest: cell {key[0]}/{key[1]} declares {cell['count']} "
+                    f"records, found {actual}")
+
+        for _, sub, suffix in _LAYOUT:
+            if sub not in dirs:
+                problems.append(f"layout: {sub}/ is a symlink, not followed"
+                                if os.path.islink(root / sub) else
+                                f"layout: missing directory {sub}/")
+                continue
+            on_disk = set(os.listdir(dirs[sub]))
+            expected = {_record_name(i) + suffix for i in indices}
+            for orphan in sorted(on_disk - expected):
+                problems.append(f"layout: {sub}/{orphan} not in manifest")
+        return problems, seen
+    finally:
+        for fd in dirs.values():
+            os.close(fd)

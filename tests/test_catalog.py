@@ -1,23 +1,45 @@
 """Tests for catalog ingest, synthesis, sampling, and perturbation."""
 
+import gc
+import hashlib
+import math
+import random
+import weakref
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chartscribe.catalog import (
+    _COUNTRIES,
+    _FLOAT_UNITS,
+    _INT_UNITS,
+    _MEASURES,
+    _PCT_MEASURES,
+    _SPAN_MAX,
+    _SPAN_MIN,
+    _SUBJECTS,
+    _TAG_INDICATOR,
+    _TAG_PAIR,
     MAX_TICKS,
     MIN_TICKS,
+    VALUE_CAP,
+    VALUE_KIND_BOUNDS,
+    YEAR_MAX,
+    YEAR_MIN,
     Catalog,
     CatalogFormatError,
     DataSeries,
     Entity,
     Indicator,
     InsufficientCoverageError,
+    _slug,
     load_catalog,
     perturb_to_trend,
     sample_series,
     synth_catalog,
     write_catalog,
 )
-from chartscribe.rng import Rng
+from chartscribe.rng import Rng, derive_seed
 from chartscribe.trend import ParameterError, TrendClass, classify_trend, preset
 
 
@@ -39,6 +61,77 @@ def small_catalog():
         ("lit", "sgp"): {y: 90.0 + 0.1 * (y - 2000) for y in range(2000, 2012)},
     }
     return Catalog(inds, ents, obs)
+
+
+def synth_catalog_eager(seed, n_indicators, n_entities, coverage=0.6):
+    """Every pair's coin, span and values drawn up front, pair by pair in
+    (indicator, entity) order, into a dict: the oracle of the lazy
+    `synth_catalog`."""
+    roster = Rng(derive_seed(seed, _TAG_INDICATOR))
+    indicators = {}
+    ind_order = []
+    seen_names = set()
+    while len(indicators) < n_indicators:
+        r = roster.random()
+        subject = roster.choice(_SUBJECTS)
+        if r < 0.2:
+            kind = "percentage"
+            name = f"{subject} {roster.choice(_PCT_MEASURES)}"
+            unit = "%"
+        elif r < 0.6:
+            kind = "positive-integer"
+            name = f"{subject} {roster.choice(_MEASURES)}"
+            unit = roster.choice(_INT_UNITS)
+        else:
+            kind = "float"
+            name = f"{subject} {roster.choice(_MEASURES)}"
+            unit = roster.choice(_FLOAT_UNITS)
+        if name in seen_names:
+            continue
+        seen_names.add(name)
+        ind = Indicator(_slug(name), name, unit, kind)
+        indicators[ind.id] = ind
+        ind_order.append(ind.id)
+
+    entities = {}
+    ent_order = []
+    pool = _COUNTRIES + [f"Territory {k}" for k in range(1, 1001)]
+    for name in pool[:n_entities]:
+        ent = Entity(_slug(name), name, "country")
+        entities[ent.id] = ent
+        ent_order.append(ent.id)
+
+    scales = {}
+    for idx, ind_id in enumerate(ind_order):
+        r = Rng(derive_seed(seed, _TAG_INDICATOR, idx + 1))
+        scales[ind_id] = math.exp(r.random() * math.log(VALUE_CAP))
+
+    observations = {}
+    for i, ind_id in enumerate(ind_order):
+        ind = indicators[ind_id]
+        for j, ent_id in enumerate(ent_order):
+            pair_rng = Rng(derive_seed(seed, _TAG_PAIR, i, j))
+            if pair_rng.random() >= coverage:
+                continue
+            span = _SPAN_MIN + pair_rng.randint(_SPAN_MAX - _SPAN_MIN + 1)
+            start = YEAR_MIN + pair_rng.randint(YEAR_MAX - YEAR_MIN + 1 - span + 1)
+            by_year = {}
+            if ind.value_kind == "percentage":
+                v = 5.0 + 90.0 * pair_rng.random()
+                for year in range(start, start + span):
+                    by_year[year] = v
+                    v = min(100.0, max(0.0, v + (pair_rng.random() - 0.5) * 6.0))
+            else:
+                v = scales[ind_id] * (0.5 + pair_rng.random())
+                for year in range(start, start + span):
+                    out = min(VALUE_CAP, max(0.0, v))
+                    if ind.value_kind == "positive-integer":
+                        out = float(round(out))
+                    by_year[year] = out
+                    v = v * math.exp(0.08 * pair_rng.normal())
+            observations[(ind_id, ent_id)] = by_year
+
+    return Catalog(indicators, entities, observations)
 
 
 def usable_runs_scan(catalog, ind_id, min_len):
@@ -192,6 +285,114 @@ class TestSynthCatalog:
         assert load_catalog(tmp_path / "c.csv") == cat
 
 
+class TestLazySynthCatalog:
+    """A synthetic catalog draws a pair's values on its first read; it must
+    equal the eager oracle whatever the read order."""
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n_ind=st.integers(1, 24),
+           n_ent=st.integers(1, 30),
+           coverage=st.sampled_from([0.0, 0.05, 0.6, 1.0]),
+           shuffle_seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_eager_oracle(self, seed, n_ind, n_ent, coverage,
+                                 shuffle_seed):
+        eager = synth_catalog_eager(seed, n_ind, n_ent, coverage)
+        lazy = synth_catalog(seed, n_ind, n_ent, coverage)
+        assert lazy.indicators == eager.indicators
+        assert lazy.entities == eager.entities
+        assert lazy.covered_indicators() == eager.covered_indicators()
+        for ind_id in lazy.covered_indicators():
+            assert lazy.entities_for(ind_id) == eager.entities_for(ind_id)
+            assert lazy.entities_by_year(ind_id) == eager.entities_by_year(ind_id)
+            for min_len in range(MIN_TICKS, MAX_TICKS + 1):
+                assert (lazy.usable_runs(ind_id, min_len)
+                        == eager.usable_runs(ind_id, min_len))
+        assert lazy.stats() == eager.stats()
+        assert len(lazy.observations) == len(eager.observations)
+        assert sorted(lazy.observations) == sorted(eager.observations)
+        assert not lazy.observations._values  # none of the above drew values
+        keys = list(eager.observations)
+        random.Random(shuffle_seed).shuffle(keys)
+        for key in keys:
+            assert key in lazy.observations
+            assert repr(lazy.observations[key]) == repr(eager.observations[key])
+        assert lazy == eager
+
+    def test_sampling_equals_eager_oracle(self):
+        for seed in (1, 24, 77):
+            eager, lazy = synth_catalog_eager(seed, 24, 30), synth_catalog(seed, 24, 30)
+            rng_e, rng_l = Rng(seed), Rng(seed)
+            for k in range(150):
+                args = dict(temporal=k % 3 != 0, arity=1 + k % 2,
+                            min_len=MIN_TICKS + k % 7)
+                assert (sample_series(lazy, rng=rng_l, **args)
+                        == sample_series(eager, rng=rng_e, **args))
+            assert rng_l.next_raw() == rng_e.next_raw()
+
+    def test_write_catalog_same_bytes_as_oracle(self, tmp_path):
+        for seed in (3, 2026):
+            write_catalog(synth_catalog_eager(seed, 24, 30), tmp_path / "eager.csv")
+            write_catalog(synth_catalog(seed, 24, 30), tmp_path / "lazy.csv")
+            for name in ("eager.csv", "eager.dict.csv"):
+                lazy_name = name.replace("eager", "lazy")
+                assert ((tmp_path / name).read_bytes()
+                        == (tmp_path / lazy_name).read_bytes())
+
+    def test_more_entities_than_country_names(self):
+        # "territory-10" sorts before "territory-2": entities_for must sort
+        eager, lazy = synth_catalog_eager(3, 6, 140), synth_catalog(3, 6, 140)
+        assert lazy.covered_indicators() == eager.covered_indicators()
+        for ind_id in lazy.covered_indicators():
+            assert lazy.entities_for(ind_id) == eager.entities_for(ind_id)
+            assert lazy.usable_runs(ind_id, 5) == eager.usable_runs(ind_id, 5)
+        assert lazy.stats() == eager.stats()
+        assert lazy == eager
+
+    def test_uncovered_and_unknown_pairs(self):
+        cat = synth_catalog(5, 6, 8, coverage=0.5)
+        eager = synth_catalog_eager(5, 6, 8, coverage=0.5)
+        for ind_id in cat.indicators:
+            for ent_id in cat.entities:
+                key = (ind_id, ent_id)
+                assert (key in cat.observations) == (key in eager.observations)
+                if key not in eager.observations:
+                    with pytest.raises(KeyError):
+                        cat.observations[key]
+                    assert cat.years_for(ind_id, ent_id) == []
+        for key in (("nope", "chad"), "ab", ("a", "b", "c"), 5):
+            assert key not in cat.observations
+        assert cat.entities_for("nope") == []
+        assert cat.observations.get(("nope", "chad")) is None
+
+    def test_unused_catalog_is_freed_without_the_collector(self):
+        # a reference cycle between a catalog and its observations would
+        # keep every catalog a generate or regenerate call builds alive
+        # until the cyclic collector runs
+        cat = synth_catalog(3, 4, 5)
+        cat.observations[next(iter(cat.observations))]
+        ref = weakref.ref(cat)
+        gc.disable()
+        try:
+            del cat
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_bound_check_runs_when_a_pair_is_drawn(self, monkeypatch):
+        cat = synth_catalog(3, 24, 30)
+        ind_id = next(i for i in cat.covered_indicators()
+                      if cat.indicators[i].value_kind == "float")
+        key = (ind_id, cat.entities_for(ind_id)[0])
+        monkeypatch.setitem(VALUE_KIND_BOUNDS, "float", (0.0, 0.1))
+        for _ in range(2):  # a pair that fails its check is not kept
+            with pytest.raises(CatalogFormatError,
+                               match=rf"outside \[0.0, 0.1\] for float "
+                                     rf"indicator '{ind_id}'"):
+                cat.observations[key]
+        monkeypatch.undo()
+        assert cat.observations[key] == synth_catalog_eager(3, 24, 30).observations[key]
+
+
 class TestSampleSeries:
     def test_temporal_single(self):
         cat = small_catalog()
@@ -296,6 +497,27 @@ class TestSampleSeries:
                 cached = cat.entities_by_year(ind_id)
                 assert cached is cat.entities_by_year(ind_id)
                 assert cached == entities_by_year_scan(cat, ind_id)
+
+    def test_draws_are_pinned(self):
+        # sparse catalogs, where both random pair searches fall back to
+        # their exhaustive scans; any change to a draw or to the order of
+        # draws changes the hash
+        h = hashlib.sha256()
+        for seed in range(8):
+            for n_ind, n_ent, coverage in [(3, 4, 0.6), (2, 9, 0.3), (5, 12, 0.9)]:
+                cat = synth_catalog(seed, n_ind, n_ent, coverage)
+                rng = Rng(seed)
+                for k in range(60):
+                    try:
+                        got = sample_series(cat, temporal=k % 3 == 0,
+                                            arity=1 + k // 2 % 2, rng=rng,
+                                            min_len=2 + k % 7)
+                    except InsufficientCoverageError as exc:
+                        got = str(exc)
+                    h.update(repr(got).encode())
+                h.update(str(rng.next_raw()).encode())
+        assert h.hexdigest() == (
+            "280ed8d2753985b7f5bcf8a1efe25c1191063889dcc4077583039c0f9a708d33")
 
     def test_deterministic_given_rng(self):
         cat = synth_catalog(5, 20, 10)

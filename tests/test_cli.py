@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from chartscribe import cli, corpus
 from chartscribe.cli import build_parser, main
-from chartscribe.corpus import MANIFEST_NAME
+from chartscribe.corpus import MANIFEST_NAME, load_manifest
 from chartscribe.narrate import Description
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -135,6 +136,22 @@ class TestValidate:
         rc = main(["validate", str(corpus_dir)])
         assert rc == 0
         assert "0 violations" in capsys.readouterr().out
+
+    def test_manifest_parsed_once(self, corpus_dir, capsys, monkeypatch):
+        totals = load_manifest(corpus_dir)["totals"]
+        calls = []
+
+        def spy(path):
+            calls.append(path)
+            return load_manifest(path)
+
+        monkeypatch.setattr(corpus, "load_manifest", spy)
+        monkeypatch.setattr(cli, "load_manifest", spy, raising=False)
+        assert main(["validate", str(corpus_dir)]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == (
+            f"ok: {totals['charts']} charts, {totals['descriptions']} "
+            f"descriptions, 0 violations\n")
 
     def test_faulty(self, tmp_path, capsys):
         out = tmp_path / "corpus"

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chartscribe import corpus
 from chartscribe.catalog import synth_catalog, write_catalog
 from chartscribe.chartgen import ChartMeta
 from chartscribe.corpus import (
@@ -25,6 +24,28 @@ from chartscribe.trend import DIRECTIONAL_CLASSES, FLAT_CLASSES, classify_trend
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def record_opens(monkeypatch):
+    """Spy on os.open: the returned list gets the (st_dev, st_ino) of every
+    file or directory it opens, so an open that follows a symlink shows
+    the target's identity."""
+    opened = []
+    real = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        fd = real(path, flags, *args, **kwargs)
+        st = os.fstat(fd)
+        opened.append((st.st_dev, st.st_ino))
+        return fd
+
+    monkeypatch.setattr(os, "open", spy)
+    return opened
+
+
+def identity(path):
+    st = os.stat(path)
+    return st.st_dev, st.st_ino
 
 
 def tree_hash(root) -> str:
@@ -340,19 +361,24 @@ class TestGenerateCorpus:
             generate_corpus(CorpusConfig(seed=5, count_scale=0.002), jobs=0)
 
     def test_regenerate_record_byte_exact(self, tmp_path):
+        # every record, each from a fresh catalog that draws only the pairs
+        # that record reads, in another order than generate drew them
         out = tmp_path / "corpus"
         generate_corpus(CorpusConfig(seed=9, output_dir=str(out), count_scale=0.002))
-        manifest = load_manifest(out)
-        entry = manifest["records"][3]
-        originals = {rel: (out / rel).read_bytes()
-                     for rel in entry["files"].values()}
-        # clobber all three files, then restore from the manifest alone
-        for rel in entry["files"].values():
-            (out / rel).write_bytes(b"tampered")
-        written = regenerate_record(out, entry["image_index"])
-        assert sorted(written) == sorted(entry["files"].values())
-        for rel, original in originals.items():
-            assert (out / rel).read_bytes() == original
+        before = tree_hash(out)
+        entries = load_manifest(out)["records"]
+        assert len(entries) == 15
+        for entry in entries:
+            originals = {rel: (out / rel).read_bytes()
+                         for rel in entry["files"].values()}
+            # clobber all three files, then restore from the manifest alone
+            for rel in originals:
+                (out / rel).write_bytes(b"tampered")
+            written = regenerate_record(out, entry["image_index"])
+            assert sorted(written) == sorted(originals)
+            for rel, original in originals.items():
+                assert (out / rel).read_bytes() == original
+        assert tree_hash(out) == before
 
     def test_regenerate_unknown_index(self, tiny_corpus):
         out, _, _ = tiny_corpus
@@ -565,6 +591,34 @@ class TestValidate:
         assert "record 000004: missing meta file 000004.json" in problems
         assert not any(p.startswith("record 000004: meta") for p in problems)
 
+    def test_symlinked_record_file_is_not_followed(self, fresh, tmp_path,
+                                                   monkeypatch):
+        link = fresh / "charts" / "000001.svg"
+        target = tmp_path / "outside.svg"
+        target.write_bytes(link.read_bytes())  # a valid chart, elsewhere
+        link.unlink()
+        link.symlink_to(target)
+        opened = record_opens(monkeypatch)
+        problems = validate_corpus(fresh)
+        assert [p for p in problems if p.startswith("record")] == [
+            "record 000001: missing chart file 000001.svg"]
+        assert identity(target) not in opened
+        assert len(opened) == 3 + 3 * 15 - 1  # layout directories, files
+
+    def test_symlinked_layout_directory_is_not_followed(self, fresh, tmp_path,
+                                                        monkeypatch):
+        target = tmp_path / "elsewhere"
+        (fresh / "meta").rename(target)
+        (fresh / "meta").symlink_to(target, target_is_directory=True)
+        outside = {identity(target)} | {identity(p) for p in target.iterdir()}
+        opened = record_opens(monkeypatch)
+        problems = validate_corpus(fresh)
+        assert "layout: meta/ is a symlink, not followed" in problems
+        for i in range(15):
+            assert f"record {i:06d}: missing meta file {i:06d}.json" in problems
+        assert not outside & set(opened)
+        assert len(opened) == 2 + 2 * 15
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
     def test_fifo_and_device_are_not_read(self, fresh):
         (fresh / "meta" / "000005.json").unlink()
@@ -652,15 +706,13 @@ class TestValidateDamagedManifest:
         target = "../outside.svg" if relative else str(outside)
         edit_json(fresh / MANIFEST_NAME, lambda doc:
                   doc["records"][3]["files"].__setitem__("chart", target))
-        opened = []
-        real = corpus._read_file
-        monkeypatch.setattr(corpus, "_read_file",
-                            lambda path: opened.append(path) or real(path))
+        inside = {identity(p) for p in fresh.rglob("*")}
+        opened = record_opens(monkeypatch)
         problems = validate_corpus(fresh)
         assert any(p.startswith("manifest: records[3] has files") for p in problems)
         assert not any("does not parse" in p for p in problems)
-        assert len(opened) == 3 * 14
-        assert all(fresh in p.parents for p in opened)
+        assert len(opened) == 3 + 3 * 14  # layout directories, files
+        assert set(opened) <= inside
 
     def test_manifest_not_an_object(self, fresh):
         (fresh / MANIFEST_NAME).write_text("[1, 2]", encoding="utf-8")
