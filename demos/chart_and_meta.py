@@ -1,5 +1,6 @@
 """Sample data, render one chart, and poke at its metadata."""
 
+from dataclasses import asdict
 from pathlib import Path
 
 from chartscribe import (
@@ -32,7 +33,7 @@ print("\ntitle:     ", meta.title.text)
 print("category:  ", meta.category)
 print("trend:     ", meta.series[0].trend_class)
 print("y ticks:   ", [t.label for t in meta.y_ticks])
-print("plot area: ", meta.plot_area.to_dict())
+print("plot area: ", asdict(meta.plot_area))
 
 # Every point carries data and canvas coordinates tied together by the
 # value axis transform

@@ -13,15 +13,16 @@ the meta.  All canvas coordinates in the SVG and the meta are rounded to
 two decimals.
 """
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, get_args, get_origin
 
 from .catalog import DataSeries, _parse_years
 from .rng import Rng
-from .trend import ParameterError, TrendClass, classify_trend
+from .trend import FLAT_CLASSES, ParameterError, classify_trend
 
 CANVAS_W = 640
 CANVAS_H = 480
@@ -73,6 +74,10 @@ class ChartKind(str, Enum):
     @property
     def is_bar(self) -> bool:
         return self in (ChartKind.VERTICAL_BAR, ChartKind.HORIZONTAL_BAR)
+
+
+KINDS = tuple(kind.value for kind in ChartKind)
+CATEGORIES = ("temporal-trend", "temporal-random", "categorical")
 
 
 class ArityError(ValueError):
@@ -142,29 +147,11 @@ class BBox:
                 and self.y + self.h <= CANVAS_H
                 and self.w > 0 and self.h > 0)
 
-    def overlaps(self, other: "BBox") -> bool:
-        return not (self.x + self.w <= other.x or other.x + other.w <= self.x
-                    or self.y + self.h <= other.y or other.y + other.h <= self.y)
-
-    def to_dict(self) -> Dict[str, float]:
-        return {"x": self.x, "y": self.y, "w": self.w, "h": self.h}
-
-    @staticmethod
-    def from_dict(d: Dict[str, float]) -> "BBox":
-        return BBox(d["x"], d["y"], d["w"], d["h"])
-
 
 @dataclass
 class LabeledText:
     text: str
     bbox: BBox
-
-    def to_dict(self):
-        return {"text": self.text, "bbox": self.bbox.to_dict()}
-
-    @staticmethod
-    def from_dict(d):
-        return LabeledText(d["text"], BBox.from_dict(d["bbox"]))
 
 
 @dataclass
@@ -173,13 +160,6 @@ class TickMark:
     bbox: BBox
     value: Optional[float]  # numeric tick value; None for category ticks
 
-    def to_dict(self):
-        return {"label": self.label, "bbox": self.bbox.to_dict(), "value": self.value}
-
-    @staticmethod
-    def from_dict(d):
-        return TickMark(d["label"], BBox.from_dict(d["bbox"]), d["value"])
-
 
 @dataclass
 class LegendEntry:
@@ -187,14 +167,11 @@ class LegendEntry:
     name_bbox: BBox
     marker_bbox: BBox
 
-    def to_dict(self):
-        return {"name": self.name, "name_bbox": self.name_bbox.to_dict(),
-                "marker_bbox": self.marker_bbox.to_dict()}
 
-    @staticmethod
-    def from_dict(d):
-        return LegendEntry(d["name"], BBox.from_dict(d["name_bbox"]),
-                           BBox.from_dict(d["marker_bbox"]))
+@dataclass
+class Legend:
+    bbox: BBox
+    entries: List[LegendEntry]
 
 
 @dataclass
@@ -205,30 +182,12 @@ class PointRecord:
     x_canvas: float
     y_canvas: float
 
-    def to_dict(self):
-        return {"x_label": self.x_label, "x_index": self.x_index, "value": self.value,
-                "x_canvas": self.x_canvas, "y_canvas": self.y_canvas}
-
-    @staticmethod
-    def from_dict(d):
-        return PointRecord(d["x_label"], d["x_index"], d["value"],
-                           d["x_canvas"], d["y_canvas"])
-
 
 @dataclass
 class SeriesMeta:
     name: str
     trend_class: Optional[str]
     points: List[PointRecord]
-
-    def to_dict(self):
-        return {"name": self.name, "trend_class": self.trend_class,
-                "points": [p.to_dict() for p in self.points]}
-
-    @staticmethod
-    def from_dict(d):
-        return SeriesMeta(d["name"], d["trend_class"],
-                          [PointRecord.from_dict(p) for p in d["points"]])
 
 
 @dataclass
@@ -253,85 +212,62 @@ class AxisTransform:
         t = (c - self.canvas_lo) / (self.canvas_hi - self.canvas_lo)
         return self.lo + t * (self.hi - self.lo)
 
-    def to_dict(self):
-        return {"orientation": self.orientation, "lo": self.lo, "hi": self.hi,
-                "canvas_lo": self.canvas_lo, "canvas_hi": self.canvas_hi}
 
-    @staticmethod
-    def from_dict(d):
-        return AxisTransform(d["orientation"], d["lo"], d["hi"],
-                             d["canvas_lo"], d["canvas_hi"])
+@dataclass
+class Canvas:
+    width: int = CANVAS_W
+    height: int = CANVAS_H
 
 
 @dataclass
 class ChartMeta:
-    """Ground truth for one rendered chart; serializes to a JSON document."""
+    """Ground truth for one chart; its fields, in order, are its JSON keys."""
 
     image_index: int
-    chart_kind: str
-    category: str  # temporal-trend | temporal-random | categorical
+    chart_kind: str  # one of KINDS
+    category: str  # one of CATEGORIES
     title: LabeledText
     x_label: LabeledText
     y_label: LabeledText
     y_unit: str
     x_ticks: List[TickMark]
     y_ticks: List[TickMark]
-    legend_bbox: BBox
-    legend_entries: List[LegendEntry]
+    legend: Legend
     series: List[SeriesMeta]
     plot_area: BBox
     value_axis: AxisTransform
-    canvas_width: int = CANVAS_W
-    canvas_height: int = CANVAS_H
-
-    def to_dict(self):
-        return {
-            "image_index": self.image_index,
-            "chart_kind": self.chart_kind,
-            "category": self.category,
-            "title": self.title.to_dict(),
-            "x_label": self.x_label.to_dict(),
-            "y_label": self.y_label.to_dict(),
-            "y_unit": self.y_unit,
-            "x_ticks": [t.to_dict() for t in self.x_ticks],
-            "y_ticks": [t.to_dict() for t in self.y_ticks],
-            "legend": {
-                "bbox": self.legend_bbox.to_dict(),
-                "entries": [e.to_dict() for e in self.legend_entries],
-            },
-            "series": [s.to_dict() for s in self.series],
-            "plot_area": self.plot_area.to_dict(),
-            "value_axis": self.value_axis.to_dict(),
-            "canvas": {"width": self.canvas_width, "height": self.canvas_height},
-        }
+    canvas: Canvas = field(default_factory=Canvas)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
-
-    @staticmethod
-    def from_dict(d) -> "ChartMeta":
-        return ChartMeta(
-            image_index=d["image_index"],
-            chart_kind=d["chart_kind"],
-            category=d["category"],
-            title=LabeledText.from_dict(d["title"]),
-            x_label=LabeledText.from_dict(d["x_label"]),
-            y_label=LabeledText.from_dict(d["y_label"]),
-            y_unit=d["y_unit"],
-            x_ticks=[TickMark.from_dict(t) for t in d["x_ticks"]],
-            y_ticks=[TickMark.from_dict(t) for t in d["y_ticks"]],
-            legend_bbox=BBox.from_dict(d["legend"]["bbox"]),
-            legend_entries=[LegendEntry.from_dict(e) for e in d["legend"]["entries"]],
-            series=[SeriesMeta.from_dict(s) for s in d["series"]],
-            plot_area=BBox.from_dict(d["plot_area"]),
-            value_axis=AxisTransform.from_dict(d["value_axis"]),
-            canvas_width=d["canvas"]["width"],
-            canvas_height=d["canvas"]["height"],
-        )
+        return json.dumps(_codec(ChartMeta)[0](self), indent=1)
 
     @staticmethod
     def from_json(text: str) -> "ChartMeta":
-        return ChartMeta.from_dict(json.loads(text))
+        return _codec(ChartMeta)[1](json.loads(text))
+
+
+@functools.cache
+def _codec(cls) -> Tuple[Callable, Callable]:
+    """(encode, decode) between a meta record class and its JSON object,
+    compiled once from its fields as `dataclasses` compiles `__init__`: a
+    record field is an object, a List[record] field an array, any other
+    passes through.  decode reads d[key] depth first in field order."""
+    env: Dict[str, object] = {"cls": cls}
+    enc, dec = [], []
+    for f in fields(cls):
+        is_list = get_origin(f.type) is list
+        record = get_args(f.type)[0] if is_list else f.type
+        get, read = f"o.{f.name}", f"d[{f.name!r}]"
+        if is_dataclass(record):
+            env[f"enc_{f.name}"], env[f"dec_{f.name}"] = _codec(record)
+            form = "[{}(v) for v in {}]" if is_list else "{}({})"
+            get = form.format(f"enc_{f.name}", get)
+            read = form.format(f"dec_{f.name}", read)
+        enc.append(f"{f.name!r}: {get}")
+        dec.append(read)
+    exec(f"def encode(o): return {{{', '.join(enc)}}}\n"
+         f"def decode(d): return cls({', '.join(dec)})", env)
+    return env["encode"], env["decode"]
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +506,7 @@ def _series_trend(s: DataSeries) -> Optional[str]:
 def _chart_category(series: List[DataSeries]) -> str:
     if not series[0].temporal:
         return "categorical"
-    trends = [_series_trend(s) for s in series]
-    flat = {TrendClass.RANDOM_FLUCTUATION.value, TrendClass.PLATEAU.value, None}
-    if any(t not in flat for t in trends):
+    if any(_series_trend(s) not in FLAT_CLASSES + (None,) for s in series):
         return "temporal-trend"
     return "temporal-random"
 
@@ -818,8 +752,7 @@ def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
         y_unit=series[0].y_unit,
         x_ticks=x_ticks,
         y_ticks=y_ticks,
-        legend_bbox=legend_bbox,
-        legend_entries=legend_entries,
+        legend=Legend(legend_bbox, legend_entries),
         series=series_meta,
         plot_area=plot,
         value_axis=axis,

@@ -23,9 +23,9 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .chartgen import ChartMeta
+from .chartgen import CATEGORIES, ChartMeta
 from .corpus import (
-    _MALFORMED, CATEGORIES, ConfigError, CorpusConfig, ManifestError,
+    _MALFORMED, ConfigError, ManifestError,
     _validate, default_config, generate_corpus, load_config, stats,
 )
 from .evalmetrics import References, corpus_report, format_report, score_pair
@@ -89,7 +89,7 @@ def _cmd_describe(args) -> int:
         raise CliError(f"describe: no meta file at {args.meta}")
     try:
         meta = ChartMeta.from_json(meta_path.read_text(encoding="utf-8"))
-    except (ValueError, KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise CliError(f"describe: {args.meta} is not chart metadata: "
                        f"{type(exc).__name__}: {exc}") from None
     if meta.category not in CATEGORIES:
@@ -133,7 +133,7 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
         key: object
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             doc = None
         if isinstance(doc, dict) and "text" in doc:
             key = doc.get("image_index", line_no)
@@ -161,7 +161,7 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
 def _kind_lookup(manifest_path) -> Dict[int, str]:
     try:
         manifest = json.loads(_read_text(manifest_path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"eval: --by-kind {manifest_path} is not JSON: {exc}")
     try:
         return {entry["image_index"]: entry["kind"]

@@ -36,7 +36,8 @@ from .catalog import (
     Catalog, DataSeries, load_catalog, perturb_to_trend, sample_series,
     synth_catalog,
 )
-from .chartgen import ChartKind, ChartMeta, render, build_chart_spec
+from .chartgen import (CATEGORIES, KINDS, ChartKind, ChartMeta, render,
+                       build_chart_spec)
 from .narrate import (
     DEFAULT_PLAN_PARAMS, PlanParams, Description, check_move_order,
     extract_facts, generate_description_set, hallucination_check,
@@ -55,10 +56,9 @@ log = logging.getLogger(__name__)
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
-CATEGORIES = ("temporal-trend", "temporal-random", "categorical")
-KINDS = ("scatter", "line", "vertical-bar", "horizontal-bar")
-CATEGORY_CODES = {"temporal-trend": 1, "temporal-random": 2, "categorical": 3}
-KIND_CODES = {"scatter": 1, "line": 2, "vertical-bar": 3, "horizontal-bar": 4}
+# seed words of the record streams: position in CATEGORIES and KINDS, from 1
+CATEGORY_CODES = {category: i for i, category in enumerate(CATEGORIES, 1)}
+KIND_CODES = {kind: i for i, kind in enumerate(KINDS, 1)}
 
 # default chart grid: category rows x kind columns
 DEFAULT_CELL_COUNTS: Dict[Tuple[str, str], int] = {
@@ -446,12 +446,39 @@ def _worker_build(plan: RecordPlan) -> RecordPayload:
                         _worker_state["config"])
 
 
-def _write_payload(root: Path, payload: RecordPayload) -> None:
-    files = payload.entry["files"]
-    (root / files["chart"]).write_bytes(payload.svg)
-    (root / files["meta"]).write_text(payload.meta_json, encoding="utf-8")
-    (root / files["descriptions"]).write_text(payload.descriptions,
-                                              encoding="utf-8")
+@contextlib.contextmanager
+def _layout_dirs(root: Path, ignore: tuple = ()):
+    """The layout directories under root, open as {name: fd} until exit; a
+    symlink there is not followed.  One that does not open raises its
+    OSError, or is left out when that is one of `ignore`."""
+    dirs: Dict[str, int] = {}
+    try:
+        for _, sub, _ in _LAYOUT:
+            with contextlib.suppress(*ignore):
+                dirs[sub] = os.open(root / sub, os.O_RDONLY | os.O_NOFOLLOW
+                                    | os.O_DIRECTORY)
+        yield dirs
+    finally:
+        for fd in dirs.values():
+            os.close(fd)
+
+
+def _write_file(name, data: bytes, dir_fd: Optional[int] = None) -> None:
+    """Create or overwrite the file `name` (in the directory open as
+    dir_fd); OSError for a symlink there, or a FIFO without a reader."""
+    fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW
+                 | os.O_NONBLOCK, 0o666, dir_fd=dir_fd)
+    with open(fd, "wb") as f:
+        f.write(data)
+
+
+def _write_payload(dirs: Dict[str, int], payload: RecordPayload) -> None:
+    """Write a record's files by name into the open layout directories."""
+    data = (payload.svg, payload.meta_json.encode("utf-8"),
+            payload.descriptions.encode("utf-8"))
+    for (_, sub, suffix), content in zip(_LAYOUT, data):
+        _write_file(_record_name(payload.image_index) + suffix, content,
+                    dirs[sub])
 
 
 def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
@@ -459,25 +486,26 @@ def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
     if jobs < 1:
         raise ValueError(f"jobs: must be >= 1, got {jobs}")
     root = Path(config.output_dir)
-    for sub in ("charts", "meta", "descriptions"):
+    for _, sub, _ in _LAYOUT:
         (root / sub).mkdir(parents=True, exist_ok=True)
 
     plans = build_plans(config)
     entries: List[dict] = []
-    if jobs == 1:
-        catalog = _build_catalog(config)
-        bank = _build_bank(config)
-        for plan in plans:
-            payload = build_record(plan, catalog, bank, config)
-            _write_payload(root, payload)
+    with contextlib.ExitStack() as stack:
+        dirs = stack.enter_context(_layout_dirs(root))
+        if jobs == 1:
+            catalog, bank = _build_catalog(config), _build_bank(config)
+            payloads = (build_record(plan, catalog, bank, config)
+                        for plan in plans)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=jobs, initializer=_worker_init,
+                initargs=(config.to_dict(),)))
+            payloads = pool.map(_worker_build, plans,
+                                chunksize=max(1, len(plans) // (jobs * 8)))
+        for payload in payloads:
+            _write_payload(dirs, payload)
             entries.append(payload.entry)
-    else:
-        chunk = max(1, len(plans) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
-                                 initargs=(config.to_dict(),)) as pool:
-            for payload in pool.map(_worker_build, plans, chunksize=chunk):
-                _write_payload(root, payload)
-                entries.append(payload.entry)
 
     cells = [
         {"category": category, "kind": kind,
@@ -494,9 +522,8 @@ def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
         "cells": cells,
         "records": entries,
     }
-    (root / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=1, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+    _write_file(root / MANIFEST_NAME, (json.dumps(
+        manifest, indent=1, ensure_ascii=False) + "\n").encode("utf-8"))
     return manifest
 
 
@@ -506,7 +533,7 @@ def load_manifest(corpus_dir) -> dict:
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {corpus_dir}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
         raise ManifestError(
             f"manifest: {MANIFEST_NAME} does not parse: {exc}") from None
 
@@ -533,7 +560,8 @@ def regenerate_record(corpus_dir, image_index: int) -> List[str]:
                       entry["cell_index"], entry["seed"])
     payload = build_record(plan, _build_catalog(config), _build_bank(config),
                            config)
-    _write_payload(root, payload)
+    with _layout_dirs(root) as dirs:
+        _write_payload(dirs, payload)
     return list(payload.entry["files"].values())
 
 
@@ -597,8 +625,8 @@ def _iter_bboxes(meta: ChartMeta):
         yield f"x_tick[{i}]", tick.bbox
     for i, tick in enumerate(meta.y_ticks):
         yield f"y_tick[{i}]", tick.bbox
-    yield "legend", meta.legend_bbox
-    for i, entry in enumerate(meta.legend_entries):
+    yield "legend", meta.legend.bbox
+    for i, entry in enumerate(meta.legend.entries):
         yield f"legend_entry[{i}].name", entry.name_bbox
         yield f"legend_entry[{i}].marker", entry.marker_bbox
     yield "plot_area", meta.plot_area
@@ -606,8 +634,8 @@ def _iter_bboxes(meta: ChartMeta):
 
 # what reading a field of decoded JSON raises when the field has the wrong
 # type or shape: the validator reports it as a violation of the record
-_MALFORMED = (ArithmeticError, AttributeError, LookupError, TypeError,
-              ValueError)
+_MALFORMED = (ArithmeticError, AttributeError, LookupError, RecursionError,
+              TypeError, ValueError)
 
 # the fields of a manifest record that the validator reads
 _RECORD_FIELDS = (("image_index", int), ("category", str), ("kind", str),
@@ -646,7 +674,7 @@ def _check_geometry(tag: str, meta: ChartMeta) -> List[str]:
     problems: List[str] = []
     for name, bbox in _iter_bboxes(meta):
         if not bbox.within_canvas():
-            problems.append(f"{tag}: {name} bbox outside canvas: {bbox.to_dict()}")
+            problems.append(f"{tag}: {name} bbox outside canvas: {asdict(bbox)}")
 
     axis = meta.value_axis
     for s, sm in enumerate(meta.series):
@@ -658,8 +686,8 @@ def _check_geometry(tag: str, meta: ChartMeta) -> List[str]:
                     f"{tag}: series[{s}].points[{p_i}] canvas coordinate "
                     f"{coord} is {abs(expected - coord):.3f} units from the "
                     f"value transform")
-            if not (-0.5 <= point.x_canvas <= meta.canvas_width + 0.5
-                    and -0.5 <= point.y_canvas <= meta.canvas_height + 0.5):
+            if not (-0.5 <= point.x_canvas <= meta.canvas.width + 0.5
+                    and -0.5 <= point.y_canvas <= meta.canvas.height + 0.5):
                 problems.append(
                     f"{tag}: series[{s}].points[{p_i}] plotted off canvas")
     return problems
@@ -865,12 +893,7 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
         return [f"manifest: {exc}"], seen
     if not isinstance(manifest, dict):
         return [f"manifest: is a {type(manifest).__name__}, not an object"], seen
-    dirs: Dict[str, int] = {}  # the layout directories that opened
-    try:
-        for _, sub, _ in _LAYOUT:
-            with contextlib.suppress(OSError):
-                dirs[sub] = os.open(root / sub, os.O_RDONLY | os.O_NOFOLLOW
-                                    | os.O_DIRECTORY)
+    with _layout_dirs(root, ignore=(OSError,)) as dirs:
         problems: List[str] = []
         if manifest.get("format_version") != FORMAT_VERSION:
             problems.append(
@@ -922,6 +945,3 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
             for orphan in sorted(on_disk - expected):
                 problems.append(f"layout: {sub}/{orphan} not in manifest")
         return problems, seen
-    finally:
-        for fd in dirs.values():
-            os.close(fd)

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .catalog import DataSeries
-from .chartgen import ChartMeta
+from .chartgen import CATEGORIES, ChartMeta
 from .evalmetrics import tokenize
 from .rng import Rng, derive_seed, TAG_DESCRIPTION
 from .templatebank import Template, TemplateBank, query
@@ -381,7 +381,7 @@ def plan_moves(category: str, rng: Rng, n_series: int = 1,
     block, the M4 coin, and finally the M4 insertion point.  Temporal charts
     walk their series in order; categorical blocks alternate focus.
     """
-    if category not in ("temporal-trend", "temporal-random", "categorical"):
+    if category not in CATEGORIES:
         raise ValueError(f"category: unknown category {category!r}")
     if n_series not in (1, 2):
         raise ValueError(f"n_series: expected 1 or 2, got {n_series}")

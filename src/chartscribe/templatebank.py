@@ -21,11 +21,11 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .trend import TrendClass
+from .chartgen import CATEGORIES
+from .trend import FLAT_CLASSES, TrendClass
 
 MOVES = ("M1", "M2", "M3", "M3_1", "M4", "M5")
 OBLIGATORY_MOVES = ("M1", "M3", "M5")
-CATEGORIES = ("temporal-trend", "temporal-random", "categorical")
 
 SLOT_VOCABULARY = frozenset({
     "title", "chart_kind_phrase", "y_label", "x_label", "unit",
@@ -38,11 +38,8 @@ BANK_HEADER = "# template-bank v1"
 
 _SLOT_RE = re.compile(r"\{([A-Za-z0-9_]+)\}")
 
-_DIRECTIONAL = tuple(
-    c.value for c in TrendClass
-    if c not in (TrendClass.RANDOM_FLUCTUATION, TrendClass.PLATEAU)
-)
-_FLAT = (TrendClass.RANDOM_FLUCTUATION.value, TrendClass.PLATEAU.value)
+_FLAT = tuple(c.value for c in FLAT_CLASSES)
+_DIRECTIONAL = tuple(c.value for c in TrendClass if c not in FLAT_CLASSES)
 
 # Every (category, trend, arity) combination the planner can ask for.
 # temporal-trend charts include flat trends: a two-series chart is in that

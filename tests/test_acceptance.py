@@ -279,8 +279,8 @@ def test_criterion_4_meta_correctness(stats_corpus, tmp_path):
         assert meta.title.bbox.within_canvas(), meta.image_index
         assert meta.x_label.bbox.within_canvas(), meta.image_index
         assert meta.y_label.bbox.within_canvas(), meta.image_index
-        assert meta.legend_bbox.within_canvas(), meta.image_index
-        for entry in meta.legend_entries:
+        assert meta.legend.bbox.within_canvas(), meta.image_index
+        for entry in meta.legend.entries:
             assert entry.name_bbox.within_canvas(), meta.image_index
             assert entry.marker_bbox.within_canvas(), meta.image_index
         assert meta.plot_area.within_canvas(), meta.image_index

@@ -1,10 +1,14 @@
 """Tests for chart layout, rendering, and meta ground truth."""
 
+import dataclasses
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chartscribe.catalog import DataSeries
 from chartscribe.chartgen import (
@@ -15,12 +19,21 @@ from chartscribe.chartgen import (
     LINE_STYLES,
     MARKER_SHAPES,
     ArityError,
+    AxisTransform,
     BBox,
+    Canvas,
     ChartKind,
     ChartMeta,
     ChartSpec,
+    LabeledText,
+    Legend,
+    LegendEntry,
     NegativeBarValueError,
+    PointRecord,
+    SeriesMeta,
     StyleSpec,
+    TickMark,
+    _codec,
     build_chart_spec,
     estimate_text_bbox,
     nice_ticks,
@@ -28,6 +41,9 @@ from chartscribe.chartgen import (
 )
 from chartscribe.rng import Rng
 from chartscribe.trend import ParameterError
+from test_corpus import JSON_VALUES, mutate_at
+
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 
 def temporal_series(values, start=1994, name="Brazil", unit="kt",
@@ -51,12 +67,17 @@ def default_style(n_colors=1):
                      line_style="solid", legend_position="top-right")
 
 
+def overlaps(a, b):
+    return not (a.x + a.w <= b.x or b.x + b.w <= a.x
+                or a.y + a.h <= b.y or b.y + b.h <= a.y)
+
+
 def all_bboxes(meta):
     boxes = [meta.title.bbox, meta.x_label.bbox, meta.y_label.bbox,
-             meta.legend_bbox, meta.plot_area]
+             meta.legend.bbox, meta.plot_area]
     boxes += [t.bbox for t in meta.x_ticks]
     boxes += [t.bbox for t in meta.y_ticks]
-    for e in meta.legend_entries:
+    for e in meta.legend.entries:
         boxes += [e.name_bbox, e.marker_bbox]
     return boxes
 
@@ -330,13 +351,13 @@ class TestRender:
         a = temporal_series([1, 2, 3], name="Brazil")
         b = temporal_series([2, 3, 4], name="Peru")
         _, meta = render(build_chart_spec([a, b], ChartKind.LINE, Rng(2)))
-        assert [e.name for e in meta.legend_entries] == ["Brazil", "Peru"]
+        assert [e.name for e in meta.legend.entries] == ["Brazil", "Peru"]
 
     def test_legend_avoids_title(self):
         for seed in range(30):
             s = temporal_series([10.0 * i for i in range(1, 7)])
             _, meta = render(build_chart_spec([s], ChartKind.LINE, Rng(seed)))
-            assert not meta.legend_bbox.overlaps(meta.title.bbox)
+            assert not overlaps(meta.legend.bbox, meta.title.bbox)
 
     def test_category_temporal_trend(self):
         s = temporal_series([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -414,10 +435,204 @@ class TestBBox:
 
     def test_overlaps(self):
         a = BBox(0, 0, 10, 10)
-        assert a.overlaps(BBox(5, 5, 10, 10))
-        assert not a.overlaps(BBox(10, 0, 5, 5))
-        assert not a.overlaps(BBox(0, 10, 5, 5))
+        assert overlaps(a, BBox(5, 5, 10, 10))
+        assert not overlaps(a, BBox(10, 0, 5, 5))
+        assert not overlaps(a, BBox(0, 10, 5, 5))
 
     def test_dict_round_trip(self):
         bb = BBox(1.5, 2.5, 3.5, 4.5)
-        assert BBox.from_dict(bb.to_dict()) == bb
+        encode, decode = _codec(BBox)
+        assert encode(bb) == {"x": 1.5, "y": 2.5, "w": 3.5, "h": 4.5}
+        assert decode(encode(bb)) == bb
+
+
+# ---------------------------------------------------------------------------
+# the field-driven meta codec against the hand-written methods it replaced
+
+def bbox_to_dict(b):
+    return {"x": b.x, "y": b.y, "w": b.w, "h": b.h}
+
+
+def bbox_from_dict(d):
+    return BBox(d["x"], d["y"], d["w"], d["h"])
+
+
+def text_to_dict(t):
+    return {"text": t.text, "bbox": bbox_to_dict(t.bbox)}
+
+
+def text_from_dict(d):
+    return LabeledText(d["text"], bbox_from_dict(d["bbox"]))
+
+
+def tick_to_dict(t):
+    return {"label": t.label, "bbox": bbox_to_dict(t.bbox), "value": t.value}
+
+
+def tick_from_dict(d):
+    return TickMark(d["label"], bbox_from_dict(d["bbox"]), d["value"])
+
+
+def entry_to_dict(e):
+    return {"name": e.name, "name_bbox": bbox_to_dict(e.name_bbox),
+            "marker_bbox": bbox_to_dict(e.marker_bbox)}
+
+
+def entry_from_dict(d):
+    return LegendEntry(d["name"], bbox_from_dict(d["name_bbox"]),
+                       bbox_from_dict(d["marker_bbox"]))
+
+
+def point_to_dict(p):
+    return {"x_label": p.x_label, "x_index": p.x_index, "value": p.value,
+            "x_canvas": p.x_canvas, "y_canvas": p.y_canvas}
+
+
+def point_from_dict(d):
+    return PointRecord(d["x_label"], d["x_index"], d["value"],
+                       d["x_canvas"], d["y_canvas"])
+
+
+def series_to_dict(s):
+    return {"name": s.name, "trend_class": s.trend_class,
+            "points": [point_to_dict(p) for p in s.points]}
+
+
+def series_from_dict(d):
+    return SeriesMeta(d["name"], d["trend_class"],
+                      [point_from_dict(p) for p in d["points"]])
+
+
+def axis_to_dict(a):
+    return {"orientation": a.orientation, "lo": a.lo, "hi": a.hi,
+            "canvas_lo": a.canvas_lo, "canvas_hi": a.canvas_hi}
+
+
+def axis_from_dict(d):
+    return AxisTransform(d["orientation"], d["lo"], d["hi"],
+                         d["canvas_lo"], d["canvas_hi"])
+
+
+def meta_to_dict(m):
+    return {
+        "image_index": m.image_index,
+        "chart_kind": m.chart_kind,
+        "category": m.category,
+        "title": text_to_dict(m.title),
+        "x_label": text_to_dict(m.x_label),
+        "y_label": text_to_dict(m.y_label),
+        "y_unit": m.y_unit,
+        "x_ticks": [tick_to_dict(t) for t in m.x_ticks],
+        "y_ticks": [tick_to_dict(t) for t in m.y_ticks],
+        "legend": {
+            "bbox": bbox_to_dict(m.legend.bbox),
+            "entries": [entry_to_dict(e) for e in m.legend.entries],
+        },
+        "series": [series_to_dict(s) for s in m.series],
+        "plot_area": bbox_to_dict(m.plot_area),
+        "value_axis": axis_to_dict(m.value_axis),
+        "canvas": {"width": m.canvas.width, "height": m.canvas.height},
+    }
+
+
+def meta_from_dict(d):
+    return ChartMeta(
+        image_index=d["image_index"],
+        chart_kind=d["chart_kind"],
+        category=d["category"],
+        title=text_from_dict(d["title"]),
+        x_label=text_from_dict(d["x_label"]),
+        y_label=text_from_dict(d["y_label"]),
+        y_unit=d["y_unit"],
+        x_ticks=[tick_from_dict(t) for t in d["x_ticks"]],
+        y_ticks=[tick_from_dict(t) for t in d["y_ticks"]],
+        legend=Legend(bbox_from_dict(d["legend"]["bbox"]),
+                      [entry_from_dict(e) for e in d["legend"]["entries"]]),
+        series=[series_from_dict(s) for s in d["series"]],
+        plot_area=bbox_from_dict(d["plot_area"]),
+        value_axis=axis_from_dict(d["value_axis"]),
+        canvas=Canvas(d["canvas"]["width"], d["canvas"]["height"]),
+    )
+
+
+@st.composite
+def rendered_metas(draw):
+    kind = draw(st.sampled_from(list(ChartKind)))
+    temporal = draw(st.booleans())
+    n = draw(st.integers(3, 8))
+    low = 0 if kind.is_bar else -10 ** 8
+    values = st.integers(low, 10 ** 8).map(lambda v: v / 100)
+    series = []
+    for i in range(draw(st.integers(1, 2))):
+        ys = draw(st.lists(values, min_size=n, max_size=n))
+        make = temporal_series if temporal else categorical_series
+        series.append(make(ys, name=f"series {i}"))
+    spec = build_chart_spec(series, kind, Rng(draw(st.integers(0, 2 ** 32))),
+                            image_index=draw(st.integers(0, 10 ** 6)))
+    return render(spec)[1]
+
+
+def outcome(decode, doc):
+    """The decoded record, or the type and text of what decoding raised."""
+    try:
+        return decode(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# one rendered meta document per kind, with one and with two series
+META_TEXTS = [
+    render(build_chart_spec(
+        [make([5.0, 9.0, 3.0, 7.5], name=f"series {i}") for i in range(n)],
+        kind, Rng(3), image_index=4))[1].to_json()
+    for kind in ChartKind for n in (1, 2)
+    for make in (temporal_series, categorical_series)
+]
+
+
+class TestMetaCodec:
+    """The encoder and decoder `_codec` compiles from the meta records'
+    fields, against the hand-written methods they replaced."""
+
+    @settings(max_examples=80)
+    @given(meta=rendered_metas())
+    def test_encoder_matches_oracle(self, meta):
+        assert _codec(ChartMeta)[0](meta) == meta_to_dict(meta)
+        assert meta.to_json() == json.dumps(meta_to_dict(meta), indent=1)
+        assert ChartMeta.from_json(meta.to_json()) == meta
+
+    @settings(max_examples=400)
+    @given(which=st.integers(0, len(META_TEXTS) - 1),
+           steps=st.lists(st.integers(0, 1000), max_size=6),
+           action=st.sampled_from(["replace", "delete"]),
+           value=JSON_VALUES)
+    def test_decoder_matches_oracle_on_mutated_documents(self, which, steps,
+                                                         action, value):
+        doc = mutate_at(json.loads(META_TEXTS[which]), steps, action, value)
+        assert outcome(_codec(ChartMeta)[1], doc) == \
+            outcome(meta_from_dict, doc)
+
+    def test_unmutated_documents_decode(self):
+        for text in META_TEXTS:
+            assert json.dumps(meta_to_dict(ChartMeta.from_json(text)),
+                              indent=1) == text
+
+    def test_field_order_is_key_order(self):
+        for cls in (ChartMeta, Legend, Canvas, LabeledText, TickMark,
+                    LegendEntry, PointRecord, SeriesMeta, AxisTransform, BBox):
+            assert not hasattr(cls, "to_dict") and not hasattr(cls, "from_dict")
+        doc = json.loads(META_TEXTS[0])
+        assert list(doc) == [f.name for f in dataclasses.fields(ChartMeta)]
+        assert list(doc["legend"]) == ["bbox", "entries"]
+        assert doc["canvas"] == {"width": CANVAS_W, "height": CANVAS_H}
+
+
+def test_meta_schema_doc_lists_the_chartmeta_fields():
+    """The top-level field table of docs/meta-schema.md names exactly the
+    fields of ChartMeta, in order."""
+    text = (DOCS / "meta-schema.md").read_text(encoding="utf-8")
+    section = text.split("## Top-level fields", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    named = [name for row in rows[2:]
+             for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert named == [f.name for f in dataclasses.fields(ChartMeta)]

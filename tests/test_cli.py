@@ -14,6 +14,7 @@ from chartscribe.corpus import MANIFEST_NAME, load_manifest
 from chartscribe.narrate import Description
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DEEP_JSON = "[" * 200000 + "]" * 200000
 
 
 def one_line_error(capsys, text):
@@ -127,6 +128,13 @@ class TestStats:
         rc = main(["stats", str(tmp_path)])
         assert rc == 2
         one_line_error(capsys, "manifest: manifest.json does not parse: ")
+
+    def test_manifest_nested_too_deep(self, tmp_path, capsys):
+        (tmp_path / MANIFEST_NAME).write_text(DEEP_JSON, encoding="utf-8")
+        rc = main(["stats", str(tmp_path)])
+        assert rc == 2
+        one_line_error(capsys, "manifest: manifest.json does not parse: "
+                               "maximum recursion depth exceeded")
 
 
 class TestValidate:
@@ -250,6 +258,14 @@ class TestDescribe:
         one_line_error(capsys, f"has category {category!r}, not one of "
                                f"temporal-trend, temporal-random, categorical")
 
+    def test_meta_nested_too_deep(self, tmp_path, capsys):
+        meta = tmp_path / "meta.json"
+        meta.write_text(DEEP_JSON)
+        rc = main(["describe", "--meta", str(meta)])
+        assert rc == 2
+        one_line_error(capsys, "is not chart metadata: RecursionError: "
+                               "maximum recursion depth exceeded")
+
     def test_missing_meta(self, tmp_path, capsys):
         rc = main(["describe", "--meta", str(tmp_path / "none.json")])
         assert rc == 2
@@ -372,6 +388,25 @@ class TestEval:
                    "--by-kind", str(by_kind)])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_line_nested_too_deep_is_plain_text(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text(DEEP_JSON + "\n")
+        ref = tmp_path / "ref.txt"
+        ref.write_text("a b c\n")
+        rc = main(["eval", "--hyp", str(hyp), "--ref", str(ref)])
+        assert rc == 0
+        assert "bleu4" in capsys.readouterr().out
+
+    def test_by_kind_manifest_nested_too_deep(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text(json.dumps({"image_index": 1, "text": "a"}) + "\n")
+        by_kind = tmp_path / "manifest.json"
+        by_kind.write_text(DEEP_JSON)
+        rc = main(["eval", "--hyp", str(hyp), "--ref", str(hyp),
+                   "--by-kind", str(by_kind)])
+        assert rc == 2
+        one_line_error(capsys, "is not JSON: maximum recursion depth exceeded")
 
     def test_hyp_is_directory(self, tmp_path, capsys):
         ref = tmp_path / "ref.txt"

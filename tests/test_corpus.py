@@ -748,6 +748,92 @@ class TestValidateDamagedManifest:
             stats(fresh)
 
 
+DEEP_JSON = "[" * 200000 + "]" * 200000
+RECURSION = "maximum recursion depth exceeded"
+
+
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the decoder can recurse is malformed input:
+    it is reported, or refused with a named error, never raised as a
+    RecursionError."""
+
+    @pytest.fixture()
+    def fresh(self, tmp_path):
+        out = tmp_path / "corpus"
+        generate_corpus(CorpusConfig(seed=41, output_dir=str(out),
+                                     count_scale=0.002))
+        return out
+
+    def test_meta_file(self, fresh):
+        (fresh / "meta" / "000003.json").write_text(DEEP_JSON)
+        problems = [p for p in validate_corpus(fresh)
+                    if p.startswith("record 000003")]
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            f"record 000003: meta does not parse: {RECURSION}")
+
+    def test_description_line(self, fresh):
+        path = fresh / "descriptions" / "000002.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([DEEP_JSON] + lines[1:]) + "\n")
+        problems = [p for p in validate_corpus(fresh)
+                    if p.startswith("record 000002")]
+        assert len(problems) == 1
+        assert problems[0].startswith("record 000002: description line 0 "
+                                      f"does not parse: {RECURSION}")
+
+    def test_manifest(self, fresh):
+        (fresh / MANIFEST_NAME).write_text(DEEP_JSON)
+        problems = validate_corpus(fresh)
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            f"manifest: manifest.json does not parse: {RECURSION}")
+        with pytest.raises(ManifestError, match=RECURSION):
+            stats(fresh)
+
+
+class TestWritesDoNotFollowSymlinks:
+    """generate and regenerate_record refuse a symlink at a layout path
+    with OSError and write nothing through it."""
+
+    @pytest.fixture()
+    def fresh(self, tmp_path):
+        config = CorpusConfig(seed=41, output_dir=str(tmp_path / "corpus"),
+                              count_scale=0.002)
+        generate_corpus(config)
+        return config
+
+    @staticmethod
+    def plant(root, rel, outside, target):
+        """Move the layout path rel to outside, symlink rel to it, and put
+        a sentinel in target, the file a write through the link reaches."""
+        (root / rel).rename(outside)
+        (root / rel).symlink_to(outside)
+        target.write_text("outside the corpus", encoding="utf-8")
+
+    @pytest.mark.parametrize("rel", ["charts/000001.svg", "meta/000001.json",
+                                     "descriptions/000001.txt", "meta"])
+    def test_regenerate_record(self, fresh, tmp_path, rel):
+        root, outside = Path(fresh.output_dir), tmp_path / "outside"
+        target = outside / "000001.json" if rel == "meta" else outside
+        self.plant(root, rel, outside, target)
+        with pytest.raises(OSError):
+            regenerate_record(root, 1)
+        assert target.read_text(encoding="utf-8") == "outside the corpus"
+        assert (root / rel).is_symlink()
+
+    @pytest.mark.parametrize("rel", [MANIFEST_NAME, "charts/000000.svg",
+                                     "descriptions"])
+    def test_generate(self, fresh, tmp_path, rel):
+        root, outside = Path(fresh.output_dir), tmp_path / "outside"
+        target = outside / "000000.txt" if rel == "descriptions" else outside
+        self.plant(root, rel, outside, target)
+        with pytest.raises(OSError):
+            generate_corpus(fresh)
+        assert target.read_text(encoding="utf-8") == "outside the corpus"
+        assert (root / rel).is_symlink()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=6),
