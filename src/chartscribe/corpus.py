@@ -463,22 +463,24 @@ def _layout_dirs(root: Path, ignore: tuple = ()):
             os.close(fd)
 
 
-def _write_file(name, data: bytes, dir_fd: Optional[int] = None) -> None:
-    """Create or overwrite the file `name` (in the directory open as
-    dir_fd); OSError for a symlink there, or a FIFO without a reader."""
-    fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW
-                 | os.O_NONBLOCK, 0o666, dir_fd=dir_fd)
-    with open(fd, "wb") as f:
-        f.write(data)
+def _write_file(path: Path, data: bytes, dir_fd: Optional[int] = None) -> None:
+    """Write data to path; a symlink, hard link or non-regular file there is
+    unlinked first (by name in dir_fd, if given), never written through."""
+    name = path if dir_fd is None else path.name
+    with contextlib.suppress(FileNotFoundError):
+        st = os.stat(name, dir_fd=dir_fd, follow_symlinks=False)
+        if not stat.S_ISREG(st.st_mode) or st.st_nlink > 1:
+            os.unlink(name, dir_fd=dir_fd)
+    path.write_bytes(data)
 
 
-def _write_payload(dirs: Dict[str, int], payload: RecordPayload) -> None:
-    """Write a record's files by name into the open layout directories."""
-    data = (payload.svg, payload.meta_json.encode("utf-8"),
-            payload.descriptions.encode("utf-8"))
-    for (_, sub, suffix), content in zip(_LAYOUT, data):
-        _write_file(_record_name(payload.image_index) + suffix, content,
-                    dirs[sub])
+def _write_payload(root: Path, dirs: Dict[str, int],
+                   payload: RecordPayload) -> None:
+    """Write a record's files into the open layout directories."""
+    data = {"chart": payload.svg, "meta": payload.meta_json.encode("utf-8"),
+            "descriptions": payload.descriptions.encode("utf-8")}
+    for key, rel in payload.entry["files"].items():
+        _write_file(root / rel, data[key], dirs[rel.partition("/")[0]])
 
 
 def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
@@ -504,7 +506,7 @@ def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
             payloads = pool.map(_worker_build, plans,
                                 chunksize=max(1, len(plans) // (jobs * 8)))
         for payload in payloads:
-            _write_payload(dirs, payload)
+            _write_payload(root, dirs, payload)
             entries.append(payload.entry)
 
     cells = [
@@ -561,7 +563,7 @@ def regenerate_record(corpus_dir, image_index: int) -> List[str]:
     payload = build_record(plan, _build_catalog(config), _build_bank(config),
                            config)
     with _layout_dirs(root) as dirs:
-        _write_payload(dirs, payload)
+        _write_payload(root, dirs, payload)
     return list(payload.entry["files"].values())
 
 

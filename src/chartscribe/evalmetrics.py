@@ -194,11 +194,6 @@ def _lcs_masked(masks: Dict[str, int], m: int, b: Sequence[str]) -> int:
     return m - v.bit_count()
 
 
-def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length."""
-    return _lcs_masked(_position_masks(a), len(a), b)
-
-
 def rouge_l(hyp: Sequence[str], refs: RefsLike) -> float:
     """ROUGE-L F1 from LCS length, maximum over references."""
     refs = _references(refs)

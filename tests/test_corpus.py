@@ -792,9 +792,10 @@ class TestDeeplyNestedJson:
             stats(fresh)
 
 
-class TestWritesDoNotFollowSymlinks:
-    """generate and regenerate_record refuse a symlink at a layout path
-    with OSError and write nothing through it."""
+class TestWritesDoNotFollowLinks:
+    """generate and regenerate_record replace a symlink or hard link at a
+    layout file path, refuse a symlinked layout directory with OSError, and
+    write nothing through either."""
 
     @pytest.fixture()
     def fresh(self, tmp_path):
@@ -804,30 +805,49 @@ class TestWritesDoNotFollowSymlinks:
         return config
 
     @staticmethod
-    def plant(root, rel, outside, target):
-        """Move the layout path rel to outside, symlink rel to it, and put
-        a sentinel in target, the file a write through the link reaches."""
+    def plant(root, rel, outside, target, link):
+        """Move the layout path rel to outside, link rel to it, and put a
+        sentinel in target, the file a write through the link reaches."""
         (root / rel).rename(outside)
-        (root / rel).symlink_to(outside)
         target.write_text("outside the corpus", encoding="utf-8")
+        if link == "symlink":
+            (root / rel).symlink_to(outside)
+        else:
+            os.link(outside, root / rel)
 
+    @pytest.mark.parametrize("link", ["symlink", "hardlink"])
     @pytest.mark.parametrize("rel", ["charts/000001.svg", "meta/000001.json",
-                                     "descriptions/000001.txt", "meta"])
-    def test_regenerate_record(self, fresh, tmp_path, rel):
+                                     "descriptions/000001.txt"])
+    def test_regenerate_record_replaces_a_linked_file(self, fresh, tmp_path,
+                                                      rel, link):
         root, outside = Path(fresh.output_dir), tmp_path / "outside"
-        target = outside / "000001.json" if rel == "meta" else outside
-        self.plant(root, rel, outside, target)
+        self.plant(root, rel, outside, outside, link)
+        assert rel in regenerate_record(root, 1)
+        assert outside.read_text(encoding="utf-8") == "outside the corpus"
+        assert not (root / rel).is_symlink()
+        assert (root / rel).stat().st_nlink == 1
+        assert validate_corpus(root) == []
+
+    @pytest.mark.parametrize("link", ["symlink", "hardlink"])
+    @pytest.mark.parametrize("rel", [MANIFEST_NAME, "charts/000000.svg"])
+    def test_generate_replaces_a_linked_file(self, fresh, tmp_path, rel,
+                                             link):
+        root, outside = Path(fresh.output_dir), tmp_path / "outside"
+        self.plant(root, rel, outside, outside, link)
+        generate_corpus(fresh)
+        assert outside.read_text(encoding="utf-8") == "outside the corpus"
+        assert not (root / rel).is_symlink()
+        assert (root / rel).stat().st_nlink == 1
+        assert validate_corpus(root) == []
+
+    @pytest.mark.parametrize("rel", ["meta", "descriptions"])
+    def test_symlinked_layout_directory_is_refused(self, fresh, tmp_path,
+                                                   rel):
+        root, outside = Path(fresh.output_dir), tmp_path / "outside"
+        target = outside / ("000001.json" if rel == "meta" else "000001.txt")
+        self.plant(root, rel, outside, target, "symlink")
         with pytest.raises(OSError):
             regenerate_record(root, 1)
-        assert target.read_text(encoding="utf-8") == "outside the corpus"
-        assert (root / rel).is_symlink()
-
-    @pytest.mark.parametrize("rel", [MANIFEST_NAME, "charts/000000.svg",
-                                     "descriptions"])
-    def test_generate(self, fresh, tmp_path, rel):
-        root, outside = Path(fresh.output_dir), tmp_path / "outside"
-        target = outside / "000000.txt" if rel == "descriptions" else outside
-        self.plant(root, rel, outside, target)
         with pytest.raises(OSError):
             generate_corpus(fresh)
         assert target.read_text(encoding="utf-8") == "outside the corpus"

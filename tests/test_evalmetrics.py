@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chartscribe.evalmetrics import (
-    EmptyReportError, References, ScoredPair, _lcs_len, bleu, corpus_report,
-    format_report, rouge_l, rouge_n, score_pair, tokenize,
+    EmptyReportError, References, ScoredPair, _lcs_masked, _position_masks,
+    bleu, corpus_report, format_report, rouge_l, rouge_n, score_pair,
+    tokenize,
 )
 
 
@@ -204,9 +205,14 @@ class TestRougeL:
         assert rouge_l([], [toks("a")]) == 0.0
 
 
+def lcs_len(a, b):
+    """Longest common subsequence length by rouge_l's bit-parallel LCS."""
+    return _lcs_masked(_position_masks(a), len(a), b)
+
+
 def lcs_len_dp(a, b):
     """Longest common subsequence length, two-row dynamic program: the
-    oracle for the bit-parallel _lcs_len."""
+    oracle for the bit-parallel lcs_len."""
     if not a or not b:
         return 0
     prev = [0] * (len(b) + 1)
@@ -233,20 +239,20 @@ class TestBitParallelLcs:
     @settings(max_examples=150)
     @given(token_lists(3), token_lists(3))
     def test_small_alphabet_matches_dp(self, a, b):
-        assert _lcs_len(a, b) == lcs_len_dp(a, b)
+        assert lcs_len(a, b) == lcs_len_dp(a, b)
 
     @settings(max_examples=150)
     @given(token_lists(50), token_lists(50))
     def test_large_alphabet_matches_dp(self, a, b):
-        assert _lcs_len(a, b) == lcs_len_dp(a, b)
+        assert lcs_len(a, b) == lcs_len_dp(a, b)
 
     @pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 129, 200])
     def test_word_boundary_lengths(self, m):
         rng = random.Random(m)
         a = [rng.choice("abc") for _ in range(m)]
         b = [rng.choice("abc") for _ in range(m + 7)]
-        assert _lcs_len(a, b) == lcs_len_dp(a, b)
-        assert _lcs_len(a, a) == m
+        assert lcs_len(a, b) == lcs_len_dp(a, b)
+        assert lcs_len(a, a) == m
 
 
 WORDS = ("the values rose fell steadily sharply from to in 1970 2015 3.5 "
