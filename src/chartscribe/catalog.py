@@ -288,25 +288,13 @@ def load_catalog(path) -> Catalog:
             if len(row) != 4:
                 raise CatalogFormatError(f"{path}:{lineno}: data row needs 4 fields, got {len(row)}")
             ind_id, ent_id, year_s, value_s = row
-            if ind_id not in indicators:
-                raise CatalogFormatError(f"{path}:{lineno}: unknown indicator id {ind_id!r}")
-            if ent_id not in entities:
-                raise CatalogFormatError(f"{path}:{lineno}: unknown entity id {ent_id!r}")
             try:
                 year = int(year_s)
                 value = float(value_s)
-            except ValueError as exc:
+                _check_pair(indicators, entities, (YEAR_MIN, YEAR_MAX),
+                            (ind_id, ent_id), {year: value})
+            except ValueError as exc:  # CatalogFormatError is one
                 raise CatalogFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not (YEAR_MIN <= year <= YEAR_MAX):
-                raise CatalogFormatError(
-                    f"{path}:{lineno}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]"
-                )
-            lo, hi = indicators[ind_id].bounds
-            if not (lo <= value <= hi):
-                raise CatalogFormatError(
-                    f"{path}:{lineno}: value {value} outside [{lo}, {hi}] for "
-                    f"{indicators[ind_id].value_kind} indicator {ind_id!r}"
-                )
             observations.setdefault((ind_id, ent_id), {})[year] = value
 
     return Catalog(indicators, entities, observations)

@@ -331,13 +331,6 @@ def _fmt_tick(v: float) -> str:
 def build_chart_spec(series: List[DataSeries], kind: ChartKind, rng: Rng,
                      image_index: int = 0) -> ChartSpec:
     """Randomized style + composed title and axis labels for the series."""
-    if not (1 <= len(series) <= 2):
-        raise ArityError(f"need 1 or 2 series, got {len(series)}")
-    first = series[0]
-    for s in series[1:]:
-        if s.x_labels != first.x_labels:
-            raise ArityError("series do not share x_labels")
-
     marker_shape = rng.randint(len(MARKER_SHAPES))
     if len(series) == 1:
         colors: Tuple[int, ...] = (rng.randint(len(COLOR_PALETTE)),)
@@ -347,24 +340,25 @@ def build_chart_spec(series: List[DataSeries], kind: ChartKind, rng: Rng,
     line_style = LINE_STYLES[rng.randint(len(LINE_STYLES))]
     legend_position = LEGEND_POSITIONS[rng.randint(len(LEGEND_POSITIONS))]
     style = StyleSpec(marker_shape, colors, bar_thickness, line_style, legend_position)
+    # ChartSpec checks the series before the labels read them
+    spec = ChartSpec(kind, list(series), "", "", "", style, image_index)
 
+    first = series[0]
     indicator = first.indicator_name or first.y_unit or "value"
     if first.temporal:
         who = series[0].series_name if len(series) == 1 else \
             f"{series[0].series_name} and {series[1].series_name}"
-        title = f"{indicator} of {who}, {first.x_labels[0]}–{first.x_labels[-1]}"
+        spec.title = f"{indicator} of {who}, {first.x_labels[0]}–{first.x_labels[-1]}"
         cat_label = "Year"
     else:
         kind_word = first.entity_kind or "category"
-        title = f"{indicator} by {kind_word}"
+        spec.title = f"{indicator} by {kind_word}"
         cat_label = kind_word.capitalize()
-
     if kind is ChartKind.HORIZONTAL_BAR:
-        x_label, y_label = indicator, cat_label
+        spec.x_label, spec.y_label = indicator, cat_label
     else:
-        x_label, y_label = cat_label, indicator
-
-    return ChartSpec(kind, list(series), title, x_label, y_label, style, image_index)
+        spec.x_label, spec.y_label = cat_label, indicator
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +497,10 @@ def _series_trend(s: DataSeries) -> Optional[str]:
     return classify_trend(s.y_values).value
 
 
-def _chart_category(series: List[DataSeries]) -> str:
-    if not series[0].temporal:
+def _chart_category(temporal: bool, series_meta: List[SeriesMeta]) -> str:
+    if not temporal:
         return "categorical"
-    if any(_series_trend(s) not in FLAT_CLASSES + (None,) for s in series):
+    if any(sm.trend_class not in FLAT_CLASSES + (None,) for sm in series_meta):
         return "temporal-trend"
     return "temporal-random"
 
@@ -745,7 +739,7 @@ def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
     meta = ChartMeta(
         image_index=spec.image_index,
         chart_kind=kind.value,
-        category=_chart_category(series),
+        category=_chart_category(series[0].temporal, series_meta),
         title=LabeledText(spec.title, title_bbox),
         x_label=LabeledText(spec.x_label, xlab_bbox),
         y_label=LabeledText(spec.y_label, ylab_bbox),

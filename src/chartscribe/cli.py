@@ -25,13 +25,12 @@ from typing import Dict, List, Optional
 
 from .chartgen import CATEGORIES, ChartMeta
 from .corpus import (
-    _MALFORMED, ConfigError, ManifestError,
+    _MALFORMED, BUILTIN_BANK, ConfigError, ManifestError, _build_bank,
     _validate, default_config, generate_corpus, load_config, stats,
 )
 from .evalmetrics import References, corpus_report, format_report, score_pair
 from .narrate import extract_facts, generate_description_set
 from .rng import Rng
-from .templatebank import load_bank, load_default_bank
 
 
 class CliError(Exception):
@@ -101,8 +100,7 @@ def _cmd_describe(args) -> int:
     except _MALFORMED as exc:
         raise CliError(f"describe: {args.meta} has malformed chart facts: "
                        f"{type(exc).__name__}: {exc}") from None
-    bank = (load_default_bank() if args.bank == "builtin"
-            else load_bank(args.bank))
+    bank = _build_bank(args.bank)
     descriptions = generate_description_set(
         meta, None, bank, Rng(args.seed), n_variants=args.variants)
     for desc in descriptions:
@@ -235,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("describe",
                        help="generate descriptions for one chart's metadata")
     p.add_argument("--meta", required=True, help="chart metadata JSON file")
-    p.add_argument("--bank", default="builtin",
-                   help="template bank TSV, or 'builtin'")
+    p.add_argument("--bank", default=BUILTIN_BANK,
+                   help=f"template bank TSV, or {BUILTIN_BANK!r}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variants", type=int, default=3)
     p.set_defaults(func=_cmd_describe)

@@ -55,6 +55,7 @@ log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
+BUILTIN_BANK = "builtin"  # the template_bank value naming the packaged bank
 
 # seed words of the record streams: position in CATEGORIES and KINDS, from 1
 CATEGORY_CODES = {category: i for i, category in enumerate(CATEGORIES, 1)}
@@ -114,7 +115,7 @@ class CorpusConfig:
         default_factory=lambda: dict(DEFAULT_CELL_COUNTS))
     count_scale: float = 1.0
     catalog_source: str = "synthetic(24, 30)"
-    template_bank: str = "builtin"
+    template_bank: str = BUILTIN_BANK
     descriptions_per_chart: int = 3
     plan_params: PlanParams = DEFAULT_PLAN_PARAMS
 
@@ -130,7 +131,7 @@ class CorpusConfig:
                 raise ConfigError(f"cell_counts: unknown cell {category}/{kind}")
             if count < 0:
                 raise ConfigError(f"cell_counts: {category}/{kind} count {count} < 0")
-        if self.template_bank != "builtin" and not Path(self.template_bank).exists():
+        if self.template_bank != BUILTIN_BANK and not Path(self.template_bank).exists():
             raise ConfigError(f"template_bank: no file at {self.template_bank}")
         if not _SYNTH_RE.match(self.catalog_source) \
                 and not Path(self.catalog_source).exists():
@@ -148,18 +149,14 @@ class CorpusConfig:
     def to_dict(self) -> dict:
         # output_dir is deliberately not echoed: the corpus bytes must not
         # depend on where the corpus lives
-        return {
-            "seed": self.seed,
-            "cell_counts": {
-                f"{category}/{kind}": count
-                for (category, kind), count in sorted(self.cell_counts.items())
-            },
-            "count_scale": self.count_scale,
-            "catalog_source": self.catalog_source,
-            "template_bank": self.template_bank,
-            "descriptions_per_chart": self.descriptions_per_chart,
-            "plan_params": asdict(self.plan_params),
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "output_dir"}
+        doc["cell_counts"] = {
+            f"{category}/{kind}": count
+            for (category, kind), count in sorted(self.cell_counts.items())
         }
+        doc["plan_params"] = asdict(self.plan_params)
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CorpusConfig":
@@ -167,23 +164,24 @@ class CorpusConfig:
         for key, count in doc["cell_counts"].items():
             category, kind = key.split("/", 1)
             cells[(category, kind)] = int(count)
-        return cls(
-            seed=int(doc["seed"]),
-            output_dir=doc.get("output_dir", "corpus_out"),
-            cell_counts=cells,
-            count_scale=float(doc.get("count_scale", 1.0)),
-            catalog_source=doc.get("catalog_source", "synthetic(24, 30)"),
-            template_bank=doc.get("template_bank", "builtin"),
-            descriptions_per_chart=int(doc.get("descriptions_per_chart", 3)),
-            plan_params=PlanParams(**doc.get("plan_params", {})),
-        )
+        return cls(cell_counts=cells,
+                   plan_params=PlanParams(**doc.get("plan_params", {})),
+                   **{f.name: f.type(doc[f.name]) for f in _SCALAR_FIELDS
+                      if f.name in doc})
 
 
-def default_config(seed: int, output_dir: str = "corpus_out") -> CorpusConfig:
+# the settings held as one plain value, each read by casting to its type;
+# the defaults of every setting are the field defaults above
+_SCALAR_FIELDS = tuple(f for f in fields(CorpusConfig)
+                       if f.type in (int, float, str))
+
+
+def default_config(seed: int,
+                   output_dir: str = CorpusConfig.output_dir) -> CorpusConfig:
     return CorpusConfig(seed=seed, output_dir=output_dir)
 
 
-def _config_number(cast, section: str, key: str, value: str):
+def _config_value(cast, section: str, key: str, value: str):
     try:
         return cast(value)
     except ValueError:
@@ -209,6 +207,7 @@ def load_config(path) -> CorpusConfig:
     corpus = parser["corpus"]
     if "seed" not in corpus:
         raise ConfigError("config: [corpus] must set seed")
+    generator = parser["generator"] if "generator" in parser else {}
 
     cells = dict(DEFAULT_CELL_COUNTS)
     if "cells" in parser:
@@ -216,39 +215,26 @@ def load_config(path) -> CorpusConfig:
             if "." not in key:
                 raise ConfigError(f"config: cell key {key!r} is not category.kind")
             category, kind = key.rsplit(".", 1)
-            cells[(category, kind)] = _config_number(int, "cells", key, value)
+            cells[(category, kind)] = _config_value(int, "cells", key, value)
 
-    plan_kwargs = {}
-    if "generator" in parser:
-        gen = parser["generator"]
-        for param in fields(PlanParams):  # each is cast as its default is
-            if param.name in gen:
-                plan_kwargs[param.name] = _config_number(
-                    type(param.default), "generator", param.name, gen[param.name])
-
+    plan_kwargs = {
+        param.name: _config_value(type(param.default), "generator", param.name,
+                                  generator[param.name])
+        for param in fields(PlanParams)  # each is cast as its default is
+        if param.name in generator
+    }
     try:
         params = PlanParams(**plan_kwargs)
     except ValueError as exc:
         raise ConfigError(f"config: [generator] {exc}") from exc
 
-    descriptions = 3
-    for section in ("generator", "corpus"):  # [corpus] wins
-        if section in parser and "descriptions_per_chart" in parser[section]:
-            descriptions = _config_number(
-                int, section, "descriptions_per_chart",
-                parser[section]["descriptions_per_chart"])
-
-    return CorpusConfig(
-        seed=_config_number(int, "corpus", "seed", corpus["seed"]),
-        output_dir=corpus.get("output_dir", "corpus_out"),
-        cell_counts=cells,
-        count_scale=_config_number(float, "corpus", "count_scale",
-                                   corpus.get("count_scale", "1.0")),
-        catalog_source=corpus.get("catalog_source", "synthetic(24, 30)"),
-        template_bank=corpus.get("template_bank", "builtin"),
-        descriptions_per_chart=descriptions,
-        plan_params=params,
-    )
+    settings = {f.name: _config_value(f.type, "corpus", f.name, corpus[f.name])
+                for f in _SCALAR_FIELDS if f.name in corpus}
+    if "descriptions_per_chart" in generator:  # [corpus] wins
+        settings.setdefault("descriptions_per_chart", _config_value(
+            int, "generator", "descriptions_per_chart",
+            generator["descriptions_per_chart"]))
+    return CorpusConfig(cell_counts=cells, plan_params=params, **settings)
 
 
 def _build_catalog(config: CorpusConfig) -> Catalog:
@@ -259,10 +245,8 @@ def _build_catalog(config: CorpusConfig) -> Catalog:
     return load_catalog(config.catalog_source)
 
 
-def _build_bank(config: CorpusConfig) -> TemplateBank:
-    if config.template_bank == "builtin":
-        return load_default_bank()
-    return load_bank(config.template_bank)
+def _build_bank(source: str) -> TemplateBank:
+    return load_default_bank() if source == BUILTIN_BANK else load_bank(source)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +414,14 @@ def build_record(plan: RecordPlan, catalog: Catalog, bank: TemplateBank,
 
 
 # worker-process state for parallel generation; each process builds the
-# catalog and bank once from the (picklable) config dict
+# catalog and bank once from the config
 _worker_state: dict = {}
 
 
-def _worker_init(config_doc: dict) -> None:
-    config = CorpusConfig.from_dict(config_doc)
+def _worker_init(config: CorpusConfig) -> None:
     _worker_state["config"] = config
     _worker_state["catalog"] = _build_catalog(config)
-    _worker_state["bank"] = _build_bank(config)
+    _worker_state["bank"] = _build_bank(config.template_bank)
 
 
 def _worker_build(plan: RecordPlan) -> RecordPayload:
@@ -496,13 +479,13 @@ def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
     with contextlib.ExitStack() as stack:
         dirs = stack.enter_context(_layout_dirs(root))
         if jobs == 1:
-            catalog, bank = _build_catalog(config), _build_bank(config)
+            catalog, bank = _build_catalog(config), _build_bank(config.template_bank)
             payloads = (build_record(plan, catalog, bank, config)
                         for plan in plans)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=jobs, initializer=_worker_init,
-                initargs=(config.to_dict(),)))
+                initargs=(config,)))
             payloads = pool.map(_worker_build, plans,
                                 chunksize=max(1, len(plans) // (jobs * 8)))
         for payload in payloads:
@@ -560,8 +543,8 @@ def regenerate_record(corpus_dir, image_index: int) -> List[str]:
                             f"{type(exc).__name__}: {exc}") from None
     plan = RecordPlan(image_index, entry["category"], entry["kind"],
                       entry["cell_index"], entry["seed"])
-    payload = build_record(plan, _build_catalog(config), _build_bank(config),
-                           config)
+    payload = build_record(plan, _build_catalog(config),
+                           _build_bank(config.template_bank), config)
     with _layout_dirs(root) as dirs:
         _write_payload(root, dirs, payload)
     return list(payload.entry["files"].values())

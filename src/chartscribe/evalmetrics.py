@@ -218,29 +218,16 @@ class ScoredPair:
     kind: str = ""
 
 
-DEFAULT_METRICS = ("bleu4", "rouge1", "rouge2", "rougeL")
-
-
 def score_pair(hyp_text: str, ref_texts: Union[References, Sequence[str]],
-               kind: str = "",
-               metrics: Sequence[str] = DEFAULT_METRICS) -> ScoredPair:
+               kind: str = "") -> ScoredPair:
     """Tokenize and score one hypothesis against its references, given as
-    texts or as a `References.from_texts` set shared across hypotheses."""
+    texts or as a `References.from_texts` set shared across hypotheses:
+    BLEU-4, ROUGE-1, ROUGE-2 and ROUGE-L."""
     refs = (ref_texts if isinstance(ref_texts, References)
             else References.from_texts(ref_texts))
     hyp = tuple(tokenize(hyp_text))
-    scores: Dict[str, float] = {}
-    for m in metrics:
-        if m == "bleu4":
-            scores[m] = bleu(hyp, refs, 4)
-        elif m == "rouge1":
-            scores[m] = rouge_n(hyp, refs, 1)
-        elif m == "rouge2":
-            scores[m] = rouge_n(hyp, refs, 2)
-        elif m == "rougeL":
-            scores[m] = rouge_l(hyp, refs)
-        else:
-            raise ValueError(f"metrics: unknown metric {m!r}")
+    scores = {"bleu4": bleu(hyp, refs, 4), "rouge1": rouge_n(hyp, refs, 1),
+              "rouge2": rouge_n(hyp, refs, 2), "rougeL": rouge_l(hyp, refs)}
     return ScoredPair(hyp, refs.tokens, scores, kind)
 
 

@@ -37,7 +37,7 @@ __all__ = [
     "format_number", "MovePlan", "plan_moves", "realize",
     "Sentence", "Description", "generate_description",
     "generate_description_set", "baseline_generate", "check_move_order",
-    "fact_digit_tokens", "hallucination_check",
+    "hallucination_check",
     "RealizationError", "FactsConsistencyError",
     "TREND_PHRASES", "COMPARISON_PHRASES", "QUALIFIERS", "KIND_PHRASES",
 ]
@@ -146,7 +146,6 @@ class CrossFacts:
     """Two-series relations; dominance is from the first series' viewpoint."""
 
     dominance: str  # first | second | tie | mixed
-    crossings: Tuple[Tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,6 @@ def extract_facts(meta: ChartMeta,
     if len(meta.series) == 2:
         a = [p.value for p in meta.series[0].points]
         b = [p.value for p in meta.series[1].points]
-        labels = [p.x_label for p in meta.series[0].points]
         if len(a) == len(b):
             diffs = [x - y for x, y in zip(a, b)]
             if all(d == 0 for d in diffs):
@@ -249,12 +247,7 @@ def extract_facts(meta: ChartMeta,
                 dominance = "second"
             else:
                 dominance = "mixed"
-            crossings = tuple(
-                (labels[i], labels[i + 1])
-                for i in range(len(diffs) - 1)
-                if diffs[i] * diffs[i + 1] < 0
-            )
-            cross = CrossFacts(dominance, crossings)
+            cross = CrossFacts(dominance)
 
     first = meta.series[0]
     return ChartFacts(
@@ -705,12 +698,6 @@ def _digit_tokens(text: str) -> List[str]:
     other words tokenize as they would in the full text."""
     words = [word for word in text.lower().split() if not word.isalpha()]
     return [tok for tok in tokenize(" ".join(words)) if _has_digit(tok)]
-
-
-def fact_digit_tokens(facts: ChartFacts) -> FrozenSet[str]:
-    """Every digit-bearing token that a faithful description could contain;
-    built once per fact table."""
-    return facts.digit_tokens
 
 
 def hallucination_check(text: str, facts: ChartFacts) -> List[str]:

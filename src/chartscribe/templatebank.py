@@ -25,7 +25,6 @@ from .chartgen import CATEGORIES
 from .trend import FLAT_CLASSES, TrendClass
 
 MOVES = ("M1", "M2", "M3", "M3_1", "M4", "M5")
-OBLIGATORY_MOVES = ("M1", "M3", "M5")
 
 SLOT_VOCABULARY = frozenset({
     "title", "chart_kind_phrase", "y_label", "x_label", "unit",

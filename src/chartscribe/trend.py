@@ -80,8 +80,6 @@ FLAT_CLASSES = (TrendClass.RANDOM_FLUCTUATION, TrendClass.PLATEAU)
 
 class ShapeTransform(str, Enum):
     IDENTITY = "identity"
-    VERTICAL_REFLECT = "vertical-reflect"
-    TIME_REVERSE = "time-reverse"
     REFLECT_REVERSE = "vertical-reflect+time-reverse"
 
 
@@ -121,7 +119,7 @@ class TrendSpec:
 
     def __post_init__(self):
         # Drift sign must match the class direction before any transform;
-        # the transforms used here preserve direction.
+        # both transforms preserve direction.
         drift = self.params.drift
         direction = self.trend_class.direction
         if direction == "increase" and not drift > 0:
@@ -169,7 +167,7 @@ def gbm_path(params: GbmParams, seed: int) -> list:
     """One GBM path: Y_0 = s0 exactly, then the exponential of a drifted
     cumulative sum of standard normals (one normal per step)."""
     rng = Rng(seed)
-    drift = params.mu - params.sigma * params.sigma / 2.0
+    drift = params.drift
     w = 0.0
     ys = [params.s0]
     for i in range(1, params.n_points):
@@ -179,55 +177,39 @@ def gbm_path(params: GbmParams, seed: int) -> list:
 
 
 def apply_transform(series: Sequence[float], t: ShapeTransform) -> list:
-    """Apply a symmetry transform; reflect is about (max+min)/2 so the
-    value envelope is preserved.  The composite applies reflect, then
-    reverse."""
+    """Apply a symmetry transform.  The composite reflects about
+    (max+min)/2, so the value envelope is preserved, then reverses time."""
     if len(series) == 0:
         raise EmptyInputError("cannot transform an empty series")
     if t is ShapeTransform.IDENTITY:
         return list(series)
-    if t is ShapeTransform.VERTICAL_REFLECT:
-        m = max(series) + min(series)
-        return [m - y for y in series]
-    if t is ShapeTransform.TIME_REVERSE:
-        return list(reversed(series))
     if t is ShapeTransform.REFLECT_REVERSE:
         m = max(series) + min(series)
         return list(reversed([m - y for y in series]))
     raise ParameterError(f"transform: unknown transform {t!r}")
 
 
-@dataclass(frozen=True)
-class ClassifierThresholds:
-    """Tunable knobs of classify_trend (all on the normalized series).
-
-    min_consistency is the fraction of point-to-point increments that must
-    agree with the fitted slope's sign before a directional class is
-    assigned; series failing it read as random fluctuation.  None disables
-    the guard.
-    """
-
-    slope: float = 0.05
-    curvature: float = 0.01
-    plateau_rel_range: float = 0.05
-    min_consistency: Optional[float] = 0.75
+# classify_trend's thresholds, all on the min-max-normalized series
+SLOPE_MIN = 0.05
+CURVATURE_MIN = 0.01
+PLATEAU_REL_RANGE = 0.05
+# fraction of point-to-point increments that must agree with the fitted
+# slope's sign before a directional class is assigned
+MIN_CONSISTENCY = 0.75
+# draws synth_trend_series tries before giving up
+MAX_RESAMPLES = 10
 
 
-DEFAULT_THRESHOLDS = ClassifierThresholds()
-
-
-def classify_trend(
-    series: Sequence[float],
-    thresholds: ClassifierThresholds = DEFAULT_THRESHOLDS,
-) -> TrendClass:
+def classify_trend(series: Sequence[float]) -> TrendClass:
     """Classify a series into one of the eight trend classes.
 
     Rules, applied in order on the min-max-normalized series:
-      1. zero range, or range below plateau_rel_range of |mean| -> plateau
-      2. least-squares slope below the slope threshold -> random-fluctuation
-      3. increment directions inconsistent with the slope -> random-fluctuation
-      4. slope sign gives the direction; mean second difference below the
-         curvature threshold -> linear, otherwise its sign picks convex
+      1. zero range, or range below PLATEAU_REL_RANGE of |mean| -> plateau
+      2. least-squares slope below SLOPE_MIN -> random-fluctuation
+      3. fewer than MIN_CONSISTENCY of the increments agree with the slope
+         -> random-fluctuation
+      4. slope sign gives the direction; mean second difference below
+         CURVATURE_MIN -> linear, otherwise its sign picks convex
          (positive) or concave (negative)
     """
     n = len(series)
@@ -239,7 +221,7 @@ def classify_trend(
     if rng_ == 0:
         return TrendClass.PLATEAU
     mean = sum(series) / n
-    if mean != 0 and rng_ / abs(mean) < thresholds.plateau_rel_range:
+    if mean != 0 and rng_ / abs(mean) < PLATEAU_REL_RANGE:
         return TrendClass.PLATEAU
     t = [i / (n - 1) for i in range(n)]
     u = [(y - lo) / rng_ for y in series]
@@ -248,28 +230,22 @@ def classify_trend(
     b = sum((ti - tb) * (ui - ub) for ti, ui in zip(t, u)) / sum(
         (ti - tb) ** 2 for ti in t
     )
-    if abs(b) < thresholds.slope:
+    if abs(b) < SLOPE_MIN:
         return TrendClass.RANDOM_FLUCTUATION
-    if thresholds.min_consistency is not None:
-        sgn = 1.0 if b > 0 else -1.0
-        agree = sum(1 for i in range(n - 1) if (u[i + 1] - u[i]) * sgn > 0)
-        if agree / (n - 1) < thresholds.min_consistency:
-            return TrendClass.RANDOM_FLUCTUATION
+    sgn = 1.0 if b > 0 else -1.0
+    agree = sum(1 for i in range(n - 1) if (u[i + 1] - u[i]) * sgn > 0)
+    if agree / (n - 1) < MIN_CONSISTENCY:
+        return TrendClass.RANDOM_FLUCTUATION
     d2 = [u[i + 1] - 2 * u[i] + u[i - 1] for i in range(1, n - 1)]
     c = sum(d2) / len(d2)
     direction = "increase" if b > 0 else "decrease"
-    if abs(c) < thresholds.curvature:
+    if abs(c) < CURVATURE_MIN:
         return TrendClass[f"LINEAR_{direction.upper()}"]
     curv = "convex" if c > 0 else "concave"
     return TrendClass[f"{curv.upper()}_{direction.upper()}"]
 
 
-def synth_trend_series(
-    spec: TrendSpec,
-    seed: int,
-    thresholds: ClassifierThresholds = DEFAULT_THRESHOLDS,
-    max_resamples: int = 10,
-) -> list:
+def synth_trend_series(spec: TrendSpec, seed: int) -> list:
     """Generate a series guaranteed to classify as spec.trend_class.
 
     Each attempt draws a fresh path from a seed derived from (seed,
@@ -280,9 +256,9 @@ def synth_trend_series(
         raise ParameterError(
             f"n_points: need >= 3 to verify a trend class, got {spec.params.n_points}"
         )
-    for attempt in range(max_resamples):
+    for attempt in range(MAX_RESAMPLES):
         path_seed = derive_seed(seed, TAG_TREND_RESAMPLE, attempt)
         ys = apply_transform(gbm_path(spec.params, path_seed), spec.transform)
-        if classify_trend(ys, thresholds) is spec.trend_class:
+        if classify_trend(ys) is spec.trend_class:
             return ys
-    raise TrendUnrealizableError(spec, max_resamples)
+    raise TrendUnrealizableError(spec, MAX_RESAMPLES)

@@ -221,6 +221,20 @@ class TestFileFormat:
         with pytest.raises(CatalogFormatError, match=":3:"):
             load_catalog(tmp_path / "c.csv")
 
+    @pytest.mark.parametrize("row, reason", [
+        ("xx,nor,2000,1.0", "unknown indicator 'xx'"),
+        ("sh,xx,2000,1.0", "unknown entity 'xx'"),
+        ("sh,nor,1900,1.0", "year 1900 outside"),
+        ("sh,nor,2000,x", "could not convert"),
+    ], ids=["indicator", "entity", "year", "value"])
+    def test_bad_row_names_line(self, tmp_path, row, reason):
+        (tmp_path / "c.dict.csv").write_text(
+            "# catalog-dict v1\nI,sh,share,%,percentage\nE,nor,Norway,country\n"
+        )
+        (tmp_path / "c.csv").write_text(f"# catalog-data v1\nsh,nor,1999,5.0\n{row}\n")
+        with pytest.raises(CatalogFormatError, match=f"c.csv:3: .*{reason}"):
+            load_catalog(tmp_path / "c.csv")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_catalog(tmp_path / "absent.csv")

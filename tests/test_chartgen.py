@@ -203,6 +203,11 @@ class TestBuildChartSpec:
         with pytest.raises(ArityError):
             build_chart_spec([a, b], ChartKind.LINE, Rng(0))
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_series_count_rejected(self, n):
+        with pytest.raises(ArityError):
+            build_chart_spec([temporal_series([1, 2, 3])] * n, ChartKind.LINE, Rng(0))
+
     def test_style_palettes_covered(self):
         """1,000 seeded builds reach every marker, color, dash, and corner."""
         s = temporal_series([1, 2, 3])

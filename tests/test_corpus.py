@@ -115,12 +115,7 @@ class TestConfig:
         config = CorpusConfig(seed=11, count_scale=0.5,
                               descriptions_per_chart=2,
                               plan_params=PlanParams(p_move2=0.25))
-        back = CorpusConfig.from_dict(config.to_dict())
-        assert back.seed == config.seed
-        assert back.cell_counts == config.cell_counts
-        assert back.count_scale == config.count_scale
-        assert back.descriptions_per_chart == 2
-        assert back.plan_params == config.plan_params
+        assert CorpusConfig.from_dict(config.to_dict()) == config
 
 
 class TestLoadConfig:
@@ -160,6 +155,22 @@ class TestLoadConfig:
         config = load_config(path)
         assert config.seed == 5
         assert config.cell_counts == DEFAULT_CELL_COUNTS
+
+    def test_documented_example_is_the_defaults(self, tmp_path):
+        # docs/config.md's annotated example spells out every default
+        doc = (SRC.parent / "docs" / "config.md").read_text(encoding="utf-8")
+        path = tmp_path / "example.ini"
+        path.write_text(doc.split("```ini\n", 1)[1].split("```", 1)[0])
+        assert load_config(path) == CorpusConfig(seed=20260816)
+
+    def test_descriptions_per_chart_in_generator(self, tmp_path):
+        path = tmp_path / "gen.ini"
+        path.write_text("[corpus]\nseed = 1\n"
+                        "[generator]\ndescriptions_per_chart = 2\n")
+        assert load_config(path).descriptions_per_chart == 2
+        path.write_text("[corpus]\nseed = 1\ndescriptions_per_chart = 4\n"
+                        "[generator]\ndescriptions_per_chart = 2\n")
+        assert load_config(path).descriptions_per_chart == 4
 
     def test_missing_seed(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -231,7 +242,7 @@ class TestBuildPlans:
 @pytest.fixture(scope="module")
 def env():
     config = CorpusConfig(seed=44, count_scale=0.004)
-    return config, _build_catalog(config), _build_bank(config)
+    return config, _build_catalog(config), _build_bank(config.template_bank)
 
 
 class TestBuildRecord:

@@ -1,0 +1,49 @@
+"""Names that other code looks up by string: the attributes the benchmark's
+tracer wraps, and the package exports.  A deletion that leaves one of them
+dangling fails here, not in a traced benchmark run or at
+`from chartscribe import *`."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import chartscribe
+from chartscribe import narrate
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_attributes():
+    """(owner, attribute) of every wrapped or counted trace point; an owner
+    is a module path, with ":Class" for a class attribute."""
+    tracing = load_tracing()
+    points = [owner for owners in tracing.WRAPPED.values() for owner in owners]
+    points += tracing.COUNTED.values()
+    points += [("pathlib:Path", attr) for attrs in tracing.IO_WRAPPED.values()
+               for attr in attrs]
+    return points
+
+
+@pytest.mark.parametrize("owner, attr", traced_attributes(),
+                         ids=lambda value: value)
+def test_traced_attribute_exists(owner, attr):
+    module_name, _, class_name = owner.partition(":")
+    target = importlib.import_module(module_name)
+    if class_name:
+        target = getattr(target, class_name)
+    assert hasattr(target, attr), f"{owner}.{attr} is gone"
+
+
+@pytest.mark.parametrize("module", [chartscribe, narrate],
+                         ids=lambda module: module.__name__)
+def test_exported_names_exist(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -6,7 +6,6 @@ import pytest
 
 from chartscribe.trend import (
     DIRECTIONAL_CLASSES,
-    ClassifierThresholds,
     EmptyInputError,
     GbmParams,
     ParameterError,
@@ -99,19 +98,10 @@ class TestApplyTransform:
     def test_identity(self):
         assert apply_transform([1, 2, 3], ShapeTransform.IDENTITY) == [1, 2, 3]
 
-    def test_vertical_reflect(self):
-        assert apply_transform([1, 2, 4], ShapeTransform.VERTICAL_REFLECT) == [4, 3, 1]
-
-    def test_time_reverse(self):
-        assert apply_transform([1, 2, 4], ShapeTransform.TIME_REVERSE) == [4, 2, 1]
-
     def test_reflect_reverse_is_reflect_then_reverse(self):
-        ys = [1.0, 2.0, 4.0]
-        composed = apply_transform(
-            apply_transform(ys, ShapeTransform.VERTICAL_REFLECT),
-            ShapeTransform.TIME_REVERSE,
-        )
-        assert apply_transform(ys, ShapeTransform.REFLECT_REVERSE) == composed
+        # reflected about (4 + 1) / 2: [4, 3, 1]; then reversed
+        assert apply_transform([1.0, 2.0, 4.0],
+                               ShapeTransform.REFLECT_REVERSE) == [1.0, 3.0, 4.0]
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInputError):
@@ -119,15 +109,13 @@ class TestApplyTransform:
 
     def test_involutions(self):
         ys = [3.0, 1.0, 4.0, 1.5, 9.0]
-        for t in (ShapeTransform.VERTICAL_REFLECT, ShapeTransform.TIME_REVERSE):
-            twice = apply_transform(apply_transform(ys, t), t)
-            assert all(abs(a - b) < 1e-12 for a, b in zip(twice, ys))
-        assert apply_transform(apply_transform(ys, ShapeTransform.TIME_REVERSE),
-                               ShapeTransform.TIME_REVERSE) == ys
+        t = ShapeTransform.REFLECT_REVERSE
+        twice = apply_transform(apply_transform(ys, t), t)
+        assert all(abs(a - b) < 1e-12 for a, b in zip(twice, ys))
 
     def test_reflect_preserves_envelope(self):
         ys = [2.0, 7.0, 3.0]
-        out = apply_transform(ys, ShapeTransform.VERTICAL_REFLECT)
+        out = apply_transform(ys, ShapeTransform.REFLECT_REVERSE)
         assert max(out) == max(ys) and min(out) == min(ys)
 
 
@@ -174,18 +162,12 @@ class TestClassifyTrend:
             TrendClass.RANDOM_FLUCTUATION: [1, 10, 2, 9, 3, 8],
         }
         for cls, ys in series.items():
-            got = classify_trend(apply_transform(ys, ShapeTransform.VERTICAL_REFLECT))
+            m = max(ys) + min(ys)
+            got = classify_trend([m - y for y in ys])
             if cls.direction is None:
                 assert got is cls
             else:
                 assert got.direction == "decrease"
-
-    def test_thresholds_are_tunable(self):
-        # a shallow line reads as random under a high slope threshold
-        ys = [1.0, 1.5, 2.2, 2.8, 3.6, 4.1]
-        strict = ClassifierThresholds(slope=2.0)
-        assert classify_trend(ys, strict) is TrendClass.RANDOM_FLUCTUATION
-        assert classify_trend(ys) is TrendClass.LINEAR_INCREASE
 
 
 class TestTrendSpecValidation:
