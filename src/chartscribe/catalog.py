@@ -295,7 +295,10 @@ def load_catalog(path) -> Catalog:
                             (ind_id, ent_id), {year: value})
             except ValueError as exc:  # CatalogFormatError is one
                 raise CatalogFormatError(f"{path}:{lineno}: {exc}") from exc
-            observations.setdefault((ind_id, ent_id), {})[year] = value
+            by_year = observations.setdefault((ind_id, ent_id), {})
+            if year in by_year:
+                raise CatalogFormatError(f"{path}:{lineno}: duplicate row for ({ind_id}, {ent_id}, {year})")
+            by_year[year] = value
 
     return Catalog(indicators, entities, observations)
 

@@ -29,7 +29,7 @@ from .corpus import (
     _validate, default_config, generate_corpus, load_config, stats,
 )
 from .evalmetrics import References, corpus_report, format_report, score_pair
-from .narrate import extract_facts, generate_description_set
+from .narrate import DEFAULT_VARIANTS, extract_facts, generate_description_set
 from .rng import Rng
 
 
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank", default=BUILTIN_BANK,
                    help=f"template bank TSV, or {BUILTIN_BANK!r}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variants", type=int, default=3)
+    p.add_argument("--variants", type=int, default=DEFAULT_VARIANTS)
     p.set_defaults(func=_cmd_describe)
 
     p = sub.add_parser("eval", help="score hypotheses against references")

@@ -39,8 +39,9 @@ from .catalog import (
 from .chartgen import (CATEGORIES, KINDS, ChartKind, ChartMeta, render,
                        build_chart_spec)
 from .narrate import (
-    DEFAULT_PLAN_PARAMS, PlanParams, Description, check_move_order,
-    extract_facts, generate_description_set, hallucination_check,
+    DEFAULT_PLAN_PARAMS, DEFAULT_VARIANTS, PlanParams, Description,
+    check_move_order, extract_facts, generate_description_set,
+    hallucination_check,
 )
 from .rng import (
     Rng, TAG_DESCRIPTION, TAG_RETRY, TAG_TREND_RESAMPLE, derive_seed,
@@ -116,7 +117,7 @@ class CorpusConfig:
     count_scale: float = 1.0
     catalog_source: str = "synthetic(24, 30)"
     template_bank: str = BUILTIN_BANK
-    descriptions_per_chart: int = 3
+    descriptions_per_chart: int = DEFAULT_VARIANTS
     plan_params: PlanParams = DEFAULT_PLAN_PARAMS
 
     def __post_init__(self):

@@ -5,28 +5,30 @@ lowercase, split on whitespace, and detach punctuation as single-character
 tokens, except that '.' and ',' sitting directly between two digits stay
 inside the token (decimals like 3.5 and groupings like 120,000 survive).
 The implementation splits the lowercased text on whitespace first: a word
-of letters and digits only is one token as it stands, and only a word with
-punctuation in it is scanned character by character.  That is exact
-because whitespace ends a token, and to the '.'/',' rule a whitespace
-neighbor is as much a non-digit as the end of the text.  The character
-loop that defines the tokenizer is kept in the tests as its oracle.
+of letters and digits is one token, one that only adds a final punctuation
+mark is two, and only other words are scanned character by character.
+That is exact because whitespace ends a token, and to the '.'/',' rule a
+whitespace neighbor is as much a non-digit as the end of the text.  The
+character loop that defines the tokenizer is kept in the tests as its oracle.
 
 Scores are reported on a 0..100 scale.
 
-The reference side of a pair is prepared once per reference set: a
-`References` holds the reference token tuples, their lengths and, per
-n-gram order, the per-reference counts (ROUGE-N) and their maxima (BLEU),
-so several hypotheses scored against one set share that work.  ROUGE-L
-finds each longest common subsequence with a bit-parallel recurrence on
-Python ints (Allison & Dix 1986; Hyyro 2004): the hypothesis token
-positions become bit masks once per call, and each reference costs a few
-int operations per token instead of one table row per token.
+A hypothesis is scored against its whole reference set at once.  A
+`References`, prepared once per set and shared by its hypotheses, holds
+per n-gram order each reference's counts and key set and their union, so
+a clipped overlap takes the n-grams that occur once in the hypothesis by
+set intersection and looks up only the few that repeat; and it packs
+every reference's token positions into one int per token, so one
+bit-parallel LCS pass over the hypothesis serves all references.  The
+per-reference loops this replaced are kept in the tests as oracles.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from functools import cached_property
+from itertools import repeat
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 Tokens = Tuple[str, ...]
 
@@ -42,6 +44,8 @@ def tokenize(text: str) -> List[str]:
     for word in text.lower().split():
         if word.isalnum():
             out.append(word)
+        elif word[:-1].isalnum():  # a trailing '.'/',' has no digit after
+            out += (word[:-1], word[-1])
         else:
             _split_word(word, out)
     return out
@@ -67,49 +71,114 @@ def _split_word(word: str, out: List[str]) -> None:
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+    """N-gram counts; a unigram is its token, whose hash str caches."""
+    return Counter(zip(*(tokens[i:] for i in range(n))) if n > 1 else tokens)
 
 
-def _clipped(counts: Dict[tuple, int], limits: Dict[tuple, int]) -> int:
-    """Sum over the n-grams in both tables of the smaller count."""
-    return sum(min(counts[g], limits[g]) for g in counts.keys() & limits.keys())
+# the n-grams that occur once, as a set; those that repeat; their counts
+Grams = Tuple[FrozenSet, list, List[int]]
+
+
+def _hyp_grams(hyp: Sequence[str], n: int) -> Grams:
+    counts = _ngrams(hyp, n)
+    repeated = [g for g, c in counts.items() if c > 1]
+    # a plain dict hands its stored hashes on: no n-gram is hashed again
+    return (frozenset(dict(counts)).difference(repeated), repeated,
+            [counts[g] for g in repeated])
+
+
+class _RefGrams:
+    """One n-gram order of a reference set: each reference's counts and
+    key set, and their union.  A clipped overlap sums, over hypothesis
+    n-grams, the smaller of the hypothesis and the reference count."""
+
+    def __init__(self, refs: Sequence[Tokens], n: int):
+        self.counts = tuple(_ngrams(r, n) for r in refs)
+        self.keys = tuple(frozenset(dict(c)) for c in self.counts)
+        self.union = frozenset().union(*self.keys)
+        self._most: Dict[object, int] = {}
+
+    def overlaps(self, grams: Grams) -> List[int]:
+        """The clipped overlap with each reference (ROUGE-N)."""
+        once, repeated, counts = grams
+        return [len(once & keys) + sum(map(
+                    min, counts, map(ref.get, repeated, repeat(0))))
+                for keys, ref in zip(self.keys, self.counts)]
+
+    def clipped(self, grams: Grams) -> int:
+        """The clipped overlap with each n-gram's highest count in any one
+        reference (BLEU), found and cached only for repeated n-grams."""
+        once, repeated, counts = grams
+        return len(once & self.union) + sum(map(
+            min, counts, map(self._most_count, repeated)))
+
+    def _most_count(self, gram) -> int:
+        if gram not in self.union:
+            return 0
+        if gram not in self._most:
+            self._most[gram] = max(map(
+                dict.get, self.counts, repeat(gram), repeat(0)))
+        return self._most[gram]
 
 
 class References:
     """One reference set, tokenized and counted once and then shared by
     every hypothesis scored against it.  The n-gram tables of an order are
-    built the first time a metric asks for that order."""
+    built the first time a metric asks for that order, the packed LCS
+    masks the first time ROUGE-L does."""
 
     def __init__(self, refs: Iterable[Sequence[str]]):
         self.tokens: Tuple[Tokens, ...] = tuple(tuple(r) for r in refs)
         if not self.tokens:
             raise ValueError("refs: need at least one reference")
         self.lengths: Tuple[int, ...] = tuple(len(r) for r in self.tokens)
-        self._counts: Dict[int, Tuple[Counter, ...]] = {}
-        self._max_counts: Dict[int, Dict[tuple, int]] = {}
+        self._grams: Dict[int, _RefGrams] = {}
 
     @classmethod
     def from_texts(cls, texts: Iterable[str]) -> "References":
         """References from raw texts, through the frozen tokenizer."""
         return cls(tokenize(t) for t in texts)
 
-    def counts(self, n: int) -> Tuple[Counter, ...]:
-        """The n-gram counts of each reference."""
-        if n not in self._counts:
-            self._counts[n] = tuple(_ngrams(r, n) for r in self.tokens)
-        return self._counts[n]
+    def grams(self, n: int) -> _RefGrams:
+        """The order-n n-gram tables."""
+        if n not in self._grams:
+            self._grams[n] = _RefGrams(self.tokens, n)
+        return self._grams[n]
 
-    def max_counts(self, n: int) -> Dict[tuple, int]:
-        """Each n-gram's highest count in any one reference."""
-        if n not in self._max_counts:
-            best: Dict[tuple, int] = {}
-            get = best.get
-            for counts in self.counts(n):
-                for gram, cnt in counts.items():
-                    if cnt > get(gram, 0):
-                        best[gram] = cnt
-            self._max_counts[n] = best
-        return self._max_counts[n]
+    @cached_property
+    def _packed(self) -> Tuple[Dict[str, int], int, Tuple[int, ...]]:
+        """Token -> one int holding every reference's position mask, each
+        reference in a field of its own with a zero guard bit above it;
+        the int of all field bits; and each field's bits."""
+        masks: Dict[str, int] = {}
+        fields = []
+        off = 0
+        bits = [1 << i for i in range(max(self.lengths))]
+        for ref, length in zip(self.tokens, self.lengths):
+            own: Dict[str, int] = {}
+            for tok, bit in zip(ref, bits):
+                own[tok] = own.get(tok, 0) | bit
+            for tok, mask in own.items():
+                masks[tok] = masks.get(tok, 0) | (mask << off)
+            fields.append(((1 << length) - 1) << off)
+            off += length + 1
+        return masks, sum(fields), tuple(fields)
+
+    def lcs(self, hyp: Sequence[str]) -> List[int]:
+        """Longest common subsequence length of hyp with each reference,
+        by one pass of the bit-vector recurrence over hyp: V starts as the
+        field bits and, per token, U = V & mask, V = (V + U) | (V - U).
+        A carry out of a field stops at its guard bit, and U is a subset
+        of V, so the subtraction never borrows.  The zero bits of a field
+        count that reference's LCS."""
+        masks, full, fields = self._packed
+        v = full
+        get = masks.get
+        for y in hyp:
+            u = v & get(y, 0)
+            v = ((v + u) | (v - u)) & full
+        zeros = full ^ v
+        return [(zeros & f).bit_count() for f in fields]
 
 
 RefsLike = Union[References, Sequence[Sequence[str]]]
@@ -131,9 +200,8 @@ def bleu(hyp: Sequence[str], refs: RefsLike, max_n: int = 4) -> float:
         return 0.0
     log_sum = 0.0
     for n in range(1, max_n + 1):
-        hyp_counts = _ngrams(hyp, n)
         total = max(c - n + 1, 0)
-        matched = _clipped(hyp_counts, refs.max_counts(n))
+        matched = refs.grams(n).clipped(_hyp_grams(hyp, n))
         if n == 1 and matched == 0:
             return 0.0
         if matched == 0 and n >= 2:
@@ -158,40 +226,15 @@ def rouge_n(hyp: Sequence[str], refs: RefsLike, n: int) -> float:
     if n < 1:
         raise ValueError(f"n: must be >= 1, got {n}")
     refs = _references(refs)
-    hyp_counts = _ngrams(hyp, n)
     hyp_total = max(len(hyp) - n + 1, 0)
+    overlaps = refs.grams(n).overlaps(_hyp_grams(hyp, n))
     best = 0.0
-    for ref_len, ref_counts in zip(refs.lengths, refs.counts(n)):
+    for ref_len, overlap in zip(refs.lengths, overlaps):
         ref_total = max(ref_len - n + 1, 0)
         if hyp_total == 0 or ref_total == 0:
             continue
-        overlap = _clipped(hyp_counts, ref_counts)
         best = max(best, _f1(overlap / hyp_total, overlap / ref_total))
     return 100.0 * best
-
-
-def _position_masks(tokens: Sequence[str]) -> Dict[str, int]:
-    """Token -> int with bit i set where tokens[i] is that token."""
-    masks: Dict[str, int] = {}
-    for i, tok in enumerate(tokens):
-        masks[tok] = masks.get(tok, 0) | (1 << i)
-    return masks
-
-
-def _lcs_masked(masks: Dict[str, int], m: int, b: Sequence[str]) -> int:
-    """LCS length of b and the length-m sequence behind `masks`.
-
-    Bit-vector recurrence (Hyyro 2004): V starts as m one-bits and, for
-    each token of b, U = V & mask and V = (V + U) | (V - U), kept to m
-    bits.  The number of zero bits in V is the LCS length so far.
-    """
-    full = (1 << m) - 1
-    v = full
-    get = masks.get
-    for y in b:
-        u = v & get(y, 0)
-        v = ((v + u) | (v - u)) & full
-    return m - v.bit_count()
 
 
 def rouge_l(hyp: Sequence[str], refs: RefsLike) -> float:
@@ -200,13 +243,10 @@ def rouge_l(hyp: Sequence[str], refs: RefsLike) -> float:
     if not hyp:
         return 0.0
     m = len(hyp)
-    masks = _position_masks(hyp)
     best = 0.0
-    for ref, ref_len in zip(refs.tokens, refs.lengths):
-        if not ref_len:
-            continue
-        lcs = _lcs_masked(masks, m, ref)
-        best = max(best, _f1(lcs / m, lcs / ref_len))
+    for lcs, ref_len in zip(refs.lcs(hyp), refs.lengths):
+        if ref_len:
+            best = max(best, _f1(lcs / m, lcs / ref_len))
     return 100.0 * best
 
 

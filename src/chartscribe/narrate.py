@@ -32,7 +32,7 @@ from .rng import Rng, derive_seed, TAG_DESCRIPTION
 from .templatebank import Template, TemplateBank, query
 
 __all__ = [
-    "PlanParams", "DEFAULT_PLAN_PARAMS",
+    "PlanParams", "DEFAULT_PLAN_PARAMS", "DEFAULT_VARIANTS",
     "SeriesFacts", "CrossFacts", "ChartFacts", "extract_facts",
     "format_number", "MovePlan", "plan_moves", "realize",
     "Sentence", "Description", "generate_description",
@@ -63,6 +63,9 @@ KIND_PHRASES = {
 }
 
 QUALIFIERS = ("about", "approximately", "nearly", "around")
+
+# descriptions drawn per chart when the caller does not say
+DEFAULT_VARIANTS = 3
 
 # One phrase set per trend class.  Every phrase is unique across classes so
 # a description can never be read as claiming a different trend than the
@@ -599,7 +602,7 @@ def generate_description_set(meta: ChartMeta,
                              series: Optional[Sequence[DataSeries]],
                              bank: TemplateBank,
                              rng: Rng,
-                             n_variants: int = 3,
+                             n_variants: int = DEFAULT_VARIANTS,
                              params: PlanParams = DEFAULT_PLAN_PARAMS,
                              ) -> List[Description]:
     """Up to n_variants descriptions for one chart, deduplicated on exact

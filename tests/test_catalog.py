@@ -226,7 +226,8 @@ class TestFileFormat:
         ("sh,xx,2000,1.0", "unknown entity 'xx'"),
         ("sh,nor,1900,1.0", "year 1900 outside"),
         ("sh,nor,2000,x", "could not convert"),
-    ], ids=["indicator", "entity", "year", "value"])
+        ("sh,nor,1999,6.0", r"duplicate row for \(sh, nor, 1999\)"),
+    ], ids=["indicator", "entity", "year", "value", "duplicate"])
     def test_bad_row_names_line(self, tmp_path, row, reason):
         (tmp_path / "c.dict.csv").write_text(
             "# catalog-dict v1\nI,sh,share,%,percentage\nE,nor,Norway,country\n"

@@ -1,15 +1,17 @@
 """Tokenizer and overlap-metric behavior, including the frozen oracle values."""
 
+import importlib.util
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chartscribe.evalmetrics import (
-    EmptyReportError, References, ScoredPair, _lcs_masked, _position_masks,
-    bleu, corpus_report, format_report, rouge_l, rouge_n, score_pair,
-    tokenize,
+    EmptyReportError, References, ScoredPair, _f1, _hyp_grams, bleu,
+    corpus_report, format_report, rouge_l, rouge_n, score_pair, tokenize,
 )
 
 
@@ -110,6 +112,7 @@ class TestTokenizeMatchesLoop:
     @pytest.mark.parametrize("text", [
         "Up 3.5% to 120,000 (x2).", "1,2.3,", ".5 5. ,5 5,", "a.b 1.a a.1",
         "x\u00b2.5 2.\u00b2", "\u0130stanbul \u03a3\u03a3 \u039f\u03a3",
+        "in 2015. 1,2, x, \u00bd. \u00b2, a.. .",
         "1994\u20131996", "tab\tsep\u2003em\u00a0nbsp",
     ])
     def test_fixed_cases(self, text):
@@ -207,7 +210,7 @@ class TestRougeL:
 
 def lcs_len(a, b):
     """Longest common subsequence length by rouge_l's bit-parallel LCS."""
-    return _lcs_masked(_position_masks(a), len(a), b)
+    return References([b]).lcs(a)[0]
 
 
 def lcs_len_dp(a, b):
@@ -234,7 +237,7 @@ def token_lists(alphabet_size):
 
 class TestBitParallelLcs:
     """The bit-vector LCS against the dynamic program, across the 64-bit
-    word boundaries of the hypothesis masks."""
+    word boundaries of the reference masks."""
 
     @settings(max_examples=150)
     @given(token_lists(3), token_lists(3))
@@ -312,6 +315,192 @@ class TestPreparedReferences:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             References([])
+
+
+# The per-reference loops the set and packed forms replaced: the oracles.
+
+def ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def clipped_oracle(counts, limits):
+    """Sum over the n-grams in both tables of the smaller count."""
+    return sum(min(counts[g], limits[g]) for g in counts.keys() & limits.keys())
+
+
+def max_counts_oracle(tables):
+    """Each n-gram's highest count in any one table."""
+    best = {}
+    for counts in tables:
+        for gram, cnt in counts.items():
+            if cnt > best.get(gram, 0):
+                best[gram] = cnt
+    return best
+
+
+def position_masks(tokens):
+    """Token -> int with bit i set where tokens[i] is that token."""
+    masks = {}
+    for i, tok in enumerate(tokens):
+        masks[tok] = masks.get(tok, 0) | (1 << i)
+    return masks
+
+
+def lcs_masked_oracle(masks, m, b):
+    """LCS length of b and the length-m sequence behind `masks`, one
+    reference a pass: V starts as m one-bits and, for each token of b,
+    U = V & mask and V = (V + U) | (V - U), kept to m bits."""
+    full = (1 << m) - 1
+    v = full
+    for y in b:
+        u = v & masks.get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return m - v.bit_count()
+
+
+def bleu_oracle(hyp, refs, max_n):
+    c = len(hyp)
+    if c == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        total = max(c - n + 1, 0)
+        limits = max_counts_oracle([ngram_counts(r, n) for r in refs])
+        matched = clipped_oracle(ngram_counts(hyp, n), limits)
+        if n == 1 and matched == 0:
+            return 0.0
+        if matched == 0 and n >= 2:
+            p = (matched + 1) / (total + 1)
+        else:
+            p = matched / total
+        log_sum += math.log(p)
+    r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]
+    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return 100.0 * bp * math.exp(log_sum / max_n)
+
+
+def rouge_n_oracle(hyp, refs, n):
+    hyp_counts = ngram_counts(hyp, n)
+    hyp_total = max(len(hyp) - n + 1, 0)
+    best = 0.0
+    for ref in refs:
+        ref_total = max(len(ref) - n + 1, 0)
+        if hyp_total == 0 or ref_total == 0:
+            continue
+        overlap = clipped_oracle(hyp_counts, ngram_counts(ref, n))
+        best = max(best, _f1(overlap / hyp_total, overlap / ref_total))
+    return 100.0 * best
+
+
+def rouge_l_oracle(hyp, refs):
+    if not hyp:
+        return 0.0
+    masks = position_masks(hyp)
+    best = 0.0
+    for ref in refs:
+        if ref:
+            lcs = lcs_masked_oracle(masks, len(hyp), ref)
+            best = max(best, _f1(lcs / len(hyp), lcs / len(ref)))
+    return 100.0 * best
+
+
+EDGE_LENGTHS = (0, 63, 64, 65, 127, 128, 129)
+
+
+@st.composite
+def scoring_cases(draw):
+    """A hypothesis and 1, 2, 3 or 40 references over 2 to 4 tokens, so
+    n-grams repeat.  References may be empty or sit at the 64-bit word
+    boundaries; the hypothesis is empty, one token, random, or longer
+    than every reference."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    alphabet = "abcd"[:draw(st.integers(2, 4))]
+    count = draw(st.sampled_from((1, 2, 3, 40)))
+    lengths = draw(st.lists(
+        st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(0, 30)),
+        min_size=count, max_size=count))
+    longest = max(lengths)
+    hyp_len = draw(st.one_of(st.just(0), st.just(1), st.integers(0, 40),
+                             st.integers(longest + 1, longest + 8)))
+    refs = [[rng.choice(alphabet) for _ in range(n)] for n in lengths]
+    return [rng.choice(alphabet) for _ in range(hyp_len)], refs
+
+
+class TestAgainstOracles:
+    """Overlaps, LCS lengths and scores equal those of the per-reference
+    loops, to the bit."""
+
+    @settings(max_examples=150)
+    @given(scoring_cases())
+    def test_overlaps(self, case):
+        hyp, refs = case
+        prepared = References(refs)
+        for n in (1, 2, 3, 4):
+            hyp_counts = ngram_counts(hyp, n)
+            tables = [ngram_counts(r, n) for r in refs]
+            grams = _hyp_grams(hyp, n)
+            assert prepared.grams(n).overlaps(grams) == \
+                [clipped_oracle(hyp_counts, t) for t in tables]
+            assert prepared.grams(n).clipped(grams) == \
+                clipped_oracle(hyp_counts, max_counts_oracle(tables))
+
+    @settings(max_examples=150)
+    @given(scoring_cases())
+    def test_lcs_lists(self, case):
+        hyp, refs = case
+        masks = position_masks(hyp)
+        assert References(refs).lcs(hyp) == \
+            [lcs_masked_oracle(masks, len(hyp), r) for r in refs]
+
+    @settings(max_examples=150)
+    @given(scoring_cases())
+    def test_scores(self, case):
+        hyp, refs = case
+        prepared = References(refs)
+        for max_n in range(1, 6):
+            assert bleu(hyp, prepared, max_n) == bleu_oracle(hyp, refs, max_n)
+        for n in (1, 2, 3):
+            assert rouge_n(hyp, prepared, n) == rouge_n_oracle(hyp, refs, n)
+        assert rouge_l(hyp, prepared) == rouge_l_oracle(hyp, refs)
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 129])
+    def test_oracle_lcs_matches_dp(self, m):
+        rng = random.Random(m)
+        a = [rng.choice("abc") for _ in range(m)]
+        b = [rng.choice("abc") for _ in range(m + 7)]
+        assert lcs_masked_oracle(position_masks(a), m, b) == lcs_len_dp(a, b)
+
+
+BENCH_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
+                   / "reference.py")
+
+
+def load_bench_reference():
+    spec = importlib.util.spec_from_file_location("perfbench_reference",
+                                                  BENCH_REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SENTENCES = st.lists(st.sampled_from(WORDS), max_size=40).map(" ".join)
+
+
+class TestAgainstBenchmarkReference:
+    """score_pair against the benchmark's own plain BLEU and ROUGE-L,
+    written apart from this package."""
+
+    reference = load_bench_reference()
+
+    @settings(max_examples=150)
+    @given(SENTENCES, st.lists(SENTENCES, min_size=1, max_size=6))
+    def test_bleu4_and_rouge_l(self, hyp, refs):
+        ref = self.reference
+        h = ref.tokenize(hyp)
+        tokenized = [ref.tokenize(r) for r in refs]
+        scores = score_pair(hyp, refs).scores
+        assert abs(scores["bleu4"] - ref.bleu(h, tokenized)) <= 1e-9
+        assert abs(scores["rougeL"] - ref.rouge_l(h, tokenized)) <= 1e-9
 
 
 class TestScoringAndReport:
