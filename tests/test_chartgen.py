@@ -1,6 +1,7 @@
 """Tests for chart layout, rendering, and meta ground truth."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chartscribe.catalog import DataSeries
+from chartscribe.catalog import DataSeries, sample_series, synth_catalog
 from chartscribe.chartgen import (
     CANVAS_H,
     CANVAS_W,
@@ -39,7 +40,7 @@ from chartscribe.chartgen import (
     nice_ticks,
     render,
 )
-from chartscribe.rng import Rng
+from chartscribe.rng import Rng, derive_seed
 from chartscribe.trend import ParameterError
 from test_corpus import JSON_VALUES, mutate_at
 
@@ -427,6 +428,32 @@ class TestRender:
         s = temporal_series([1, 2, 3], indicator=name)
         _, meta = render(build_chart_spec([s], ChartKind.LINE, Rng(0)))
         assert meta.title.bbox.within_canvas()
+
+
+def render_digest(seeds):
+    """sha256 over the SVG bytes and meta JSON of a seeded sweep: each seed
+    x temporal/categorical x 1 and 2 series x every ChartKind."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        catalog = synth_catalog(seed, 24, 30)
+        for temporal in (True, False):
+            for arity in (1, 2):
+                series = sample_series(catalog, temporal, arity,
+                                       Rng(derive_seed(seed, int(temporal), arity)))
+                for ki, kind in enumerate(ChartKind):
+                    spec = build_chart_spec(series, kind, Rng(derive_seed(seed, ki)),
+                                            image_index=seed)
+                    svg, meta = render(spec)
+                    h.update(svg)
+                    h.update(meta.to_json().encode("utf-8"))
+    return h.hexdigest()
+
+
+def test_render_digest_pinned():
+    # pins every byte render writes, across all four kinds and both series
+    # counts; a change here is a change to the corpus bytes
+    assert render_digest(range(50)) == (
+        "2dfda632e416e39eaad9d5105e0fdc13bad904f6eb50cd8288128917cb51035d")
 
 
 class TestBBox:
