@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .rng import Rng, derive_seed
 from .trend import (
@@ -250,57 +250,60 @@ def load_catalog(path) -> Catalog:
 
     indicators: Dict[str, Indicator] = {}
     entities: Dict[str, Entity] = {}
-    with open(dict_path, newline="", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != DICT_HEADER:
-            raise CatalogFormatError(f"{dict_path}:1: expected {DICT_HEADER!r}, got {header!r}")
-        for lineno, row in enumerate(csv.reader(fh), start=2):
-            if not row:
-                continue
-            kind = row[0]
-            if kind == "I":
-                if len(row) != 5:
-                    raise CatalogFormatError(f"{dict_path}:{lineno}: indicator row needs 5 fields")
-                try:
-                    indicators[row[1]] = Indicator(row[1], row[2], row[3], row[4])
-                except ParameterError as exc:
-                    raise CatalogFormatError(f"{dict_path}:{lineno}: {exc}") from exc
-            elif kind == "E":
-                if len(row) != 4:
-                    raise CatalogFormatError(f"{dict_path}:{lineno}: entity row needs 4 fields")
-                try:
-                    entities[row[1]] = Entity(row[1], row[2], row[3])
-                except ParameterError as exc:
-                    raise CatalogFormatError(f"{dict_path}:{lineno}: {exc}") from exc
-            else:
-                raise CatalogFormatError(
-                    f"{dict_path}:{lineno}: unknown record type {kind!r} (want I or E)"
-                )
+    for lineno, row in _csv_rows(dict_path, DICT_HEADER):
+        kind = row[0]
+        if kind == "I":
+            if len(row) != 5:
+                raise CatalogFormatError(f"{dict_path}:{lineno}: indicator row needs 5 fields")
+            try:
+                indicators[row[1]] = Indicator(row[1], row[2], row[3], row[4])
+            except ParameterError as exc:
+                raise CatalogFormatError(f"{dict_path}:{lineno}: {exc}") from exc
+        elif kind == "E":
+            if len(row) != 4:
+                raise CatalogFormatError(f"{dict_path}:{lineno}: entity row needs 4 fields")
+            try:
+                entities[row[1]] = Entity(row[1], row[2], row[3])
+            except ParameterError as exc:
+                raise CatalogFormatError(f"{dict_path}:{lineno}: {exc}") from exc
+        else:
+            raise CatalogFormatError(
+                f"{dict_path}:{lineno}: unknown record type {kind!r} (want I or E)"
+            )
 
     observations: Dict[Tuple[str, str], Dict[int, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != DATA_HEADER:
-            raise CatalogFormatError(f"{path}:1: expected {DATA_HEADER!r}, got {header!r}")
-        for lineno, row in enumerate(csv.reader(fh), start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise CatalogFormatError(f"{path}:{lineno}: data row needs 4 fields, got {len(row)}")
-            ind_id, ent_id, year_s, value_s = row
-            try:
-                year = int(year_s)
-                value = float(value_s)
-                _check_pair(indicators, entities, (YEAR_MIN, YEAR_MAX),
-                            (ind_id, ent_id), {year: value})
-            except ValueError as exc:  # CatalogFormatError is one
-                raise CatalogFormatError(f"{path}:{lineno}: {exc}") from exc
-            by_year = observations.setdefault((ind_id, ent_id), {})
-            if year in by_year:
-                raise CatalogFormatError(f"{path}:{lineno}: duplicate row for ({ind_id}, {ent_id}, {year})")
-            by_year[year] = value
+    for lineno, row in _csv_rows(path, DATA_HEADER):
+        if len(row) != 4:
+            raise CatalogFormatError(f"{path}:{lineno}: data row needs 4 fields, got {len(row)}")
+        ind_id, ent_id, year_s, value_s = row
+        try:
+            year = int(year_s)
+            value = float(value_s)
+            _check_pair(indicators, entities, (YEAR_MIN, YEAR_MAX),
+                        (ind_id, ent_id), {year: value})
+        except ValueError as exc:  # CatalogFormatError is one
+            raise CatalogFormatError(f"{path}:{lineno}: {exc}") from exc
+        by_year = observations.setdefault((ind_id, ent_id), {})
+        if year in by_year:
+            raise CatalogFormatError(f"{path}:{lineno}: duplicate row for ({ind_id}, {ent_id}, {year})")
+        by_year[year] = value
 
     return Catalog(indicators, entities, observations)
+
+
+def _csv_rows(path: Path, header: str) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, row) for each non-empty row of a catalog file after
+    its header line; a file that is not UTF-8 CSV is a CatalogFormatError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            got = fh.readline().rstrip("\n")
+            if got != header:
+                raise CatalogFormatError(f"{path}:1: expected {header!r}, got {got!r}")
+            for lineno, row in enumerate(csv.reader(fh), start=2):
+                if row:
+                    yield lineno, row
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise CatalogFormatError(f"{path}: not UTF-8 CSV: {exc}") from None
 
 
 def write_catalog(catalog: Catalog, path) -> None:

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple, get_args, get_origin
+from typing import Any, Callable, Dict, List, Optional, Tuple, get_args, get_origin
 
 from .catalog import DataSeries, _parse_years
 from .rng import Rng
@@ -328,6 +328,15 @@ def _fmt_tick(v: float) -> str:
 # ---------------------------------------------------------------------------
 # spec building
 
+def _orient(kind: ChartKind) -> Callable[[Any, Any], Tuple[Any, Any]]:
+    """Map a (category, value) pair to canvas (x, y): a horizontal bar is
+    a vertical bar with its axes swapped.  The generator's only orientation
+    decision; the swap is its own inverse."""
+    if kind is ChartKind.HORIZONTAL_BAR:
+        return lambda c, v: (v, c)
+    return lambda c, v: (c, v)
+
+
 def build_chart_spec(series: List[DataSeries], kind: ChartKind, rng: Rng,
                      image_index: int = 0) -> ChartSpec:
     """Randomized style + composed title and axis labels for the series."""
@@ -354,10 +363,7 @@ def build_chart_spec(series: List[DataSeries], kind: ChartKind, rng: Rng,
         kind_word = first.entity_kind or "category"
         spec.title = f"{indicator} by {kind_word}"
         cat_label = kind_word.capitalize()
-    if kind is ChartKind.HORIZONTAL_BAR:
-        spec.x_label, spec.y_label = indicator, cat_label
-    else:
-        spec.x_label, spec.y_label = cat_label, indicator
+    spec.x_label, spec.y_label = _orient(kind)(cat_label, indicator)
     return spec
 
 
@@ -506,7 +512,11 @@ def _chart_category(temporal: bool, series_meta: List[SeriesMeta]) -> str:
 
 
 def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
-    """Render a chart spec to (svg_bytes, meta).  Pure and deterministic."""
+    """Render a chart spec to (svg_bytes, meta).  Pure and deterministic.
+
+    The layout is computed once in (category, value) coordinates; `xy`
+    maps them to canvas (x, y), so a horizontal bar is a vertical bar with
+    its axes swapped."""
     kind = spec.kind
     series = spec.series
     n_ser = len(series)
@@ -526,7 +536,9 @@ def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
     vticks = nice_ticks(v_lo, v_hi, 5)
     vtick_labels = [_fmt_tick(t) for t in vticks]
 
-    horizontal = kind is ChartKind.HORIZONTAL_BAR
+    xy = _orient(kind)
+    # the y axis's ticks sit on the plot's left edge, the x axis's below it
+    cat_on_y, val_on_y = xy(False, True)
     cat_labels = series[0].x_labels
 
     # --- layout ---------------------------------------------------------
@@ -539,10 +551,7 @@ def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
     ylab_w, ylab_h = estimate_text_bbox(spec.y_label, ylab_fs)
     xlab_w, xlab_h = estimate_text_bbox(spec.x_label, xlab_fs)
 
-    if horizontal:
-        left_tick_texts = cat_labels
-    else:
-        left_tick_texts = vtick_labels
+    _, left_tick_texts = xy(cat_labels, vtick_labels)
     max_left_w = max(estimate_text_bbox(t, TICK_FS)[0] for t in left_tick_texts)
     tick_h = 1.2 * TICK_FS
 
@@ -553,59 +562,27 @@ def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
     plot = BBox(_r2(plot_left), _r2(plot_top),
                 _r2(plot_right - plot_left), _r2(plot_bottom - plot_top))
 
-    if horizontal:
+    # values grow up the canvas, or rightward when categories run down it
+    if cat_on_y:
         axis = AxisTransform("x", vticks[0], vticks[-1], _r2(plot_left), _r2(plot_right))
-        slot = (plot_bottom - plot_top) / k
-        cat_center = [plot_top + (i + 0.5) * slot for i in range(k)]
+        cat_lo, cat_hi = plot_top, plot_bottom
     else:
         axis = AxisTransform("y", vticks[0], vticks[-1], _r2(plot_bottom), _r2(plot_top))
-        slot = (plot_right - plot_left) / k
-        cat_center = [plot_left + (i + 0.5) * slot for i in range(k)]
-
-    # --- meta: ticks ------------------------------------------------------
-    cat_ticks: List[TickMark] = []
-    years = _parse_years(cat_labels) if series[0].temporal else None
-    for i, lab in enumerate(cat_labels):
-        tw, th = estimate_text_bbox(lab, TICK_FS)
-        tw = max(tw, 1.0)
-        if horizontal:
-            bb = _clamp_box(plot_left - TICK_LEN - TICK_GAP - tw,
-                            cat_center[i] - th / 2, tw, th)
-        else:
-            bb = _clamp_box(cat_center[i] - tw / 2,
-                            plot_bottom + TICK_LEN + TICK_GAP, tw, th)
-        val = float(years[i]) if years else None
-        cat_ticks.append(TickMark(lab, bb, val))
-
-    val_ticks: List[TickMark] = []
-    for t, lab in zip(vticks, vtick_labels):
-        tw, th = estimate_text_bbox(lab, TICK_FS)
-        tw = max(tw, 1.0)
-        c = axis.to_canvas(t)
-        if horizontal:
-            bb = _clamp_box(c - tw / 2, plot_bottom + TICK_LEN + TICK_GAP, tw, th)
-        else:
-            bb = _clamp_box(plot_left - TICK_LEN - TICK_GAP - tw, c - th / 2, tw, th)
-        val_ticks.append(TickMark(lab, bb, t))
-
-    x_ticks = val_ticks if horizontal else cat_ticks
-    y_ticks = cat_ticks if horizontal else val_ticks
+        cat_lo, cat_hi = plot_left, plot_right
+    slot = (cat_hi - cat_lo) / k
+    cat_center = [cat_lo + (i + 0.5) * slot for i in range(k)]
+    vtick_pos = [axis.to_canvas(t) for t in vticks]
 
     # --- meta: points -----------------------------------------------------
     series_meta: List[SeriesMeta] = []
     point_canvas: List[Tuple[float, float]] = []
     for si, s in enumerate(series):
+        # two series' bars sit side by side within each category slot
+        offset = (si - (n_ser - 1) / 2) * slot * 0.5 * 0.8 if kind.is_bar else 0.0
         pts: List[PointRecord] = []
         for i, v in enumerate(s.y_values):
-            vc = axis.to_canvas(v)
-            if horizontal:
-                # grouped rows for two series
-                cy = cat_center[i] + (si - (n_ser - 1) / 2) * slot * 0.5 * 0.8
-                pr = PointRecord(cat_labels[i], i, v, _r2(vc), _r2(cy))
-            else:
-                cx = cat_center[i] + (si - (n_ser - 1) / 2) * slot * 0.5 * 0.8 \
-                    if kind.is_bar else cat_center[i]
-                pr = PointRecord(cat_labels[i], i, v, _r2(cx), _r2(vc))
+            x, y = xy(cat_center[i] + offset, axis.to_canvas(v))
+            pr = PointRecord(cat_labels[i], i, v, _r2(x), _r2(y))
             pts.append(pr)
             point_canvas.append((pr.x_canvas, pr.y_canvas))
         series_meta.append(SeriesMeta(s.series_name, _series_trend(s), pts))
@@ -656,12 +633,8 @@ def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
     svg = _Svg()
     svg.rect(0, 0, CANVAS_W, CANVAS_H, fill="#FFFFFF")
     svg.rect(plot.x, plot.y, plot.w, plot.h, fill="none", stroke="#CCCCCC")
-    for t in vticks:
-        c = axis.to_canvas(t)
-        if horizontal:
-            svg.line(c, plot_top, c, plot_bottom, stroke="#E6E6E6")
-        else:
-            svg.line(plot_left, c, plot_right, c, stroke="#E6E6E6")
+    for c in vtick_pos:
+        svg.line(*xy(cat_lo, c), *xy(cat_hi, c), stroke="#E6E6E6")
 
     colors = [COLOR_PALETTE[ci][1] for ci in spec.style.colors]
     dash = _DASH_PATTERNS[spec.style.line_style]
@@ -677,35 +650,37 @@ def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
         elif kind is ChartKind.SCATTER:
             for p in sm.points:
                 svg.marker(marker_name, p.x_canvas, p.y_canvas, 4.5, color)
-        elif kind is ChartKind.VERTICAL_BAR:
+        else:  # bars grow from the zero line; the swap is its own inverse
             bar_w = slot * spec.style.bar_thickness / n_ser
             for p in sm.points:
-                top = min(p.y_canvas, zero_c)
-                svg.rect(p.x_canvas - bar_w / 2, top, bar_w, abs(zero_c - p.y_canvas),
+                c, v = xy(p.x_canvas, p.y_canvas)
+                svg.rect(*xy(c - bar_w / 2, min(v, zero_c)), *xy(bar_w, abs(zero_c - v)),
                          fill=color)
-        else:  # horizontal bar
-            bar_h = slot * spec.style.bar_thickness / n_ser
-            for p in sm.points:
-                left = min(p.x_canvas, zero_c)
-                svg.rect(left, p.y_canvas - bar_h / 2, abs(p.x_canvas - zero_c), bar_h,
-                         fill=color)
+
+    def ticks(labels, positions, tick_values, left: bool) -> List[TickMark]:
+        """Draw tick marks and labels on the plot's left or bottom edge."""
+        marks = []
+        for lab, c, val in zip(labels, positions, tick_values):
+            tw, th = estimate_text_bbox(lab, TICK_FS)
+            tw = max(tw, 1.0)
+            if left:
+                svg.line(plot_left - TICK_LEN, c, plot_left, c)
+                bb = _clamp_box(plot_left - TICK_LEN - TICK_GAP - tw, c - th / 2, tw, th)
+            else:
+                svg.line(c, plot_bottom, c, plot_bottom + TICK_LEN)
+                bb = _clamp_box(c - tw / 2, plot_bottom + TICK_LEN + TICK_GAP, tw, th)
+            svg.text(bb.x + bb.w / 2, bb.y + bb.h / 2, lab, TICK_FS)
+            marks.append(TickMark(lab, bb, val))
+        return marks
 
     # axes and ticks on top of data
     svg.line(plot_left, plot_bottom, plot_right, plot_bottom, width=1.5)
     svg.line(plot_left, plot_top, plot_left, plot_bottom, width=1.5)
-    for i, tm in enumerate(cat_ticks):
-        if horizontal:
-            svg.line(plot_left - TICK_LEN, cat_center[i], plot_left, cat_center[i])
-        else:
-            svg.line(cat_center[i], plot_bottom, cat_center[i], plot_bottom + TICK_LEN)
-        svg.text(tm.bbox.x + tm.bbox.w / 2, tm.bbox.y + tm.bbox.h / 2, tm.label, TICK_FS)
-    for tm in val_ticks:
-        c = axis.to_canvas(tm.value)
-        if horizontal:
-            svg.line(c, plot_bottom, c, plot_bottom + TICK_LEN)
-        else:
-            svg.line(plot_left - TICK_LEN, c, plot_left, c)
-        svg.text(tm.bbox.x + tm.bbox.w / 2, tm.bbox.y + tm.bbox.h / 2, tm.label, TICK_FS)
+    years = _parse_years(cat_labels) if series[0].temporal else None
+    cat_ticks = ticks(cat_labels, cat_center,
+                      [float(y) for y in years] if years else [None] * k, cat_on_y)
+    val_ticks = ticks(vtick_labels, vtick_pos, vticks, val_on_y)
+    x_ticks, y_ticks = xy(cat_ticks, val_ticks)
 
     svg.text(title_bbox.x + title_bbox.w / 2, title_bbox.y + title_bbox.h / 2,
              spec.title, title_fs)

@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from .catalog import CatalogFormatError
 from .chartgen import CATEGORIES, ChartMeta
 from .corpus import (
     _MALFORMED, BUILTIN_BANK, ConfigError, ManifestError, _build_bank,
@@ -31,6 +32,7 @@ from .corpus import (
 from .evalmetrics import References, corpus_report, format_report, score_pair
 from .narrate import DEFAULT_VARIANTS, extract_facts, generate_description_set
 from .rng import Rng
+from .templatebank import BankFormatError
 
 
 class CliError(Exception):
@@ -259,7 +261,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, ManifestError, OSError) as exc:
+    except (CliError, ConfigError, ManifestError, BankFormatError,
+            CatalogFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

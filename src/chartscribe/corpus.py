@@ -123,8 +123,9 @@ class CorpusConfig:
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed: {self.seed} outside 64-bit range")
-        if self.count_scale <= 0:
-            raise ConfigError(f"count_scale: must be > 0, got {self.count_scale}")
+        if not 0 < self.count_scale < math.inf:  # nan fails both
+            raise ConfigError(
+                f"count_scale: must be finite and > 0, got {self.count_scale}")
         if self.descriptions_per_chart < 1:
             raise ConfigError("descriptions_per_chart: must be >= 1")
         for (category, kind), count in self.cell_counts.items():
@@ -471,6 +472,9 @@ def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
     """Generate the full corpus tree and return the manifest document."""
     if jobs < 1:
         raise ValueError(f"jobs: must be >= 1, got {jobs}")
+    # a malformed catalog or bank fails here, before any directory is made;
+    # parallel workers build their own
+    catalog, bank = _build_catalog(config), _build_bank(config.template_bank)
     root = Path(config.output_dir)
     for _, sub, _ in _LAYOUT:
         (root / sub).mkdir(parents=True, exist_ok=True)
@@ -480,7 +484,6 @@ def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
     with contextlib.ExitStack() as stack:
         dirs = stack.enter_context(_layout_dirs(root))
         if jobs == 1:
-            catalog, bank = _build_catalog(config), _build_bank(config.template_bank)
             payloads = (build_record(plan, catalog, bank, config)
                         for plan in plans)
         else:

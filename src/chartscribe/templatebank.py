@@ -71,16 +71,17 @@ class UnknownMoveError(BankFormatError):
     """Template declares a move tag outside M1..M5."""
 
 
-class CoverageError(ValueError):
+class CoverageError(BankFormatError):
     """Bank leaves some reachable (move, category, trend, arity) cell empty."""
 
-    def __init__(self, holes: Sequence[CellKey]):
+    def __init__(self, holes: Sequence[CellKey], source: str = "<bank>"):
         self.holes = list(holes)
         cells = "; ".join(
             f"({m}, {c}, {t or 'any'}, arity={a})" for m, c, t, a in self.holes[:8]
         )
         more = "" if len(self.holes) <= 8 else f" and {len(self.holes) - 8} more"
-        super().__init__(f"bank has {len(self.holes)} coverage holes: {cells}{more}")
+        super().__init__(
+            f"{source}: bank has {len(self.holes)} coverage holes: {cells}{more}")
 
 
 class EmptyQueryError(LookupError):
@@ -230,14 +231,18 @@ def parse_bank(text: str, source: str = "<bank>") -> TemplateBank:
     bank = TemplateBank(tuple(templates))
     holes = [key for key, hits in bank._index.items() if not hits]
     if holes:
-        raise CoverageError(holes)
+        raise CoverageError(holes, source)
     return bank
 
 
 def load_bank(path) -> TemplateBank:
     """Load and validate a bank file."""
     p = Path(path)
-    return parse_bank(p.read_text(encoding="utf-8"), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BankFormatError(f"{p}: not UTF-8 text: {exc}") from None
+    return parse_bank(text, source=str(p))
 
 
 def load_default_bank() -> TemplateBank:

@@ -423,6 +423,24 @@ class TestRender:
         xs1 = [p.x_canvas for p in meta.series[1].points]
         assert all(x0 < x1 for x0, x1 in zip(xs0, xs1))
 
+    def test_two_series_horizontal_bar_groups(self):
+        a = categorical_series([5.0, 9.0, 3.0], name="exports (1994)")
+        b = categorical_series([6.0, 7.0, 4.0], name="exports (2001)")
+        _, meta = render(build_chart_spec([a, b], ChartKind.HORIZONTAL_BAR, Rng(4)))
+        axis = meta.value_axis
+        slot = meta.plot_area.h / 3
+        # grouped rows offset up/down within each slot, about the category
+        # tick's center; the category ticks are the y ticks
+        for i, tick in enumerate(meta.y_ticks):
+            p0, p1 = meta.series[0].points[i], meta.series[1].points[i]
+            assert p0.y_canvas < p1.y_canvas
+            assert p1.y_canvas - p0.y_canvas == pytest.approx(0.4 * slot, abs=0.02)
+            center = tick.bbox.y + tick.bbox.h / 2
+            assert (p0.y_canvas + p1.y_canvas) / 2 == pytest.approx(center, abs=0.02)
+            # x is the value coordinate
+            for p in (p0, p1):
+                assert p.x_canvas == round(axis.to_canvas(p.value), 2)
+
     def test_long_title_still_fits(self):
         name = "international tourism expenditure of Territory 900 and Territory 901"
         s = temporal_series([1, 2, 3], indicator=name)

@@ -12,6 +12,7 @@ from chartscribe import cli, corpus
 from chartscribe.cli import build_parser, main
 from chartscribe.corpus import MANIFEST_NAME, load_manifest
 from chartscribe.narrate import Description
+from chartscribe.templatebank import load_default_bank, serialize_bank
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEEP_JSON = "[" * 200000 + "]" * 200000
@@ -96,6 +97,72 @@ class TestGenerate:
                    "--jobs", "0", "--out", str(tmp_path / "out")])
         assert rc == 2
         one_line_error(capsys, "--jobs must be >= 1")
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_count_scale_not_finite(self, tmp_path, capsys, where, scale):
+        out = tmp_path / "out"
+        if where == "flag":
+            argv = ["--seed", "1", "--count-scale", scale, "--out", str(out)]
+        else:
+            ini = tmp_path / "c.ini"
+            ini.write_text(f"[corpus]\nseed = 1\noutput_dir = {out}\n"
+                           f"count_scale = {scale}\n")
+            argv = ["--config", str(ini)]
+        rc = main(["generate"] + argv)
+        assert rc == 2
+        one_line_error(capsys, f"count_scale: must be finite and > 0, got {scale}")
+        assert not out.exists()
+
+
+def _bank_with_holes() -> str:
+    text = serialize_bank(load_default_bank())
+    return "\n".join(ln for ln in text.splitlines() if not ln.startswith("m5-"))
+
+
+# file name -> content; a catalog data file's dictionary sits next to it
+INPUT_FILES = {
+    "bad.tsv": b"x1\tM1\tany\n",
+    "binary.tsv": b"\xff\xfe not text\n",
+    "holes.tsv": _bank_with_holes().encode("utf-8"),
+    "bad.csv": b"# catalog-data v1\nsh,nor,2000\n",
+    "bad.dict.csv": b"# catalog-dict v1\n",
+    "binary.csv": b"\xff\xfe\n",
+    "binary.dict.csv": b"# catalog-dict v1\n",
+}
+
+
+@pytest.mark.parametrize("setting, name, jobs, message", [
+    ("--bank", "bad.tsv", 1, "bad.tsv:1: expected 7 tab-separated fields"),
+    ("--bank", "binary.tsv", 1, "binary.tsv: not UTF-8 text"),
+    ("--bank", "holes.tsv", 1, "holes.tsv: bank has"),
+    ("template_bank", "bad.tsv", 1, "bad.tsv:1: expected 7 tab-separated fields"),
+    ("template_bank", "bad.tsv", 2, "bad.tsv:1: expected 7 tab-separated fields"),
+    ("template_bank", "binary.tsv", 1, "binary.tsv: not UTF-8 text"),
+    ("catalog_source", "bad.csv", 1, "bad.csv:2: data row needs 4 fields"),
+    ("catalog_source", "bad.csv", 2, "bad.csv:2: data row needs 4 fields"),
+    ("catalog_source", "binary.csv", 1, "binary.csv: not UTF-8 CSV"),
+], ids=["describe-bad", "describe-binary", "describe-holes", "bank-bad-jobs1",
+        "bank-bad-jobs2", "bank-binary", "catalog-bad-jobs1",
+        "catalog-bad-jobs2", "catalog-binary"])
+def test_malformed_input_file(corpus_dir, tmp_path, capsys, setting, name,
+                              jobs, message):
+    """A malformed bank or catalog named by the user is one error line and
+    exit 2; generate makes no directory."""
+    for file_name, content in INPUT_FILES.items():
+        (tmp_path / file_name).write_bytes(content)
+    out = tmp_path / "out"
+    if setting == "--bank":
+        argv = ["describe", "--meta", str(corpus_dir / "meta" / "000000.json"),
+                "--bank", str(tmp_path / name)]
+    else:
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[corpus]\nseed = 1\ncount_scale = 0.002\n"
+                       f"output_dir = {out}\n{setting} = {tmp_path / name}\n")
+        argv = ["generate", "--config", str(ini), "--jobs", str(jobs)]
+    assert main(argv) == 2
+    one_line_error(capsys, message)
+    assert not out.exists()
 
 
 class TestStats:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -84,8 +85,9 @@ class TestConfig:
             CorpusConfig(seed=-1)
 
     def test_zero_scale_rejected(self):
-        with pytest.raises(ConfigError):
-            CorpusConfig(seed=1, count_scale=0.0)
+        for scale in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="count_scale"):
+                CorpusConfig(seed=1, count_scale=scale)
 
     def test_unknown_cell_rejected(self):
         with pytest.raises(ConfigError):
