@@ -10,7 +10,7 @@ builder either raw or perturbed toward a requested trend class.
 import csv
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -144,7 +144,6 @@ class Catalog:
     indicators: Dict[str, Indicator]
     entities: Dict[str, Entity]
     observations: Mapping[Tuple[str, str], Dict[int, float]]
-    year_range: Tuple[int, int] = (YEAR_MIN, YEAR_MAX)
     _index: Mapping[str, Mapping[str, Iterable[int]]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -157,7 +156,7 @@ class Catalog:
 
     def __post_init__(self):
         # no reference to self: a cycle would keep unused catalogs alive
-        check = partial(_check_pair, self.indicators, self.entities, self.year_range)
+        check = partial(_check_pair, self.indicators, self.entities)
         if isinstance(self.observations, _SynthObservations):
             self.observations.check = check
             self._index = self.observations.spans
@@ -168,12 +167,6 @@ class Catalog:
             index.setdefault(key[0], {})[key[1]] = by_year
         self._index = {ind_id: dict(sorted(ents.items()))
                        for ind_id, ents in index.items()}
-
-    def stats(self) -> Dict[str, int]:
-        n_obs = sum(len(years) for ents in self._index.values()
-                    for years in ents.values())
-        return {"indicators": len(self.indicators),
-                "entities": len(self.entities), "observations": n_obs}
 
     def years_for(self, ind_id: str, ent_id: str) -> List[int]:
         return sorted(self._index.get(ind_id, {}).get(ent_id, ()))
@@ -217,7 +210,7 @@ class Catalog:
 
 
 def _check_pair(indicators: Dict[str, Indicator], entities: Dict[str, Entity],
-                year_range: Tuple[int, int], key, by_year) -> None:
+                key, by_year) -> None:
     ind_id, ent_id = key
     if ind_id not in indicators:
         raise CatalogFormatError(f"observation references unknown indicator {ind_id!r}")
@@ -225,9 +218,9 @@ def _check_pair(indicators: Dict[str, Indicator], entities: Dict[str, Entity],
         raise CatalogFormatError(f"observation references unknown entity {ent_id!r}")
     lo, hi = indicators[ind_id].bounds
     for year, value in by_year.items():
-        if not (year_range[0] <= year <= year_range[1]):
+        if not (YEAR_MIN <= year <= YEAR_MAX):
             raise CatalogFormatError(
-                f"year {year} outside [{year_range[0]}, {year_range[1]}] "
+                f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}] "
                 f"for ({ind_id}, {ent_id})")
         if not (lo <= value <= hi):
             raise CatalogFormatError(
@@ -279,8 +272,7 @@ def load_catalog(path) -> Catalog:
         try:
             year = int(year_s)
             value = float(value_s)
-            _check_pair(indicators, entities, (YEAR_MIN, YEAR_MAX),
-                        (ind_id, ent_id), {year: value})
+            _check_pair(indicators, entities, (ind_id, ent_id), {year: value})
         except ValueError as exc:  # CatalogFormatError is one
             raise CatalogFormatError(f"{path}:{lineno}: {exc}") from exc
         by_year = observations.setdefault((ind_id, ent_id), {})
@@ -568,20 +560,18 @@ def sample_series(catalog: Catalog, temporal: bool, arity: int, rng: Rng,
     if not ind_ids:
         raise InsufficientCoverageError("catalog has no observations")
     sampler = _sample_temporal if temporal else _sample_categorical
-    # random picks first; exhaustive sorted scan as the fallback so a
-    # sparse catalog still gets searched completely
+
+    def candidates():
+        # random picks first; exhaustive sorted scan as the fallback so a
+        # sparse catalog still gets searched completely
+        for _ in range(10):
+            yield ind_ids[rng.randint(len(ind_ids))]
+        yield from ind_ids
     tried = set()
-    for _ in range(10):
-        ind_id = ind_ids[rng.randint(len(ind_ids))]
+    for ind_id in candidates():
         if ind_id in tried:
             continue
         tried.add(ind_id)
-        got = sampler(catalog, ind_id, arity, rng, min_len)
-        if got is not None:
-            return got
-    for ind_id in ind_ids:
-        if ind_id in tried:
-            continue
         got = sampler(catalog, ind_id, arity, rng, min_len)
         if got is not None:
             return got
@@ -724,13 +714,4 @@ def perturb_to_trend(series: DataSeries, spec: TrendSpec, rng: Rng) -> DataSerie
     else:
         values = [(lo + hi) / 2.0 for _ in path]
 
-    return DataSeries(
-        series_name=series.series_name,
-        x_labels=list(series.x_labels),
-        y_values=values,
-        y_unit=series.y_unit,
-        temporal=series.temporal,
-        indicator_name=series.indicator_name,
-        entity_kind=series.entity_kind,
-        value_kind=series.value_kind,
-    )
+    return replace(series, x_labels=list(series.x_labels), y_values=values)

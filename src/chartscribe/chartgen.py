@@ -208,10 +208,6 @@ class AxisTransform:
         t = (v - self.lo) / (self.hi - self.lo)
         return self.canvas_lo + t * (self.canvas_hi - self.canvas_lo)
 
-    def to_data(self, c: float) -> float:
-        t = (c - self.canvas_lo) / (self.canvas_hi - self.canvas_lo)
-        return self.lo + t * (self.hi - self.lo)
-
 
 @dataclass
 class Canvas:
@@ -384,6 +380,14 @@ def _clamp_box(x: float, y: float, w: float, h: float) -> BBox:
     return BBox(_r2(x), _r2(y), _r2(w), _r2(h))
 
 
+# markers drawn as a polygon round their center: each vertex's distance as a
+# fraction of the marker radius, and the first vertex's angle; the vertices
+# are evenly spaced
+_ROUND_MARKERS = {"star": ((1.0, 0.4) * 5, -math.pi / 2),
+                  "pentagon": ((1.0,) * 5, -math.pi / 2),
+                  "hexagon": ((1.0,) * 6, 0.0)}
+
+
 class _Svg:
     """Tiny SVG writer with fixed number formatting."""
 
@@ -398,10 +402,10 @@ class _Svg:
         return (text.replace("&", "&amp;").replace("<", "&lt;")
                 .replace(">", "&gt;").replace('"', "&quot;"))
 
-    def rect(self, x, y, w, h, fill="none", stroke=None, stroke_width=1.0):
+    def rect(self, x, y, w, h, fill="none", stroke=None):
         s = f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" fill="{fill}"'
         if stroke:
-            s += f' stroke="{stroke}" stroke-width="{stroke_width:.2f}"'
+            s += f' stroke="{stroke}" stroke-width="1.00"'
         self.parts.append(s + "/>")
 
     def line(self, x1, y1, x2, y2, stroke="#000000", width=1.0, dash=None):
@@ -411,9 +415,9 @@ class _Svg:
             s += f' stroke-dasharray="{dash}"'
         self.parts.append(s + "/>")
 
-    def polyline(self, pts, stroke, width=2.0, dash=None):
+    def polyline(self, pts, stroke, dash=None):
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
-        s = f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="{width:.2f}"'
+        s = f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="2.00"'
         if dash:
             s += f' stroke-dasharray="{dash}"'
         self.parts.append(s + "/>")
@@ -425,17 +429,16 @@ class _Svg:
     def circle(self, cx, cy, r, fill):
         self.parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" fill="{fill}"/>')
 
-    def path(self, d, stroke, width=2.0):
-        self.parts.append(f'<path d="{d}" stroke="{stroke}" stroke-width="{width:.2f}" fill="none"/>')
+    def path(self, d, stroke):
+        self.parts.append(f'<path d="{d}" stroke="{stroke}" stroke-width="2.00" fill="none"/>')
 
-    def text(self, cx, cy, content, font_size, anchor="middle", rotate=None,
-             fill="#000000"):
-        """Text centered on (cx, cy) under the fixed-metrics model: the
-        baseline sits 0.35 * font_size below the box center."""
+    def text(self, cx, cy, content, font_size, rotate=None):
+        """Black text centered on (cx, cy) under the fixed-metrics model:
+        the baseline sits 0.35 * font_size below the box center."""
         y = cy + 0.35 * font_size
         attrs = (f'x="{cx:.2f}" y="{y:.2f}" font-size="{font_size:.2f}" '
-                 f'font-family="Helvetica, Arial, sans-serif" text-anchor="{anchor}" '
-                 f'fill="{fill}"')
+                 f'font-family="Helvetica, Arial, sans-serif" text-anchor="middle" '
+                 f'fill="#000000"')
         if rotate is not None:
             attrs += f' transform="rotate({rotate:.0f} {cx:.2f} {cy:.2f})"'
         self.parts.append(f"<text {attrs}>{self.esc(content)}</text>")
@@ -460,25 +463,11 @@ class _Svg:
             d = 0.71 * r
             self.path(f"M {cx - d:.2f} {cy - d:.2f} L {cx + d:.2f} {cy + d:.2f} "
                       f"M {cx - d:.2f} {cy + d:.2f} L {cx + d:.2f} {cy - d:.2f}", color)
-        elif shape == "star":
-            pts = []
-            for i in range(10):
-                rr = r if i % 2 == 0 else 0.4 * r
-                a = -math.pi / 2 + i * math.pi / 5
-                pts.append((cx + rr * math.cos(a), cy + rr * math.sin(a)))
-            self.polygon(pts, color)
-        elif shape == "pentagon":
-            pts = []
-            for i in range(5):
-                a = -math.pi / 2 + i * 2 * math.pi / 5
-                pts.append((cx + r * math.cos(a), cy + r * math.sin(a)))
-            self.polygon(pts, color)
-        elif shape == "hexagon":
-            pts = []
-            for i in range(6):
-                a = i * math.pi / 3
-                pts.append((cx + r * math.cos(a), cy + r * math.sin(a)))
-            self.polygon(pts, color)
+        elif shape in _ROUND_MARKERS:
+            radii, start = _ROUND_MARKERS[shape]
+            angles = [start + 2 * i * math.pi / len(radii) for i in range(len(radii))]
+            self.polygon([(cx + f * r * math.cos(a), cy + f * r * math.sin(a))
+                          for f, a in zip(radii, angles)], color)
         else:  # pragma: no cover
             raise ParameterError(f"marker_shape: unknown shape {shape!r}")
 
@@ -593,9 +582,6 @@ def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
     row_h = 16.0
     leg_w = 6 + swatch_w + 4 + max(name_ws) + 6
     leg_h = 5 + row_h * n_ser + 5
-    corners = [spec.style.legend_position] + [
-        c for c in LEGEND_POSITIONS if c != spec.style.legend_position
-    ]
 
     def corner_box(corner: str) -> Tuple[float, float]:
         lx = plot_left + LEGEND_INSET if "left" in corner else plot_right - LEGEND_INSET - leg_w
@@ -606,17 +592,11 @@ def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
         return sum(1 for (px, py) in point_canvas
                    if lx <= px <= lx + leg_w and ly <= py <= ly + leg_h)
 
-    chosen = corners[0]
-    best_overlap = None
-    for c in corners:
-        ov = overlap_count(*corner_box(c))
-        if ov == 0:
-            chosen = c
-            best_overlap = 0
-            break
-        if best_overlap is None or ov < best_overlap:
-            chosen, best_overlap = c, ov
-    leg_x, leg_y = corner_box(chosen)
+    # the corner covering the fewest points; ties go to the style's corner,
+    # then to the first in LEGEND_POSITIONS
+    preferred = spec.style.legend_position
+    leg_x, leg_y = corner_box(min(LEGEND_POSITIONS, key=lambda c: (
+        overlap_count(*corner_box(c)), c != preferred)))
     legend_bbox = _clamp_box(leg_x, leg_y, leg_w, leg_h)
 
     legend_entries: List[LegendEntry] = []
@@ -709,7 +689,7 @@ def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
             svg.rect(mb.x + 2, mb.y + 1, mb.w - 4, mb.h - 2, fill=color)
         svg.text(entry.name_bbox.x + entry.name_bbox.w / 2,
                  entry.name_bbox.y + entry.name_bbox.h / 2,
-                 entry.name, LEGEND_FS, anchor="middle")
+                 entry.name, LEGEND_FS)
 
     meta = ChartMeta(
         image_index=spec.image_index,

@@ -17,6 +17,7 @@ nonzero only on usage or I/O errors.
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -208,6 +209,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chartscribe",

@@ -177,6 +177,12 @@ class CorpusConfig:
 _SCALAR_FIELDS = tuple(f for f in fields(CorpusConfig)
                        if f.type in (int, float, str))
 
+# the keys a config section may set; [cells] keys are cells, checked as the
+# grid is
+_SECTION_KEYS = {"corpus": {f.name for f in _SCALAR_FIELDS},
+                 "generator": {f.name for f in fields(PlanParams)},
+                 "cells": None}
+
 
 def default_config(seed: int,
                    output_dir: str = CorpusConfig.output_dir) -> CorpusConfig:
@@ -204,6 +210,17 @@ def load_config(path) -> CorpusConfig:
         raise ConfigError(f"config: {path} does not parse: {detail}") from None
     if not read:
         raise ConfigError(f"config: cannot read {path}")
+    if parser.defaults():  # configparser copies them into every section
+        raise ConfigError(f"config: unknown section [{parser.default_section}]")
+    for name in parser.sections():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"config: unknown section [{name}]")
+        allowed = _SECTION_KEYS[name]
+        unknown = [key for key in parser[name]
+                   if allowed is not None and key not in allowed]
+        if unknown:
+            raise ConfigError(f"config: unknown key in [{name}]: "
+                              f"{', '.join(unknown)}")
     if "corpus" not in parser:
         raise ConfigError("config: missing [corpus] section")
     corpus = parser["corpus"]
@@ -232,10 +249,6 @@ def load_config(path) -> CorpusConfig:
 
     settings = {f.name: _config_value(f.type, "corpus", f.name, corpus[f.name])
                 for f in _SCALAR_FIELDS if f.name in corpus}
-    if "descriptions_per_chart" in generator:  # [corpus] wins
-        settings.setdefault("descriptions_per_chart", _config_value(
-            int, "generator", "descriptions_per_chart",
-            generator["descriptions_per_chart"]))
     return CorpusConfig(cell_counts=cells, plan_params=params, **settings)
 
 
@@ -320,23 +333,14 @@ def _build_series(plan: RecordPlan, attempt_seed: int, rng: Rng,
         targets = [DIRECTIONAL_CLASSES[plan.cell_index % len(DIRECTIONAL_CLASSES)]]
         if arity == 2:
             targets.append(DIRECTIONAL_CLASSES[rng.randint(len(DIRECTIONAL_CLASSES))])
-        base = sample_series(catalog, temporal=True, arity=arity, rng=rng,
-                             min_len=TREND_MIN_LEN)
-        return [
-            _gate_perturb(s, target, attempt_seed, slot)
-            for slot, (s, target) in enumerate(zip(base, targets))
-        ]
-
-    if plan.category == "temporal-random":
-        if rng.random() < 0.5:
-            targets = [FLAT_CLASSES[rng.randint(len(FLAT_CLASSES))]
-                       for _ in range(arity)]
-            base = sample_series(catalog, temporal=True, arity=arity, rng=rng,
-                                 min_len=RANDOM_MIN_LEN)
-            return [
-                _gate_perturb(s, target, attempt_seed, slot)
-                for slot, (s, target) in enumerate(zip(base, targets))
-            ]
+        min_len = TREND_MIN_LEN
+    elif plan.category != "temporal-random":
+        return sample_series(catalog, temporal=False, arity=arity, rng=rng)
+    elif rng.random() < 0.5:
+        targets = [FLAT_CLASSES[rng.randint(len(FLAT_CLASSES))]
+                   for _ in range(arity)]
+        min_len = RANDOM_MIN_LEN
+    else:
         for _ in range(_RAW_SAMPLE_ATTEMPTS):
             candidate = sample_series(catalog, temporal=True, arity=arity,
                                       rng=rng, min_len=RANDOM_MIN_LEN)
@@ -346,7 +350,10 @@ def _build_series(plan: RecordPlan, attempt_seed: int, rng: Rng,
         raise _RecordError(
             f"no flat raw sample in {_RAW_SAMPLE_ATTEMPTS} attempts")
 
-    return sample_series(catalog, temporal=False, arity=arity, rng=rng)
+    base = sample_series(catalog, temporal=True, arity=arity, rng=rng,
+                         min_len=min_len)
+    return [_gate_perturb(s, target, attempt_seed, slot)
+            for slot, (s, target) in enumerate(zip(base, targets))]
 
 
 def _record_name(image_index: int) -> str:
@@ -480,18 +487,21 @@ def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
         (root / sub).mkdir(parents=True, exist_ok=True)
 
     plans = build_plans(config)
+    # a pool starts all its workers at once, each building its own catalog
+    # and bank: never more of them than records
+    workers = min(jobs, len(plans))
     entries: List[dict] = []
     with contextlib.ExitStack() as stack:
         dirs = stack.enter_context(_layout_dirs(root))
-        if jobs == 1:
+        if workers <= 1:
             payloads = (build_record(plan, catalog, bank, config)
                         for plan in plans)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=jobs, initializer=_worker_init,
+                max_workers=workers, initializer=_worker_init,
                 initargs=(config,)))
             payloads = pool.map(_worker_build, plans,
-                                chunksize=max(1, len(plans) // (jobs * 8)))
+                                chunksize=max(1, len(plans) // (workers * 8)))
         for payload in payloads:
             _write_payload(root, dirs, payload)
             entries.append(payload.entry)

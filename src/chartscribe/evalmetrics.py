@@ -88,15 +88,20 @@ def _hyp_grams(hyp: Sequence[str], n: int) -> Grams:
 
 
 class _RefGrams:
-    """One n-gram order of a reference set: each reference's counts and
-    key set, and their union.  A clipped overlap sums, over hypothesis
-    n-grams, the smaller of the hypothesis and the reference count."""
+    """One n-gram order of a reference set: each reference's counts, their
+    union of keys, and, once ROUGE-N asks, each reference's key set.  A
+    clipped overlap sums, over hypothesis n-grams, the smaller of the
+    hypothesis and the reference count."""
 
     def __init__(self, refs: Sequence[Tokens], n: int):
         self.counts = tuple(_ngrams(r, n) for r in refs)
-        self.keys = tuple(frozenset(dict(c)) for c in self.counts)
-        self.union = frozenset().union(*self.keys)
+        # a plain dict hands its stored hashes on: no n-gram is hashed again
+        self.union = frozenset().union(*map(dict, self.counts))
         self._most: Dict[object, int] = {}
+
+    @cached_property
+    def keys(self) -> Tuple[FrozenSet, ...]:
+        return tuple(frozenset(dict(c)) for c in self.counts)
 
     def overlaps(self, grams: Grams) -> List[int]:
         """The clipped overlap with each reference (ROUGE-N)."""
@@ -252,8 +257,6 @@ def rouge_l(hyp: Sequence[str], refs: RefsLike) -> float:
 
 @dataclass
 class ScoredPair:
-    hypothesis: Tokens
-    references: Tuple[Tokens, ...]
     scores: Dict[str, float] = field(default_factory=dict)
     kind: str = ""
 
@@ -268,7 +271,7 @@ def score_pair(hyp_text: str, ref_texts: Union[References, Sequence[str]],
     hyp = tuple(tokenize(hyp_text))
     scores = {"bleu4": bleu(hyp, refs, 4), "rouge1": rouge_n(hyp, refs, 1),
               "rouge2": rouge_n(hyp, refs, 2), "rougeL": rouge_l(hyp, refs)}
-    return ScoredPair(hyp, refs.tokens, scores, kind)
+    return ScoredPair(scores, kind)
 
 
 def corpus_report(pairs: Sequence[ScoredPair]) -> Dict[str, Dict[str, float]]:

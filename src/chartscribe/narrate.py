@@ -661,7 +661,7 @@ def check_move_order(moves: Sequence[str]) -> List[str]:
     for m in moves:
         if m not in _MOVE_RANK:
             violations.append(f"unknown move tag {m!r}")
-    if any(m not in _MOVE_RANK for m in moves):
+    if violations:
         return violations
     if moves[0] != "M1":
         violations.append("does not open with an M1 overview")

@@ -96,7 +96,7 @@ class Rng:
 
     def sample(self, seq, k: int) -> list:
         """k distinct elements via partial Fisher-Yates, order randomized."""
-        if k > len(seq):
+        if not 0 <= k <= len(seq):
             raise ValueError(f"sample() of {k} from sequence of {len(seq)}")
         pool = list(seq)
         for i in range(k):

@@ -121,19 +121,12 @@ class TrendSpec:
         # Drift sign must match the class direction before any transform;
         # both transforms preserve direction.
         drift = self.params.drift
-        direction = self.trend_class.direction
-        if direction == "increase" and not drift > 0:
+        sign, ok = {"increase": ("positive", drift > 0),
+                    "decrease": ("negative", drift < 0),
+                    None: ("zero", drift == 0.0)}[self.trend_class.direction]
+        if not ok:
             raise ParameterError(
-                f"mu: {self.trend_class.value} requires positive drift, got {drift}"
-            )
-        if direction == "decrease" and not drift < 0:
-            raise ParameterError(
-                f"mu: {self.trend_class.value} requires negative drift, got {drift}"
-            )
-        if direction is None and drift != 0.0:
-            raise ParameterError(
-                f"mu: {self.trend_class.value} requires zero drift, got {drift}"
-            )
+                f"mu: {self.trend_class.value} requires {sign} drift, got {drift}")
 
 
 # class -> (drift, sigma, transform).  Direction comes from the drift sign;

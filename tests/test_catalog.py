@@ -180,13 +180,6 @@ class TestCatalogValidation:
         with pytest.raises(CatalogFormatError, match="unknown indicator"):
             Catalog({}, ents, {("x", "e"): {2000: 1.0}})
 
-    def test_stats(self):
-        cat = small_catalog()
-        s = cat.stats()
-        assert s["indicators"] == 2
-        assert s["entities"] == 3
-        assert s["observations"] == sum(len(v) for v in cat.observations.values())
-
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
@@ -208,7 +201,8 @@ class TestFileFormat:
             "pop,nor,2002,4524066\n"
         )
         cat = load_catalog(tmp_path / "c.csv")
-        assert cat.stats()["observations"] == 3
+        assert list(cat.observations) == [("pop", "nor")]
+        assert cat.years_for("pop", "nor") == [2000, 2001, 2002]
         assert cat.observations[("pop", "nor")][2001] == 4503436.0
 
     def test_percentage_overflow_names_line(self, tmp_path):
@@ -276,10 +270,9 @@ class TestSynthCatalog:
 
     def test_large_scale_counts(self):
         cat = synth_catalog(7, 346, 76)
-        s = cat.stats()
-        assert s["indicators"] == 346
-        assert s["entities"] == 76
-        assert s["observations"] > 0
+        assert len(cat.indicators) == 346
+        assert len(cat.entities) == 76
+        assert cat.covered_indicators()
 
     def test_percentage_bounds(self):
         cat = synth_catalog(3, 40, 10)
@@ -322,7 +315,9 @@ class TestLazySynthCatalog:
             for min_len in range(MIN_TICKS, MAX_TICKS + 1):
                 assert (lazy.usable_runs(ind_id, min_len)
                         == eager.usable_runs(ind_id, min_len))
-        assert lazy.stats() == eager.stats()
+        for ind_id, ent_id in eager.observations:
+            assert (lazy.years_for(ind_id, ent_id)
+                    == eager.years_for(ind_id, ent_id))
         assert len(lazy.observations) == len(eager.observations)
         assert sorted(lazy.observations) == sorted(eager.observations)
         assert not lazy.observations._values  # none of the above drew values
@@ -360,7 +355,6 @@ class TestLazySynthCatalog:
         for ind_id in lazy.covered_indicators():
             assert lazy.entities_for(ind_id) == eager.entities_for(ind_id)
             assert lazy.usable_runs(ind_id, 5) == eager.usable_runs(ind_id, 5)
-        assert lazy.stats() == eager.stats()
         assert lazy == eager
 
     def test_uncovered_and_unknown_pairs(self):

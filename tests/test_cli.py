@@ -92,6 +92,28 @@ class TestGenerate:
         assert rc == 2
         one_line_error(capsys, message)
 
+    @pytest.mark.parametrize("body, message", [
+        ("[corpus]\nseed = 1\ncount_scal = 0.01\n",
+         "unknown key in [corpus]: count_scal"),
+        ("[corpus]\nseed = 1\n[generatr]\np_move4 = 0\n",
+         "unknown section [generatr]"),
+        ("[corpus]\nseed = 1\n[generator]\np_mov4 = 0\n",
+         "unknown key in [generator]: p_mov4"),
+        ("[corpus]\nseed = 1\n[generator]\ndescriptions_per_chart = 2\n",
+         "unknown key in [generator]: descriptions_per_chart"),
+        ("[DEFAULT]\ncount_scale = 0.01\n[corpus]\nseed = 1\n",
+         "unknown section [DEFAULT]"),
+    ], ids=["corpus-key", "section", "generator-key", "generator-variants",
+            "default"])
+    def test_config_unknown_name(self, tmp_path, capsys, body, message):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(body)
+        out = tmp_path / "out"
+        rc = main(["generate", "--config", str(ini), "--out", str(out)])
+        assert rc == 2
+        one_line_error(capsys, message)
+        assert not out.exists()
+
     def test_jobs_zero(self, tmp_path, capsys):
         rc = main(["generate", "--seed", "1", "--count-scale", "0.002",
                    "--jobs", "0", "--out", str(tmp_path / "out")])

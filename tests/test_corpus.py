@@ -166,13 +166,14 @@ class TestLoadConfig:
         assert load_config(path) == CorpusConfig(seed=20260816)
 
     def test_descriptions_per_chart_in_generator(self, tmp_path):
+        # the setting lives in [corpus] only; in [generator] it is an error,
+        # not a value silently dropped
         path = tmp_path / "gen.ini"
-        path.write_text("[corpus]\nseed = 1\n"
-                        "[generator]\ndescriptions_per_chart = 2\n")
-        assert load_config(path).descriptions_per_chart == 2
         path.write_text("[corpus]\nseed = 1\ndescriptions_per_chart = 4\n"
                         "[generator]\ndescriptions_per_chart = 2\n")
-        assert load_config(path).descriptions_per_chart == 4
+        with pytest.raises(ConfigError,
+                           match=r"\[generator\]: descriptions_per_chart"):
+            load_config(path)
 
     def test_missing_seed(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -368,6 +369,36 @@ class TestGenerateCorpus:
         generate_corpus(CorpusConfig(seed=5, output_dir=str(b), count_scale=0.002),
                         jobs=2)
         assert tree_hash(a) == tree_hash(b)
+
+    @pytest.mark.parametrize("cells, workers", [
+        (DEFAULT_CELL_COUNTS, [15]), ({("categorical", "line"): 1}, []),
+    ], ids=["15-records", "1-record"])
+    def test_jobs_capped_at_record_count(self, tmp_path, monkeypatch, cells,
+                                         workers):
+        # an in-process stand-in for the pool: it records its size and
+        # starts no process
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr("chartscribe.corpus.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("chartscribe.corpus._worker_state", {})
+        config = CorpusConfig(seed=41, output_dir=str(tmp_path / "out"),
+                              cell_counts=cells, count_scale=0.002)
+        generate_corpus(config, jobs=64)
+        assert started == workers
 
     def test_bad_jobs(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ dangling fails here, not in a traced benchmark run or at
 
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,12 @@ def test_traced_attribute_exists(owner, attr):
                          ids=lambda module: module.__name__)
 def test_exported_names_exist(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_exports_are_the_public_imports():
+    assert [name for name in chartscribe.__all__ if name.startswith("_")
+            or isinstance(getattr(chartscribe, name), types.ModuleType)] == []
+    namespace: dict = {}
+    exec("from chartscribe import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(chartscribe.__all__)

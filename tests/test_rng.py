@@ -129,6 +129,10 @@ class TestIntegerDraws:
         with pytest.raises(ValueError):
             Rng(1).sample([1, 2], 3)
 
+    def test_sample_negative_raises(self):
+        with pytest.raises(ValueError, match="sample\\(\\) of -1"):
+            Rng(1).sample([1, 2, 3], -1)
+
 
 class TestSeedDerivation:
     def test_matches_mix_chain(self):
