@@ -10,8 +10,9 @@ builder either raw or perturbed toward a requested trend class.
 import csv
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import partial
+from itertools import combinations
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -137,13 +138,15 @@ class Catalog:
 
     observations: (indicator_id, entity_id) -> {year: value}.  Every value
     is bound-checked against its indicator's value kind: a dict's on
-    construction, a synthetic pair's when it is drawn, on its first read.
+    construction, unless `checked` says the caller has checked each one
+    already, and a synthetic pair's when it is drawn, on its first read.
     `_index` (indicator -> {entity: covered years}) draws no values.
     """
 
     indicators: Dict[str, Indicator]
     entities: Dict[str, Entity]
     observations: Mapping[Tuple[str, str], Dict[int, float]]
+    checked: InitVar[bool] = False
     _index: Mapping[str, Mapping[str, Iterable[int]]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -154,7 +157,7 @@ class Catalog:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self):
+    def __post_init__(self, checked: bool):
         # no reference to self: a cycle would keep unused catalogs alive
         check = partial(_check_pair, self.indicators, self.entities)
         if isinstance(self.observations, _SynthObservations):
@@ -163,7 +166,8 @@ class Catalog:
             return
         index: Dict[str, Dict[str, Dict[int, float]]] = {}
         for key, by_year in self.observations.items():
-            check(key, by_year)
+            if not checked:
+                check(key, by_year)
             index.setdefault(key[0], {})[key[1]] = by_year
         self._index = {ind_id: dict(sorted(ents.items()))
                        for ind_id, ents in index.items()}
@@ -272,6 +276,8 @@ def load_catalog(path) -> Catalog:
         try:
             year = int(year_s)
             value = float(value_s)
+            # checked here, where the row's line is known, and not again
+            # in Catalog
             _check_pair(indicators, entities, (ind_id, ent_id), {year: value})
         except ValueError as exc:  # CatalogFormatError is one
             raise CatalogFormatError(f"{path}:{lineno}: {exc}") from exc
@@ -280,7 +286,7 @@ def load_catalog(path) -> Catalog:
             raise CatalogFormatError(f"{path}:{lineno}: duplicate row for ({ind_id}, {ent_id}, {year})")
         by_year[year] = value
 
-    return Catalog(indicators, entities, observations)
+    return Catalog(indicators, entities, observations, checked=True)
 
 
 def _csv_rows(path: Path, header: str) -> Iterator[Tuple[int, List[str]]]:
@@ -580,6 +586,16 @@ def sample_series(catalog: Catalog, temporal: bool, arity: int, rng: Rng,
     )
 
 
+def _pair_candidates(n: int, rng: Rng) -> Iterator[Tuple[int, int]]:
+    """Index pairs a < b of n >= 2 items for a sampler to try: 20 random
+    pairs, each drawn only when the one before it failed, then every pair
+    in order, so a sparse catalog still gets searched completely."""
+    for _ in range(20):
+        a, b = rng.sample(range(n), 2)
+        yield min(a, b), max(a, b)
+    yield from combinations(range(n), 2)
+
+
 def _sample_temporal(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
                      min_len: int) -> Optional[List[DataSeries]]:
     ind = catalog.indicators[ind_id]
@@ -592,13 +608,8 @@ def _sample_temporal(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
     else:
         if len(usable) < 2:
             return None
-        # random pairs first, then exhaustive scan, for overlapping year runs
-        candidates = []
-        for _ in range(20):
-            a, b = rng.sample(range(len(usable)), 2)
-            candidates.append((min(a, b), max(a, b)))
-        candidates += [(a, b) for a in range(len(usable)) for b in range(a + 1, len(usable))]
-        for a, b in candidates:
+        # two entities whose year runs overlap
+        for a, b in _pair_candidates(len(usable), rng):
             ya = set(catalog.years_for(ind_id, usable[a][0]))
             yb = set(catalog.years_for(ind_id, usable[b][0]))
             runs = [r for r in _runs(sorted(ya & yb)) if len(r) >= min_len]
@@ -638,19 +649,11 @@ def _sample_categorical(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
         year = years[rng.randint(len(years))]
         named_years, common = [(ind.name, year)], by_year[year]
     else:
-        # one indicator at two years over a shared entity set: random pairs
-        # first, then an exhaustive scan
+        # one indicator at two years over a shared entity set
         years = sorted(by_year)
         if len(years) < 2:
             return None
-
-        def candidates():
-            for _ in range(20):
-                a, b = rng.sample(range(len(years)), 2)
-                yield min(a, b), max(a, b)
-            yield from ((a, b) for a in range(len(years))
-                        for b in range(a + 1, len(years)))
-        for a, b in candidates():
+        for a, b in _pair_candidates(len(years), rng):
             common = sorted(set(by_year[years[a]]) & set(by_year[years[b]]))
             if len(common) >= min_len:
                 break

@@ -235,7 +235,7 @@ class ChartMeta:
     canvas: Canvas = field(default_factory=Canvas)
 
     def to_json(self) -> str:
-        return json.dumps(_codec(ChartMeta)[0](self), indent=1)
+        return json.dumps(_codec(ChartMeta)[0](self), separators=(",", ":"))
 
     @staticmethod
     def from_json(text: str) -> "ChartMeta":
@@ -433,12 +433,12 @@ class _Svg:
         self.parts.append(f'<path d="{d}" stroke="{stroke}" stroke-width="2.00" fill="none"/>')
 
     def text(self, cx, cy, content, font_size, rotate=None):
-        """Black text centered on (cx, cy) under the fixed-metrics model:
-        the baseline sits 0.35 * font_size below the box center."""
+        """Text centered on (cx, cy) under the fixed-metrics model: the
+        baseline sits 0.35 * font_size below the box center.  It is black,
+        SVG's default fill, so it carries no fill attribute."""
         y = cy + 0.35 * font_size
         attrs = (f'x="{cx:.2f}" y="{y:.2f}" font-size="{font_size:.2f}" '
-                 f'font-family="Helvetica, Arial, sans-serif" text-anchor="middle" '
-                 f'fill="#000000"')
+                 f'font-family="Helvetica, Arial, sans-serif" text-anchor="middle"')
         if rotate is not None:
             attrs += f' transform="rotate({rotate:.0f} {cx:.2f} {cy:.2f})"'
         self.parts.append(f"<text {attrs}>{self.esc(content)}</text>")

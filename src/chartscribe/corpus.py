@@ -54,7 +54,10 @@ from .trend import (
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+# the corpus format generate writes and regenerate_record reproduces;
+# validate also reads version 1, whose bytes version 2 changed
+FORMAT_VERSION = 2
+VALIDATED_VERSIONS = (1, 2)
 MANIFEST_NAME = "manifest.json"
 BUILTIN_BANK = "builtin"  # the template_bank value naming the packaged bank
 
@@ -522,7 +525,8 @@ def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
         "records": entries,
     }
     _write_file(root / MANIFEST_NAME, (json.dumps(
-        manifest, indent=1, ensure_ascii=False) + "\n").encode("utf-8"))
+        manifest, separators=(",", ":"), ensure_ascii=False) + "\n"
+    ).encode("utf-8"))
     return manifest
 
 
@@ -542,7 +546,13 @@ def regenerate_record(corpus_dir, image_index: int) -> List[str]:
     relative paths written."""
     root = Path(corpus_dir)
     manifest = load_manifest(root)
-    entry = next((e for e in _manifest_records(manifest)
+    records = _manifest_records(manifest)
+    version = manifest.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ManifestError(
+            f"manifest: format_version {version!r} cannot be regenerated: "
+            f"this chartscribe writes format_version {FORMAT_VERSION}")
+    entry = next((e for e in records
                   if isinstance(e, dict)
                   and e.get("image_index") == image_index), None)
     if entry is None:
@@ -894,9 +904,10 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
         return [f"manifest: is a {type(manifest).__name__}, not an object"], seen
     with _layout_dirs(root, ignore=(OSError,)) as dirs:
         problems: List[str] = []
-        if manifest.get("format_version") != FORMAT_VERSION:
-            problems.append(
-                f"manifest: unknown format_version {manifest.get('format_version')}")
+        version = manifest.get("format_version")
+        # True and 1.0 compare equal to 1 but are not format versions
+        if type(version) is not int or version not in VALIDATED_VERSIONS:
+            problems.append(f"manifest: unknown format_version {version!r}")
 
         records = _manifest_part(manifest, "records", [], problems)
         indices = set()

@@ -21,6 +21,8 @@ set intersection and looks up only the few that repeat; and it packs
 every reference's token positions into one int per token, so one
 bit-parallel LCS pass over the hypothesis serves all references.  The
 per-reference loops this replaced are kept in the tests as oracles.
+`score_pair` counts the hypothesis's own n-grams once per order and
+hands them to BLEU and ROUGE-N.
 """
 
 import math
@@ -28,7 +30,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 Tokens = Tuple[str, ...]
 
@@ -193,10 +196,12 @@ def _references(refs: RefsLike) -> References:
     return refs if isinstance(refs, References) else References(refs)
 
 
-def bleu(hyp: Sequence[str], refs: RefsLike, max_n: int = 4) -> float:
+def bleu(hyp: Sequence[str], refs: RefsLike, max_n: int = 4,
+         grams: Optional[Dict[int, Grams]] = None) -> float:
     """BLEU with uniform weights, brevity penalty, and add-one smoothing
     applied to n >= 2 orders that have zero matches.  Zero unigram overlap
-    scores 0."""
+    scores 0.  grams, if given, holds hyp's `_hyp_grams` of each order up
+    to max_n."""
     if max_n < 1:
         raise ValueError(f"max_n: must be >= 1, got {max_n}")
     refs = _references(refs)
@@ -206,7 +211,8 @@ def bleu(hyp: Sequence[str], refs: RefsLike, max_n: int = 4) -> float:
     log_sum = 0.0
     for n in range(1, max_n + 1):
         total = max(c - n + 1, 0)
-        matched = refs.grams(n).clipped(_hyp_grams(hyp, n))
+        matched = refs.grams(n).clipped(
+            _hyp_grams(hyp, n) if grams is None else grams[n])
         if n == 1 and matched == 0:
             return 0.0
         if matched == 0 and n >= 2:
@@ -226,13 +232,16 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def rouge_n(hyp: Sequence[str], refs: RefsLike, n: int) -> float:
-    """ROUGE-N F1, maximum over references."""
+def rouge_n(hyp: Sequence[str], refs: RefsLike, n: int,
+            grams: Optional[Dict[int, Grams]] = None) -> float:
+    """ROUGE-N F1, maximum over references.  grams, if given, holds hyp's
+    `_hyp_grams` of order n."""
     if n < 1:
         raise ValueError(f"n: must be >= 1, got {n}")
     refs = _references(refs)
     hyp_total = max(len(hyp) - n + 1, 0)
-    overlaps = refs.grams(n).overlaps(_hyp_grams(hyp, n))
+    overlaps = refs.grams(n).overlaps(
+        _hyp_grams(hyp, n) if grams is None else grams[n])
     best = 0.0
     for ref_len, overlap in zip(refs.lengths, overlaps):
         ref_total = max(ref_len - n + 1, 0)
@@ -269,8 +278,11 @@ def score_pair(hyp_text: str, ref_texts: Union[References, Sequence[str]],
     refs = (ref_texts if isinstance(ref_texts, References)
             else References.from_texts(ref_texts))
     hyp = tuple(tokenize(hyp_text))
-    scores = {"bleu4": bleu(hyp, refs, 4), "rouge1": rouge_n(hyp, refs, 1),
-              "rouge2": rouge_n(hyp, refs, 2), "rougeL": rouge_l(hyp, refs)}
+    grams = {n: _hyp_grams(hyp, n) for n in range(1, 5)}
+    scores = {"bleu4": bleu(hyp, refs, 4, grams),
+              "rouge1": rouge_n(hyp, refs, 1, grams),
+              "rouge2": rouge_n(hyp, refs, 2, grams),
+              "rougeL": rouge_l(hyp, refs)}
     return ScoredPair(scores, kind)
 
 

@@ -451,6 +451,11 @@ def _comparison_phrase(facts: ChartFacts, series_index: int, rng: Rng) -> str:
     return rng.choice(COMPARISON_PHRASES[key])
 
 
+# the slots filled with `format_number`
+NUMBER_SLOTS = frozenset(("y_first", "y_last", "y_max", "y_min", "y_mean",
+                          "delta"))
+
+
 def _slot_value(slot: str, facts: ChartFacts, series_index: int, rng: Rng) -> str:
     if not 0 <= series_index < len(facts.series):
         raise RealizationError(slot, f"series index {series_index} out of range")
@@ -474,7 +479,7 @@ def _slot_value(slot: str, facts: ChartFacts, series_index: int, rng: Rng) -> st
         return facts.series[1 - series_index].name
     if slot in ("x_first", "x_last", "x_at_max", "x_at_min"):
         return getattr(sf, slot)
-    if slot in ("y_first", "y_last", "y_max", "y_min", "y_mean", "delta"):
+    if slot in NUMBER_SLOTS:
         return format_number(getattr(sf, slot), rng)
     if slot == "trend_phrase":
         if sf.trend_class is None:
@@ -492,12 +497,21 @@ def _slot_value(slot: str, facts: ChartFacts, series_index: int, rng: Rng) -> st
 def realize(template: Template, facts: ChartFacts, series_index: int,
             rng: Rng) -> str:
     """Fill every slot of a template; slots are filled left to right so the
-    rng draw order is fixed.  Whitespace runs collapse to one space."""
+    rng draw order is fixed.  Whitespace runs collapse to one space, and a
+    '%' that follows a number slot's value past whitespace only joins it:
+    "{y_max} {unit}" reads "45%", while "in {unit}" stays "in %"."""
     pieces = list(template.pieces)
     for i in range(1, len(pieces), 2):
         pieces[i] = _slot_value(pieces[i], facts, series_index, rng)
-    text = " ".join("".join(pieces).split())
-    text = text.replace(" %", "%")
+    text = "".join(pieces)
+    if "%" in text:
+        for i in range(len(pieces) - 2, 0, -2):
+            if template.pieces[i] in NUMBER_SLOTS:
+                rest = "".join(pieces[i + 1:]).lstrip()
+                if rest[:1] == "%":
+                    pieces[i + 1:] = [rest]
+        text = "".join(pieces)
+    text = " ".join(text.split())
     if text and text[0].islower():
         text = text[0].upper() + text[1:]
     return text

@@ -32,6 +32,7 @@ from chartscribe.catalog import (
     Entity,
     Indicator,
     InsufficientCoverageError,
+    _check_pair,
     _slug,
     load_catalog,
     perturb_to_trend,
@@ -204,6 +205,20 @@ class TestFileFormat:
         assert list(cat.observations) == [("pop", "nor")]
         assert cat.years_for("pop", "nor") == [2000, 2001, 2002]
         assert cat.observations[("pop", "nor")][2001] == 4503436.0
+
+    def test_each_observation_checked_once(self, tmp_path, monkeypatch):
+        cat = synth_catalog(3, 6, 8)
+        write_catalog(cat, tmp_path / "c.csv")
+        checked = []
+
+        def check_pair(indicators, entities, key, by_year):
+            checked.extend((key, year) for year in by_year)
+            return _check_pair(indicators, entities, key, by_year)
+        monkeypatch.setattr("chartscribe.catalog._check_pair", check_pair)
+        load_catalog(tmp_path / "c.csv")
+        rows = [(key, year) for key, by_year in cat.observations.items()
+                for year in by_year]
+        assert sorted(checked) == sorted(rows)
 
     def test_percentage_overflow_names_line(self, tmp_path):
         (tmp_path / "c.dict.csv").write_text(
@@ -420,6 +435,21 @@ class TestSampleSeries:
             years = [int(x) for x in s.x_labels]
             assert all(b - a == 1 for a, b in zip(years, years[1:]))
 
+    def test_pair_search_draws_lazily(self):
+        # every pair of small_catalog's entities overlaps, so the first
+        # random pair works and is the only one drawn
+        class CountingRng(Rng):
+            samples = 0
+
+            def sample(self, seq, k):
+                self.samples += 1
+                return super().sample(seq, k)
+
+        for seed in range(20):
+            rng = CountingRng(seed)
+            sample_series(small_catalog(), temporal=True, arity=2, rng=rng)
+            assert rng.samples == 1
+
     def test_arity_two_shares_labels_and_unit(self):
         cat = synth_catalog(5, 20, 10)
         rng = Rng(3)
@@ -526,7 +556,7 @@ class TestSampleSeries:
                     h.update(repr(got).encode())
                 h.update(str(rng.next_raw()).encode())
         assert h.hexdigest() == (
-            "280ed8d2753985b7f5bcf8a1efe25c1191063889dcc4077583039c0f9a708d33")
+            "23767090f21e719cfc9384285a5758da4d7c4f665cbf0a5e415fee4de83600e7")
 
     def test_deterministic_given_rng(self):
         cat = synth_catalog(5, 20, 10)

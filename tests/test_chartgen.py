@@ -271,6 +271,9 @@ class TestRender:
             svg, _ = render(build_chart_spec([s], kind, Rng(7)))
             root = ET.fromstring(svg.decode("utf-8"))
             assert root.tag.endswith("svg")
+            # text is black through SVG's default fill
+            texts = list(root.iter("{http://www.w3.org/2000/svg}text"))
+            assert texts and all("fill" not in t.attrib for t in texts)
 
     def test_all_bboxes_within_canvas(self):
         for seed in range(40):
@@ -471,7 +474,7 @@ def test_render_digest_pinned():
     # pins every byte render writes, across all four kinds and both series
     # counts; a change here is a change to the corpus bytes
     assert render_digest(range(50)) == (
-        "2dfda632e416e39eaad9d5105e0fdc13bad904f6eb50cd8288128917cb51035d")
+        "a4ffeb3d434c51f52cc1d65ecd8203489060e0dd75e625f1658293c7cab21a8f")
 
 
 class TestBBox:
@@ -648,7 +651,8 @@ class TestMetaCodec:
     @given(meta=rendered_metas())
     def test_encoder_matches_oracle(self, meta):
         assert _codec(ChartMeta)[0](meta) == meta_to_dict(meta)
-        assert meta.to_json() == json.dumps(meta_to_dict(meta), indent=1)
+        assert meta.to_json() == json.dumps(meta_to_dict(meta),
+                                            separators=(",", ":"))
         assert ChartMeta.from_json(meta.to_json()) == meta
 
     @settings(max_examples=400)
@@ -665,7 +669,7 @@ class TestMetaCodec:
     def test_unmutated_documents_decode(self):
         for text in META_TEXTS:
             assert json.dumps(meta_to_dict(ChartMeta.from_json(text)),
-                              indent=1) == text
+                              separators=(",", ":")) == text
 
     def test_field_order_is_key_order(self):
         for cls in (ChartMeta, Legend, Canvas, LabeledText, TickMark,

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -346,7 +347,7 @@ class TestGenerateCorpus:
             CorpusConfig(seed=41, output_dir=str(out), count_scale=0.002))
         assert manifest["totals"]["charts"] == 15
         assert tree_hash(out) == (
-            "09f4d98757d2060810b8b5b58cdf1336099cfa59699c882b65e82d44a007978f")
+            "0eb71a88d6f6b2a392a691b3a118d213948c17253a220efa47aa20e2875b55cd")
 
     def test_two_runs_byte_identical(self, tmp_path):
         a = tmp_path / "a"
@@ -443,6 +444,35 @@ class TestGenerateCorpus:
         (out / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(ManifestError, match=message):
             regenerate_record(out, manifest["records"][0]["image_index"])
+
+    def test_version_1_tree_validates_but_does_not_regenerate(
+            self, tiny_corpus, tmp_path):
+        # a version-1 tree: indented meta and manifest JSON
+        out, _, manifest = tiny_corpus
+        shutil.copytree(out, tmp_path / "copy")
+        out = tmp_path / "copy"
+        (out / MANIFEST_NAME).write_text(json.dumps(
+            dict(manifest, format_version=1), indent=1, ensure_ascii=False)
+            + "\n", encoding="utf-8")
+        for path in (out / "meta").iterdir():
+            path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+        assert validate_corpus(out) == []
+        with pytest.raises(ManifestError, match="format_version 1 cannot"):
+            regenerate_record(out, 0)
+
+    @pytest.mark.parametrize("version", [3, True, 1.0, "2", None])
+    def test_unknown_version_fails_validate_and_regenerate(self, tiny_corpus,
+                                                           tmp_path, version):
+        out, _, manifest = tiny_corpus
+        shutil.copytree(out, tmp_path / "copy")
+        out = tmp_path / "copy"
+        (out / MANIFEST_NAME).write_text(
+            json.dumps(dict(manifest, format_version=version)))
+        assert validate_corpus(out) == [
+            f"manifest: unknown format_version {version!r}"]
+        with pytest.raises(ManifestError,
+                           match=f"format_version {version!r} cannot"):
+            regenerate_record(out, 0)
 
     def test_file_catalog_source(self, tmp_path):
         catalog = synth_catalog(2, 8, 10)

@@ -312,6 +312,17 @@ class TestPreparedReferences:
         with pytest.raises(ValueError):
             References([])
 
+    def test_hypothesis_counted_once_per_order(self, monkeypatch):
+        orders = []
+
+        def hyp_grams(hyp, n):
+            orders.append(n)
+            return _hyp_grams(hyp, n)
+        monkeypatch.setattr("chartscribe.evalmetrics._hyp_grams", hyp_grams)
+        hyp, refs, expected = PINNED[0]
+        assert score_pair(hyp, refs).scores == expected
+        assert sorted(orders) == [1, 2, 3, 4]
+
 
 # The per-reference loops the set and packed forms replaced: the oracles.
 

@@ -13,8 +13,8 @@ from chartscribe import narrate
 from chartscribe.catalog import DataSeries, sample_series, synth_catalog
 from chartscribe.chartgen import ChartKind, build_chart_spec, render
 from chartscribe.narrate import (
-    COMPARISON_PHRASES, QUALIFIERS, TREND_PHRASES, ChartFacts, Description,
-    FactsConsistencyError, RealizationError, Sentence, SeriesFacts,
+    COMPARISON_PHRASES, NUMBER_SLOTS, QUALIFIERS, TREND_PHRASES, ChartFacts,
+    Description, FactsConsistencyError, RealizationError, Sentence, SeriesFacts,
     baseline_generate, check_move_order, extract_facts,
     format_number, generate_description, generate_description_set,
     hallucination_check, plan_moves, realize,
@@ -260,6 +260,16 @@ class TestRealize:
         out = realize(template("It reached {y_max} {unit}."), facts, 0, Rng(1))
         assert out == "It reached 15%."
 
+    def test_percent_unit_after_a_word_stays_apart(self):
+        sf = visitor_facts().series[0]
+        facts = ChartFacts(0, "temporal-trend", "line chart", "T", "Year",
+                           "share", "%", 4, ("2013",), (sf,), None)
+        out = realize(template("The {y_label} is denominated in {unit}."),
+                      facts, 0, Rng(1))
+        assert out == "The share is denominated in %."
+        out = realize(template("Peak: {y_max} %, in {unit}."), facts, 0, Rng(1))
+        assert out == "Peak: 15%, in %."
+
     def test_entity_list_oxford_join(self):
         base = visitor_facts()
         for items, joined in [
@@ -275,17 +285,21 @@ class TestRealize:
 
 
 _SLOT_RE = re.compile(r"\{([A-Za-z0-9_]+)\}")
+# marks the end of a number slot's value; no template or fact text holds it
+NUMBER_END = "\x00"
 
 
 def realize_regex(template, facts, series_index, rng):
-    """Realization by two regex substitutions over the template text: the
+    """Realization by regex substitutions over the template text, with a
+    marker after each number slot's value that a following '%' joins: the
     oracle of the pre-split pieces."""
     def fill(m):
-        return narrate._slot_value(m.group(1), facts, series_index, rng)
+        value = narrate._slot_value(m.group(1), facts, series_index, rng)
+        return value + NUMBER_END if m.group(1) in NUMBER_SLOTS else value
 
     text = _SLOT_RE.sub(fill, template.text)
     text = re.sub(r"\s+", " ", text).strip()
-    text = text.replace(" %", "%")
+    text = re.sub(NUMBER_END + r" ?%", "%", text).replace(NUMBER_END, "")
     if text and text[0].islower():
         text = text[0].upper() + text[1:]
     return text
@@ -332,7 +346,8 @@ class TestRealizeOracle:
                         assert got == want, (t.id, series_index, seed)
 
     @given(st.lists(st.one_of(
-        st.text(alphabet=st.characters(blacklist_characters="{}")),
+        st.text(alphabet=st.characters(
+            blacklist_characters="{}" + NUMBER_END)),
         st.sampled_from(sorted(SLOT_VOCABULARY)).map(lambda s: "{" + s + "}"),
     ), max_size=8), st.integers(0, 3))
     @settings(max_examples=300)
