@@ -10,7 +10,7 @@ builder either raw or perturbed toward a requested trend class.
 import csv
 import math
 from collections.abc import Mapping
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations
 from pathlib import Path
@@ -138,15 +138,14 @@ class Catalog:
 
     observations: (indicator_id, entity_id) -> {year: value}.  Every value
     is bound-checked against its indicator's value kind: a dict's on
-    construction, unless `checked` says the caller has checked each one
-    already, and a synthetic pair's when it is drawn, on its first read.
+    construction (unless `load_catalog` checked it, row by row), a
+    synthetic pair's when it is drawn, on its first read.
     `_index` (indicator -> {entity: covered years}) draws no values.
     """
 
     indicators: Dict[str, Indicator]
     entities: Dict[str, Entity]
     observations: Mapping[Tuple[str, str], Dict[int, float]]
-    checked: InitVar[bool] = False
     _index: Mapping[str, Mapping[str, Iterable[int]]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -157,7 +156,7 @@ class Catalog:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self, checked: bool):
+    def __post_init__(self):
         # no reference to self: a cycle would keep unused catalogs alive
         check = partial(_check_pair, self.indicators, self.entities)
         if isinstance(self.observations, _SynthObservations):
@@ -165,6 +164,7 @@ class Catalog:
             self._index = self.observations.spans
             return
         index: Dict[str, Dict[str, Dict[int, float]]] = {}
+        checked = isinstance(self.observations, _CheckedObservations)
         for key, by_year in self.observations.items():
             if not checked:
                 check(key, by_year)
@@ -268,7 +268,7 @@ def load_catalog(path) -> Catalog:
                 f"{dict_path}:{lineno}: unknown record type {kind!r} (want I or E)"
             )
 
-    observations: Dict[Tuple[str, str], Dict[int, float]] = {}
+    observations = _CheckedObservations()
     for lineno, row in _csv_rows(path, DATA_HEADER):
         if len(row) != 4:
             raise CatalogFormatError(f"{path}:{lineno}: data row needs 4 fields, got {len(row)}")
@@ -276,8 +276,6 @@ def load_catalog(path) -> Catalog:
         try:
             year = int(year_s)
             value = float(value_s)
-            # checked here, where the row's line is known, and not again
-            # in Catalog
             _check_pair(indicators, entities, (ind_id, ent_id), {year: value})
         except ValueError as exc:  # CatalogFormatError is one
             raise CatalogFormatError(f"{path}:{lineno}: {exc}") from exc
@@ -286,7 +284,12 @@ def load_catalog(path) -> Catalog:
             raise CatalogFormatError(f"{path}:{lineno}: duplicate row for ({ind_id}, {ent_id}, {year})")
         by_year[year] = value
 
-    return Catalog(indicators, entities, observations, checked=True)
+    return Catalog(indicators, entities, observations)
+
+
+class _CheckedObservations(dict):
+    """Observations that `load_catalog` checked row by row, where each
+    row's line is known; `Catalog` does not check them again."""
 
 
 def _csv_rows(path: Path, header: str) -> Iterator[Tuple[int, List[str]]]:

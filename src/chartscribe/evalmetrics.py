@@ -30,8 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 Tokens = Tuple[str, ...]
 
@@ -196,23 +195,26 @@ def _references(refs: RefsLike) -> References:
     return refs if isinstance(refs, References) else References(refs)
 
 
-def bleu(hyp: Sequence[str], refs: RefsLike, max_n: int = 4,
-         grams: Optional[Dict[int, Grams]] = None) -> float:
+def bleu(hyp: Sequence[str], refs: RefsLike, max_n: int = 4) -> float:
     """BLEU with uniform weights, brevity penalty, and add-one smoothing
     applied to n >= 2 orders that have zero matches.  Zero unigram overlap
-    scores 0.  grams, if given, holds hyp's `_hyp_grams` of each order up
-    to max_n."""
+    scores 0."""
     if max_n < 1:
         raise ValueError(f"max_n: must be >= 1, got {max_n}")
-    refs = _references(refs)
-    c = len(hyp)
+    return _bleu([_hyp_grams(hyp, n) for n in range(1, max_n + 1)], len(hyp),
+                 _references(refs))
+
+
+def _bleu(hyp_grams: Sequence[Grams], c: int, refs: References) -> float:
+    """`bleu` of a hypothesis of c tokens whose `_hyp_grams` of orders 1
+    to max_n are hyp_grams."""
     if c == 0:
         return 0.0
+    max_n = len(hyp_grams)
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n, grams in enumerate(hyp_grams, 1):
         total = max(c - n + 1, 0)
-        matched = refs.grams(n).clipped(
-            _hyp_grams(hyp, n) if grams is None else grams[n])
+        matched = refs.grams(n).clipped(grams)
         if n == 1 and matched == 0:
             return 0.0
         if matched == 0 and n >= 2:
@@ -232,16 +234,18 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def rouge_n(hyp: Sequence[str], refs: RefsLike, n: int,
-            grams: Optional[Dict[int, Grams]] = None) -> float:
-    """ROUGE-N F1, maximum over references.  grams, if given, holds hyp's
-    `_hyp_grams` of order n."""
+def rouge_n(hyp: Sequence[str], refs: RefsLike, n: int) -> float:
+    """ROUGE-N F1, maximum over references."""
     if n < 1:
         raise ValueError(f"n: must be >= 1, got {n}")
-    refs = _references(refs)
-    hyp_total = max(len(hyp) - n + 1, 0)
-    overlaps = refs.grams(n).overlaps(
-        _hyp_grams(hyp, n) if grams is None else grams[n])
+    return _rouge_n(_hyp_grams(hyp, n), len(hyp), _references(refs), n)
+
+
+def _rouge_n(grams: Grams, c: int, refs: References, n: int) -> float:
+    """`rouge_n` of a hypothesis of c tokens whose `_hyp_grams` of order
+    n are grams."""
+    hyp_total = max(c - n + 1, 0)
+    overlaps = refs.grams(n).overlaps(grams)
     best = 0.0
     for ref_len, overlap in zip(refs.lengths, overlaps):
         ref_total = max(ref_len - n + 1, 0)
@@ -278,10 +282,11 @@ def score_pair(hyp_text: str, ref_texts: Union[References, Sequence[str]],
     refs = (ref_texts if isinstance(ref_texts, References)
             else References.from_texts(ref_texts))
     hyp = tuple(tokenize(hyp_text))
-    grams = {n: _hyp_grams(hyp, n) for n in range(1, 5)}
-    scores = {"bleu4": bleu(hyp, refs, 4, grams),
-              "rouge1": rouge_n(hyp, refs, 1, grams),
-              "rouge2": rouge_n(hyp, refs, 2, grams),
+    grams = [_hyp_grams(hyp, n) for n in range(1, 5)]
+    c = len(hyp)
+    scores = {"bleu4": _bleu(grams, c, refs),
+              "rouge1": _rouge_n(grams[0], c, refs, 1),
+              "rouge2": _rouge_n(grams[1], c, refs, 2),
               "rougeL": rouge_l(hyp, refs)}
     return ScoredPair(scores, kind)
 
