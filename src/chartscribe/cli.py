@@ -30,7 +30,9 @@ from .corpus import (
     _MALFORMED, BUILTIN_BANK, ConfigError, ManifestError, _build_bank,
     _validate, default_config, generate_corpus, load_config, stats,
 )
-from .evalmetrics import References, corpus_report, format_report, score_pair
+from .evalmetrics import (
+    SIGNATURE, References, corpus_report, format_report, score_pair,
+)
 from .narrate import DEFAULT_VARIANTS, extract_facts, generate_description_set
 from .rng import Rng
 from .templatebank import BankFormatError
@@ -142,7 +144,8 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
             if not isinstance(text, str):
                 raise CliError(f"eval: {path} line {line_no + 1}: \"text\" "
                                f"must be a string, got {type(text).__name__}")
-            if isinstance(key, (list, dict)):
+            # true compares equal to 1 and would be scored as record 1
+            if isinstance(key, (bool, list, dict)):
                 raise CliError(f"eval: {path} line {line_no + 1}: "
                                f"\"image_index\" must be a number or string, "
                                f"not {type(key).__name__}")
@@ -203,9 +206,11 @@ def _cmd_eval(args) -> int:
     report = corpus_report(pairs)
     print(format_report(report))
     if args.json_out is not None:
+        counts = [len(refs[key]) for key in hyps]
+        signature = f"{SIGNATURE}|refs:min={min(counts)},max={max(counts)}"
         Path(args.json_out).write_text(
-            json.dumps(report, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8")
+            json.dumps({**report, "signature": signature}, indent=1,
+                       sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 

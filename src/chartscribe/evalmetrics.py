@@ -13,24 +13,25 @@ character loop that defines the tokenizer is kept in the tests as its oracle.
 
 Scores are reported on a 0..100 scale.
 
-A hypothesis is scored against its whole reference set at once.  A
-`References`, prepared once per set and shared by its hypotheses, holds
-per n-gram order each reference's counts and key set and their union, so
-a clipped overlap takes the n-grams that occur once in the hypothesis by
-set intersection and looks up only the few that repeat; and it packs
-every reference's token positions into one int per token, so one
-bit-parallel LCS pass over the hypothesis serves all references.  The
-per-reference loops this replaced are kept in the tests as oracles.
-`score_pair` counts the hypothesis's own n-grams once per order and
-hands them to BLEU and ROUGE-N.
+A hypothesis is scored against its whole reference set at once, from one
+table.  A `References`, prepared once per set and shared by its
+hypotheses, packs every reference's token positions into one int per
+token, each reference in a field of its own.  ROUGE-L runs the bit-vector
+LCS recurrence (Crochemore et al. 2001) over the hypothesis once for all
+references.  BLEU and ROUGE-N read the same table: the mask of hypothesis
+token i shifted up one and ANDed with the mask of token i + 1 marks where
+that bigram ends in every reference, and so on up the orders.  Each
+occurrence of an n-gram in the hypothesis then uses up the lowest unused
+mark of every field at once, so the marks used in a field are the clipped
+overlap with that reference, and the occurrences that found a mark are
+BLEU's clipped count.  One such pass over orders 1 to 4 scores a pair.
+The per-reference loops this replaced are kept in the tests as oracles.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 Tokens = Tuple[str, ...]
 
@@ -72,94 +73,31 @@ def _split_word(word: str, out: List[str]) -> None:
         out.append(word[start:])
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    """N-gram counts; a unigram is its token, whose hash str caches."""
-    return Counter(zip(*(tokens[i:] for i in range(n))) if n > 1 else tokens)
-
-
-# the n-grams that occur once, as a set; those that repeat; their counts
-Grams = Tuple[FrozenSet, list, List[int]]
-
-
-def _hyp_grams(hyp: Sequence[str], n: int) -> Grams:
-    counts = _ngrams(hyp, n)
-    repeated = [g for g, c in counts.items() if c > 1]
-    # a plain dict hands its stored hashes on: no n-gram is hashed again
-    return (frozenset(dict(counts)).difference(repeated), repeated,
-            [counts[g] for g in repeated])
-
-
-class _RefGrams:
-    """One n-gram order of a reference set: each reference's counts, their
-    union of keys, and, once ROUGE-N asks, each reference's key set.  A
-    clipped overlap sums, over hypothesis n-grams, the smaller of the
-    hypothesis and the reference count."""
-
-    def __init__(self, refs: Sequence[Tokens], n: int):
-        self.counts = tuple(_ngrams(r, n) for r in refs)
-        # a plain dict hands its stored hashes on: no n-gram is hashed again
-        self.union = frozenset().union(*map(dict, self.counts))
-        self._most: Dict[object, int] = {}
-
-    @cached_property
-    def keys(self) -> Tuple[FrozenSet, ...]:
-        return tuple(frozenset(dict(c)) for c in self.counts)
-
-    def overlaps(self, grams: Grams) -> List[int]:
-        """The clipped overlap with each reference (ROUGE-N)."""
-        once, repeated, counts = grams
-        return [len(once & keys) + sum(map(
-                    min, counts, map(ref.get, repeated, repeat(0))))
-                for keys, ref in zip(self.keys, self.counts)]
-
-    def clipped(self, grams: Grams) -> int:
-        """The clipped overlap with each n-gram's highest count in any one
-        reference (BLEU), found and cached only for repeated n-grams."""
-        once, repeated, counts = grams
-        return len(once & self.union) + sum(map(
-            min, counts, map(self._most_count, repeated)))
-
-    def _most_count(self, gram) -> int:
-        if gram not in self.union:
-            return 0
-        if gram not in self._most:
-            self._most[gram] = max(map(
-                dict.get, self.counts, repeat(gram), repeat(0)))
-        return self._most[gram]
-
-
 class References:
-    """One reference set, tokenized and counted once and then shared by
-    every hypothesis scored against it.  The n-gram tables of an order are
-    built the first time a metric asks for that order, the packed LCS
-    masks the first time ROUGE-L does."""
+    """One reference set, tokenized once and then shared by every
+    hypothesis scored against it.  Its packed position table is built the
+    first time a metric asks for it."""
 
     def __init__(self, refs: Iterable[Sequence[str]]):
         self.tokens: Tuple[Tokens, ...] = tuple(tuple(r) for r in refs)
         if not self.tokens:
             raise ValueError("refs: need at least one reference")
         self.lengths: Tuple[int, ...] = tuple(len(r) for r in self.tokens)
-        self._grams: Dict[int, _RefGrams] = {}
 
     @classmethod
     def from_texts(cls, texts: Iterable[str]) -> "References":
         """References from raw texts, through the frozen tokenizer."""
         return cls(tokenize(t) for t in texts)
 
-    def grams(self, n: int) -> _RefGrams:
-        """The order-n n-gram tables."""
-        if n not in self._grams:
-            self._grams[n] = _RefGrams(self.tokens, n)
-        return self._grams[n]
-
     @cached_property
-    def _packed(self) -> Tuple[Dict[str, int], int, Tuple[int, ...]]:
+    def _packed(self) -> Tuple[Dict[str, int], int, Tuple[int, ...], int, int]:
         """Token -> one int holding every reference's position mask, each
         reference in a field of its own with a zero guard bit above it;
-        the int of all field bits; and each field's bits."""
+        the int of all field bits; each field's bits; the lowest bit of
+        every field; and every guard bit."""
         masks: Dict[str, int] = {}
         fields = []
-        off = 0
+        lows = guards = off = 0
         bits = [1 << i for i in range(max(self.lengths))]
         for ref, length in zip(self.tokens, self.lengths):
             own: Dict[str, int] = {}
@@ -168,8 +106,10 @@ class References:
             for tok, mask in own.items():
                 masks[tok] = masks.get(tok, 0) | (mask << off)
             fields.append(((1 << length) - 1) << off)
+            lows |= 1 << off
+            guards |= 1 << (off + length)
             off += length + 1
-        return masks, sum(fields), tuple(fields)
+        return masks, sum(fields), tuple(fields), lows, guards
 
     def lcs(self, hyp: Sequence[str]) -> List[int]:
         """Longest common subsequence length of hyp with each reference,
@@ -178,7 +118,7 @@ class References:
         A carry out of a field stops at its guard bit, and U is a subset
         of V, so the subtraction never borrows.  The zero bits of a field
         count that reference's LCS."""
-        masks, full, fields = self._packed
+        masks, full, fields = self._packed[:3]
         v = full
         get = masks.get
         for y in hyp:
@@ -186,6 +126,43 @@ class References:
             v = ((v + u) | (v - u)) & full
         zeros = full ^ v
         return [(zeros & f).bit_count() for f in fields]
+
+    def overlaps(self, hyp: Sequence[str],
+                 max_n: int) -> List[Tuple[int, List[int]]]:
+        """Per n-gram order 1 to max_n: the clipped overlap with each
+        n-gram's highest count in any one reference (BLEU), and the
+        clipped overlap with each reference (ROUGE-N).
+
+        The order-n mask of hyp position i, the order-(n - 1) mask shifted
+        up one and ANDed with the mask of token i + n - 1, has a bit set
+        where that n-gram ends in a reference; a field's top bit shifts
+        onto its guard bit, so no n-gram spans two references.  Equal
+        n-grams have equal masks and different ones disjoint masks.  Each
+        occurrence in hyp uses up, in every field, the lowest bit of its
+        mask not yet used: (m | guards) - lows subtracts one from every
+        field, borrowing at most from its guard bit, so m & that clears
+        each field's lowest bit.  An occurrence that finds a bit left in
+        any field is clipped in; the bits used in a field are the overlap
+        with that reference."""
+        masks, full, fields, lows, guards = self._packed
+        first = [masks.get(tok, 0) for tok in hyp]
+        ends = first
+        out = []
+        for n in range(1, max_n + 1):
+            if n > 1:
+                ends = [(m << 1) & b if m else 0
+                        for m, b in zip(ends, first[n - 1:])]
+            clipped = 0
+            free = full
+            for m in ends:
+                if m:
+                    m &= free
+                    if m:
+                        clipped += 1
+                        free ^= m ^ (m & ((m | guards) - lows))
+            used = full ^ free
+            out.append((clipped, [(used & f).bit_count() for f in fields]))
+        return out
 
 
 RefsLike = Union[References, Sequence[Sequence[str]]]
@@ -201,20 +178,19 @@ def bleu(hyp: Sequence[str], refs: RefsLike, max_n: int = 4) -> float:
     scores 0."""
     if max_n < 1:
         raise ValueError(f"max_n: must be >= 1, got {max_n}")
-    return _bleu([_hyp_grams(hyp, n) for n in range(1, max_n + 1)], len(hyp),
-                 _references(refs))
+    refs = _references(refs)
+    return _bleu([clipped for clipped, _ in refs.overlaps(hyp, max_n)],
+                 len(hyp), refs.lengths)
 
 
-def _bleu(hyp_grams: Sequence[Grams], c: int, refs: References) -> float:
-    """`bleu` of a hypothesis of c tokens whose `_hyp_grams` of orders 1
-    to max_n are hyp_grams."""
+def _bleu(matches: Sequence[int], c: int, lengths: Sequence[int]) -> float:
+    """`bleu` of a hypothesis of c tokens whose clipped counts of orders 1
+    to max_n are matches."""
     if c == 0:
         return 0.0
-    max_n = len(hyp_grams)
     log_sum = 0.0
-    for n, grams in enumerate(hyp_grams, 1):
+    for n, matched in enumerate(matches, 1):
         total = max(c - n + 1, 0)
-        matched = refs.grams(n).clipped(grams)
         if n == 1 and matched == 0:
             return 0.0
         if matched == 0 and n >= 2:
@@ -223,9 +199,9 @@ def _bleu(hyp_grams: Sequence[Grams], c: int, refs: References) -> float:
             p = matched / total
         log_sum += math.log(p)
     # brevity penalty against the reference length closest to c (ties: shorter)
-    r = min((abs(length - c), length) for length in refs.lengths)[1]
+    r = min((abs(length - c), length) for length in lengths)[1]
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return 100.0 * bp * math.exp(log_sum / max_n)
+    return 100.0 * bp * math.exp(log_sum / len(matches))
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -238,16 +214,17 @@ def rouge_n(hyp: Sequence[str], refs: RefsLike, n: int) -> float:
     """ROUGE-N F1, maximum over references."""
     if n < 1:
         raise ValueError(f"n: must be >= 1, got {n}")
-    return _rouge_n(_hyp_grams(hyp, n), len(hyp), _references(refs), n)
+    refs = _references(refs)
+    return _rouge_n(refs.overlaps(hyp, n)[-1][1], len(hyp), refs.lengths, n)
 
 
-def _rouge_n(grams: Grams, c: int, refs: References, n: int) -> float:
-    """`rouge_n` of a hypothesis of c tokens whose `_hyp_grams` of order
-    n are grams."""
+def _rouge_n(overlaps: Sequence[int], c: int, lengths: Sequence[int],
+             n: int) -> float:
+    """`rouge_n` of a hypothesis of c tokens whose clipped overlaps of
+    order n with the references are overlaps."""
     hyp_total = max(c - n + 1, 0)
-    overlaps = refs.grams(n).overlaps(grams)
     best = 0.0
-    for ref_len, overlap in zip(refs.lengths, overlaps):
+    for ref_len, overlap in zip(lengths, overlaps):
         ref_total = max(ref_len - n + 1, 0)
         if hyp_total == 0 or ref_total == 0:
             continue
@@ -274,19 +251,25 @@ class ScoredPair:
     kind: str = ""
 
 
+# what score_pair's scores depend on besides the texts, in the form of
+# SacreBLEU's signature (Post 2018); tok is raised whenever tokenize's
+# output changes
+SIGNATURE = "tok:1|bleu:max_n=4|smooth:add-one,n>=2|bp:closest-ref,tie-shorter"
+
+
 def score_pair(hyp_text: str, ref_texts: Union[References, Sequence[str]],
                kind: str = "") -> ScoredPair:
     """Tokenize and score one hypothesis against its references, given as
     texts or as a `References.from_texts` set shared across hypotheses:
-    BLEU-4, ROUGE-1, ROUGE-2 and ROUGE-L."""
+    BLEU-4, ROUGE-1, ROUGE-2 and ROUGE-L, from one overlap pass."""
     refs = (ref_texts if isinstance(ref_texts, References)
             else References.from_texts(ref_texts))
-    hyp = tuple(tokenize(hyp_text))
-    grams = [_hyp_grams(hyp, n) for n in range(1, 5)]
-    c = len(hyp)
-    scores = {"bleu4": _bleu(grams, c, refs),
-              "rouge1": _rouge_n(grams[0], c, refs, 1),
-              "rouge2": _rouge_n(grams[1], c, refs, 2),
+    hyp = tokenize(hyp_text)
+    orders = refs.overlaps(hyp, 4)
+    c, lengths = len(hyp), refs.lengths
+    scores = {"bleu4": _bleu([clipped for clipped, _ in orders], c, lengths),
+              "rouge1": _rouge_n(orders[0][1], c, lengths, 1),
+              "rouge2": _rouge_n(orders[1][1], c, lengths, 2),
               "rougeL": rouge_l(hyp, refs)}
     return ScoredPair(scores, kind)
 

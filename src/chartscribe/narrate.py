@@ -31,17 +31,6 @@ from .evalmetrics import tokenize
 from .rng import Rng, derive_seed, TAG_DESCRIPTION
 from .templatebank import Template, TemplateBank, query
 
-__all__ = [
-    "PlanParams", "DEFAULT_PLAN_PARAMS", "DEFAULT_VARIANTS",
-    "SeriesFacts", "CrossFacts", "ChartFacts", "extract_facts",
-    "format_number", "MovePlan", "plan_moves", "realize",
-    "Sentence", "Description", "generate_description",
-    "generate_description_set", "baseline_generate", "check_move_order",
-    "hallucination_check",
-    "RealizationError", "FactsConsistencyError",
-    "TREND_PHRASES", "COMPARISON_PHRASES", "QUALIFIERS", "KIND_PHRASES",
-]
-
 
 class RealizationError(ValueError):
     """A template slot could not be filled from the available facts."""

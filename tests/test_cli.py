@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -401,6 +402,12 @@ class TestEval:
         assert "overall" in report
         assert set(report["overall"]) == {"bleu4", "rouge1", "rouge2",
                                           "rougeL"}
+        per_key = Counter(json.loads(line)["image_index"]
+                          for line in ref.read_text().splitlines())
+        assert report["signature"] == (
+            "tok:1|bleu:max_n=4|smooth:add-one,n>=2|bp:closest-ref,"
+            f"tie-shorter|refs:min={min(per_key.values())},"
+            f"max={max(per_key.values())}")
 
     def test_plain_text_mode(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
@@ -454,7 +461,9 @@ class TestEval:
     @pytest.mark.parametrize("record, message", [
         ({"image_index": 1, "text": 5}, '"text" must be a string'),
         ({"image_index": [1], "text": "a"}, '"image_index" must be a number'),
-    ], ids=["text-not-string", "index-unhashable"])
+        ({"image_index": True, "text": "a"},
+         '"image_index" must be a number or string, not bool'),
+    ], ids=["text-not-string", "index-unhashable", "index-bool"])
     def test_bad_json_line(self, tmp_path, capsys, record, message):
         hyp = tmp_path / "hyp.jsonl"
         hyp.write_text(json.dumps(record) + "\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chartscribe.evalmetrics import (
-    EmptyReportError, References, ScoredPair, _f1, _hyp_grams, bleu,
+    EmptyReportError, References, ScoredPair, _f1, bleu,
     corpus_report, format_report, rouge_l, rouge_n, score_pair, tokenize,
 )
 
@@ -312,19 +312,20 @@ class TestPreparedReferences:
         with pytest.raises(ValueError):
             References([])
 
-    def test_hypothesis_counted_once_per_order(self, monkeypatch):
-        orders = []
+    def test_one_overlap_pass_per_pair(self, monkeypatch):
+        passes = []
+        overlaps = References.overlaps
 
-        def hyp_grams(hyp, n):
-            orders.append(n)
-            return _hyp_grams(hyp, n)
-        monkeypatch.setattr("chartscribe.evalmetrics._hyp_grams", hyp_grams)
+        def counted(self, hyp, max_n):
+            passes.append(max_n)
+            return overlaps(self, hyp, max_n)
+        monkeypatch.setattr(References, "overlaps", counted)
         hyp, refs, expected = PINNED[0]
         assert score_pair(hyp, refs).scores == expected
-        assert sorted(orders) == [1, 2, 3, 4]
+        assert passes == [4]
 
 
-# The per-reference loops the set and packed forms replaced: the oracles.
+# The per-reference loops the packed table replaced: the oracles.
 
 def ngram_counts(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
@@ -411,7 +412,21 @@ def rouge_l_oracle(hyp, refs):
     return 100.0 * best
 
 
+def overlaps_oracle(hyp, refs, max_n):
+    """Per order 1 to max_n: the clipped count against each n-gram's
+    highest count in any one reference, and the clipped overlap with each
+    reference."""
+    out = []
+    for n in range(1, max_n + 1):
+        hyp_counts = ngram_counts(hyp, n)
+        tables = [ngram_counts(r, n) for r in refs]
+        out.append((clipped_oracle(hyp_counts, max_counts_oracle(tables)),
+                    [clipped_oracle(hyp_counts, t) for t in tables]))
+    return out
+
+
 EDGE_LENGTHS = (0, 63, 64, 65, 127, 128, 129)
+FILL_LENGTHS = (1, 2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129)
 
 
 @st.composite
@@ -441,15 +456,28 @@ class TestAgainstOracles:
     @given(scoring_cases())
     def test_overlaps(self, case):
         hyp, refs = case
-        prepared = References(refs)
-        for n in (1, 2, 3, 4):
-            hyp_counts = ngram_counts(hyp, n)
-            tables = [ngram_counts(r, n) for r in refs]
-            grams = _hyp_grams(hyp, n)
-            assert prepared.grams(n).overlaps(grams) == \
-                [clipped_oracle(hyp_counts, t) for t in tables]
-            assert prepared.grams(n).clipped(grams) == \
-                clipped_oracle(hyp_counts, max_counts_oracle(tables))
+        assert References(refs).overlaps(hyp, 5) == \
+            overlaps_oracle(hyp, refs, 5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_overlap_fills_every_field(self, n):
+        """One token repeated: each reference holds its n-gram as often as
+        the reference allows, the hypothesis more often still."""
+        refs = [["x"] * length for length in FILL_LENGTHS]
+        hyp = ["x"] * (max(FILL_LENGTHS) + 3)
+        orders = References(refs).overlaps(hyp, n)
+        assert orders == overlaps_oracle(hyp, refs, n)
+        assert orders[-1] == (max(FILL_LENGTHS) - n + 1,
+                              [max(length - n + 1, 0)
+                               for length in FILL_LENGTHS])
+
+    def test_hypothesis_repeats_past_every_reference(self):
+        refs = [tokenize("a b c a b"), tokenize("a b d"), tokenize("c a b c")]
+        hyp = tokenize("a b a b a b a b c")
+        orders = References(refs).overlaps(hyp, 3)
+        assert orders == overlaps_oracle(hyp, refs, 3)
+        # "a b" occurs 4 times in hyp and at most twice in one reference
+        assert orders[1] == (3, [3, 1, 2])
 
     @settings(max_examples=150)
     @given(scoring_cases())

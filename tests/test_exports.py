@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import chartscribe
-from chartscribe import narrate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -44,7 +43,7 @@ def test_traced_attribute_exists(owner, attr):
     assert hasattr(target, attr), f"{owner}.{attr} is gone"
 
 
-@pytest.mark.parametrize("module", [chartscribe, narrate],
+@pytest.mark.parametrize("module", [chartscribe],
                          ids=lambda module: module.__name__)
 def test_exported_names_exist(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
