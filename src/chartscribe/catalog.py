@@ -7,7 +7,6 @@ deterministic synthesizer.  Series sampled from a catalog feed the chart
 builder either raw or perturbed toward a requested trend class.
 """
 
-import csv
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -295,6 +294,7 @@ class _CheckedObservations(dict):
 def _csv_rows(path: Path, header: str) -> Iterator[Tuple[int, List[str]]]:
     """(line number, row) for each non-empty row of a catalog file after
     its header line; a file that is not UTF-8 CSV is a CatalogFormatError."""
+    import csv  # only a file catalog reads or writes CSV
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             got = fh.readline().rstrip("\n")
@@ -310,6 +310,7 @@ def _csv_rows(path: Path, header: str) -> Iterator[Tuple[int, List[str]]]:
 def write_catalog(catalog: Catalog, path) -> None:
     """Write the data file at path and the dictionary file next to it.
     Floats use repr, so load_catalog round-trips values exactly."""
+    import csv
     path = Path(path)
     dict_path = path.with_suffix(".dict.csv")
     with open(dict_path, "w", newline="", encoding="utf-8") as fh:

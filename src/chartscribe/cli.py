@@ -19,10 +19,9 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .catalog import CatalogFormatError
 from .chartgen import CATEGORIES, ChartMeta
@@ -43,6 +42,9 @@ class CliError(Exception):
 
 
 def _cmd_generate(args) -> int:
+    import logging  # only generate logs: its record retries
+    logging.basicConfig(level=logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
     if args.config is None and args.seed is None:
         raise CliError("generate: need --config or --seed")
     if args.config is not None:
@@ -167,13 +169,19 @@ def _kind_lookup(manifest_path) -> Dict[int, str]:
         manifest = json.loads(_read_text(manifest_path))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"eval: --by-kind {manifest_path} is not JSON: {exc}")
+    kinds: Dict[int, str] = {}
     try:
-        return {entry["image_index"]: entry["kind"]
-                for entry in manifest["records"]}
+        for entry in manifest["records"]:
+            index, kind = entry["image_index"], entry["kind"]
+            # True == 1, so a bool index would lend its kind to record 1
+            if type(index) is not int or not isinstance(kind, str):
+                raise TypeError(f"got image_index {index!r}, kind {kind!r}")
+            kinds[index] = kind
     except (KeyError, TypeError) as exc:
         raise CliError(f"eval: --by-kind {manifest_path} is not a corpus "
-                       f"manifest: records need image_index and kind "
-                       f"({type(exc).__name__}: {exc})")
+                       f"manifest: records need an int image_index and a "
+                       f"string kind ({type(exc).__name__}: {exc})")
+    return kinds
 
 
 def _cmd_eval(args) -> int:
@@ -183,9 +191,7 @@ def _cmd_eval(args) -> int:
         for key, texts in _read_scored_lines(ref_path).items():
             refs.setdefault(key, []).extend(texts)
 
-    kinds: Optional[Dict[int, str]] = None
-    if args.by_kind is not None:
-        kinds = _kind_lookup(args.by_kind)
+    kinds = None if args.by_kind is None else _kind_lookup(args.by_kind)
 
     pairs = []
     missing = [key for key in hyps if key not in refs]
@@ -262,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -21,16 +21,14 @@ its sentences, the move order, and the digit audit.
 
 import contextlib
 import json
-import logging
 import math
 import os
 import re
 import stat
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
-from xml.parsers import expat
 
 from .catalog import (
     Catalog, DataSeries, load_catalog, perturb_to_trend, sample_series,
@@ -52,7 +50,15 @@ from .trend import (
     classify_trend, preset,
 )
 
-log = logging.getLogger(__name__)
+
+def __getattr__(name: str):
+    # the pool (multiprocessing, pickle, sockets) loads on first use; it is
+    # looked up on the module, so a class a test or tracer sets is used
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # the corpus format generate writes and regenerate_record reproduces;
 # validate also reads version 1, whose bytes version 2 changed
@@ -418,8 +424,9 @@ def build_record(plan: RecordPlan, catalog: Catalog, bank: TemplateBank,
             return _attempt_record(plan, attempt_seed, attempt, catalog, bank,
                                    config)
         except (ValueError, RuntimeError) as exc:
-            log.warning("record %06d attempt %d failed: %s",
-                        plan.image_index, attempt, exc)
+            import logging  # on the first retry: most runs never log
+            logging.getLogger(__name__).warning(
+                "record %06d attempt %d failed: %s", plan.image_index, attempt, exc)
             last = exc
     raise CorpusGenerationError(
         f"record {plan.image_index:06d} failed {_RECORD_ATTEMPTS} attempts: {last}")
@@ -500,7 +507,7 @@ def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
             payloads = (build_record(plan, catalog, bank, config)
                         for plan in plans)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(
+            pool = stack.enter_context(sys.modules[__name__].ProcessPoolExecutor(
                 max_workers=workers, initializer=_worker_init,
                 initargs=(config,)))
             payloads = pool.map(_worker_build, plans,
@@ -544,6 +551,8 @@ def load_manifest(corpus_dir) -> dict:
 def regenerate_record(corpus_dir, image_index: int) -> List[str]:
     """Rebuild one record's three files from the manifest alone; returns the
     relative paths written."""
+    if not isinstance(image_index, int) or isinstance(image_index, bool):
+        raise TypeError(f"image_index: need an int, got {image_index!r}")
     root = Path(corpus_dir)
     manifest = load_manifest(root)
     records = _manifest_records(manifest)
@@ -713,6 +722,7 @@ def _svg_error(data: bytes) -> Optional[str]:
     starts, a default handler rejects every entity reference that reaches
     it as ElementTree does.  Without a DOCTYPE no Python handler runs.
     """
+    from xml.parsers import expat  # loaded by the first parse
     parser = expat.ParserCreate(None, "}")
 
     def entity_reference(text: str) -> None:

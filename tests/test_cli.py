@@ -476,7 +476,20 @@ class TestEval:
     @pytest.mark.parametrize("manifest, message", [
         ("not json\n", "is not JSON"),
         (json.dumps({"records": [{"image_index": 1}]}), "not a corpus manifest"),
-    ], ids=["not-json", "record-without-kind"])
+        # a record that is not an object, or a manifest without records
+        (json.dumps({"records": ["x"]}), "not a corpus manifest"),
+        (json.dumps([1]), "not a corpus manifest"),
+    ] + [
+        (json.dumps({"records": [{"image_index": 1, "kind": kind}]}),
+         f"kind {kind!r}") for kind in (5, None, ["x"])
+    ] + [
+        # listed after record 1, true would give record 1 its kind
+        (json.dumps({"records": [{"image_index": 1, "kind": "line"},
+                                 {"image_index": index, "kind": "scatter"}]}),
+         f"image_index {index!r}") for index in (True, 1.0, "1", None)
+    ], ids=["not-json", "record-without-kind", "record-not-object",
+            "no-records", "kind-int", "kind-null", "kind-list", "index-bool",
+            "index-float", "index-string", "index-null"])
     def test_bad_by_kind_manifest(self, tmp_path, capsys, manifest, message):
         hyp = tmp_path / "hyp.jsonl"
         hyp.write_text(json.dumps({"image_index": 1, "text": "a"}) + "\n")
@@ -485,7 +498,7 @@ class TestEval:
         rc = main(["eval", "--hyp", str(hyp), "--ref", str(hyp),
                    "--by-kind", str(by_kind)])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        one_line_error(capsys, message)
 
     def test_line_nested_too_deep_is_plain_text(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chartscribe.catalog import synth_catalog, write_catalog
+from chartscribe import corpus as corpus_module
 from chartscribe.chartgen import ChartMeta
 from chartscribe.corpus import (
     CATEGORIES, DEFAULT_CELL_COUNTS, KINDS, MANIFEST_NAME, ConfigError,
@@ -304,6 +305,24 @@ class TestBuildRecord:
         assert entry["files"]["descriptions"] == "descriptions/000017.txt"
         assert entry["n_descriptions"] == payload.descriptions.count("\n")
 
+    def test_failed_attempt_logs_a_warning(self, env, monkeypatch, caplog):
+        config, catalog, bank = env
+        real = corpus_module._attempt_record
+
+        def fail_first(plan, seed, attempt, *args):
+            if attempt == 0:
+                raise ValueError("forced")
+            return real(plan, seed, attempt, *args)
+
+        monkeypatch.setattr(corpus_module, "_attempt_record", fail_first)
+        plan = RecordPlan(31, "temporal-trend", "line", 0, 4242)
+        with caplog.at_level("WARNING", logger="chartscribe.corpus"):
+            payload = build_record(plan, catalog, bank, config)
+        assert payload.entry["attempt"] == 1
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] \
+            == [("chartscribe.corpus", "WARNING",
+                 "record 000031 attempt 0 failed: forced")]
+
     def test_descriptions_parse_with_matching_index(self, env):
         config, catalog, bank = env
         plan = RecordPlan(23, "temporal-trend", "scatter", 2, 777)
@@ -429,6 +448,15 @@ class TestGenerateCorpus:
         out, _, _ = tiny_corpus
         with pytest.raises(KeyError):
             regenerate_record(out, 999999)
+
+    @pytest.mark.parametrize("index", [True, 1.0, "1", None])
+    def test_regenerate_index_not_int(self, tiny_corpus, index):
+        # True == 1 and 1.0 == 1: either would rebuild record 1
+        out, _, _ = tiny_corpus
+        before = tree_hash(out)
+        with pytest.raises(TypeError, match="image_index: need an int"):
+            regenerate_record(out, index)
+        assert tree_hash(out) == before
 
     @pytest.mark.parametrize("damage, message", [
         (lambda entry: entry.pop("kind"), "has no kind"),

@@ -1,18 +1,23 @@
 """Names that other code looks up by string: the attributes the benchmark's
 tracer wraps, and the package exports.  A deletion that leaves one of them
 dangling fails here, not in a traced benchmark run or at
-`from chartscribe import *`."""
+`from chartscribe import *`.  Also what a bare `import chartscribe` loads."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 import types
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import chartscribe
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -56,3 +61,25 @@ def test_exports_are_the_public_imports():
     exec("from chartscribe import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(chartscribe.__all__)
+
+
+def test_pool_hook_exists():
+    # the tracer subclasses chartscribe.corpus.ProcessPoolExecutor and sets
+    # its subclass there; the module imports the pool on first use
+    corpus = importlib.import_module("chartscribe.corpus")
+    assert corpus.ProcessPoolExecutor is ProcessPoolExecutor
+    assert not hasattr(corpus, "ThreadPoolExecutor")
+
+
+def test_import_loads_no_pool_logging_expat_or_csv():
+    # a serial generate, validate, eval or describe uses none of these, and
+    # every CLI call, regenerate and pool worker pays for what the import
+    # loads; -S keeps site-packages' start-up files from loading them
+    lazy = ["multiprocessing", "concurrent.futures", "logging",
+            "xml.parsers.expat", "csv"]
+    code = ("import sys, chartscribe, chartscribe.cli\n"
+            f"print([name for name in {lazy!r} if name in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.stdout.strip() == "[]"
