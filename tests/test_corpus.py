@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chartscribe.catalog import synth_catalog, write_catalog
-from chartscribe import corpus as corpus_module
 from chartscribe.chartgen import ChartMeta
 from chartscribe.corpus import (
     CATEGORIES, DEFAULT_CELL_COUNTS, KINDS, MANIFEST_NAME, ConfigError,
     CorpusConfig, ManifestError, RecordPlan, build_plans, build_record, default_config,
     generate_corpus, load_config, load_manifest, regenerate_record, stats,
-    validate_corpus, _build_bank, _build_catalog, _decode_text, _svg_error,
+    validate_corpus, _attempt_record, _build_bank, _build_catalog, _decode_text,
+    _svg_error,
 )
 from chartscribe.narrate import Description, PlanParams
 from chartscribe.trend import DIRECTIONAL_CLASSES, FLAT_CLASSES, classify_trend
@@ -307,14 +307,13 @@ class TestBuildRecord:
 
     def test_failed_attempt_logs_a_warning(self, env, monkeypatch, caplog):
         config, catalog, bank = env
-        real = corpus_module._attempt_record
 
         def fail_first(plan, seed, attempt, *args):
             if attempt == 0:
                 raise ValueError("forced")
-            return real(plan, seed, attempt, *args)
+            return _attempt_record(plan, seed, attempt, *args)
 
-        monkeypatch.setattr(corpus_module, "_attempt_record", fail_first)
+        monkeypatch.setattr("chartscribe.corpus._attempt_record", fail_first)
         plan = RecordPlan(31, "temporal-trend", "line", 0, 4242)
         with caplog.at_level("WARNING", logger="chartscribe.corpus"):
             payload = build_record(plan, catalog, bank, config)
