@@ -125,9 +125,9 @@ def _read_text(path) -> str:
 def _read_scored_lines(path) -> Dict[object, List[str]]:
     """Parse an eval input file into {key: [text, ...]}.
 
-    Lines that parse as JSON objects are keyed by their image_index and
-    contribute their "text" field; anything else is a plain text line
-    keyed by line number.  A file must not mix the two styles.
+    Lines that parse as JSON objects are keyed by their image_index, an
+    int or a string, and contribute their "text" field; anything else is a
+    plain text line keyed by line number.  A file must not mix the styles.
     """
     texts: Dict[object, List[str]] = {}
     styles = set()
@@ -146,10 +146,10 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
             if not isinstance(text, str):
                 raise CliError(f"eval: {path} line {line_no + 1}: \"text\" "
                                f"must be a string, got {type(text).__name__}")
-            # true compares equal to 1 and would be scored as record 1
-            if isinstance(key, (bool, list, dict)):
+            # true and 1.0 compare equal to 1 and would join record 1
+            if type(key) not in (int, str):
                 raise CliError(f"eval: {path} line {line_no + 1}: "
-                               f"\"image_index\" must be a number or string, "
+                               f"\"image_index\" must be an int or a string, "
                                f"not {type(key).__name__}")
             styles.add("json")
         else:
@@ -202,7 +202,7 @@ def _cmd_eval(args) -> int:
     for key, hyp_texts in sorted(hyps.items(), key=lambda kv: str(kv[0])):
         kind = "all"
         if kinds is not None:
-            if not isinstance(key, int) or key not in kinds:
+            if key not in kinds:
                 raise CliError(f"eval: key {key!r} not in --by-kind manifest")
             kind = kinds[key]
         key_refs = References.from_texts(refs[key])

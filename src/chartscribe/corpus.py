@@ -26,7 +26,9 @@ import os
 import re
 import stat
 import sys
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
+from itertools import accumulate
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -295,22 +297,6 @@ class RecordPayload:
     entry: dict
 
 
-def build_plans(config: CorpusConfig) -> List[RecordPlan]:
-    """The full record list in generation order: categories then kinds, as
-    declared in CATEGORIES and KINDS, with cell-local indices."""
-    plans: List[RecordPlan] = []
-    image_index = 0
-    for category in CATEGORIES:
-        for kind in KINDS:
-            for cell_index in range(config.scaled_count(category, kind)):
-                seed = derive_seed(config.seed, CATEGORY_CODES[category],
-                                   KIND_CODES[kind], cell_index)
-                plans.append(RecordPlan(image_index, category, kind,
-                                        cell_index, seed))
-                image_index += 1
-    return plans
-
-
 def _gate_perturb(series: DataSeries, target: TrendClass, attempt_seed: int,
                   slot: int) -> DataSeries:
     """Perturb until the output classifies back to the requested class."""
@@ -432,20 +418,51 @@ def build_record(plan: RecordPlan, catalog: Catalog, bank: TemplateBank,
         f"record {plan.image_index:06d} failed {_RECORD_ATTEMPTS} attempts: {last}")
 
 
-# worker-process state for parallel generation; each process builds the
-# catalog and bank once from the config
-_worker_state: dict = {}
+class _RecordBuilder:
+    """Builds a config's records by image_index, from a catalog and bank built
+    once and a grid walked once: `cells` lists each cell in generation order
+    (category-major, as declared in CATEGORIES and KINDS) with its record
+    count and the seed its records' seeds continue, as derive_seed folds one
+    word at a time; `starts[i]` is cell i's first image_index, `starts[-1]`
+    the record total."""
+
+    def __init__(self, config: CorpusConfig):
+        self.config = config
+        self.catalog = _build_catalog(config)
+        self.bank = _build_bank(config.template_bank)
+        self.cells = [(category, kind, config.scaled_count(category, kind),
+                       derive_seed(config.seed, CATEGORY_CODES[category],
+                                   KIND_CODES[kind]))
+                      for category in CATEGORIES for kind in KINDS]
+        self.starts = list(accumulate([c[2] for c in self.cells], initial=0))
+
+    def plan(self, image_index: int) -> RecordPlan:
+        """The plan of record image_index; KeyError outside the corpus."""
+        if not 0 <= image_index < self.starts[-1]:
+            raise KeyError(f"image_index {image_index} not in a corpus of "
+                           f"{self.starts[-1]} records")
+        cell = bisect_right(self.starts, image_index) - 1
+        category, kind, _, cell_seed = self.cells[cell]
+        cell_index = image_index - self.starts[cell]
+        return RecordPlan(image_index, category, kind, cell_index,
+                          derive_seed(cell_seed, cell_index))
+
+    def __call__(self, image_index: int) -> RecordPayload:
+        return build_record(self.plan(image_index), self.catalog, self.bank,
+                            self.config)
+
+
+# each parallel-generation worker's builder, made by its pool initializer
+_worker_builder: Optional[_RecordBuilder] = None
 
 
 def _worker_init(config: CorpusConfig) -> None:
-    _worker_state["config"] = config
-    _worker_state["catalog"] = _build_catalog(config)
-    _worker_state["bank"] = _build_bank(config.template_bank)
+    global _worker_builder
+    _worker_builder = _RecordBuilder(config)
 
 
-def _worker_build(plan: RecordPlan) -> RecordPayload:
-    return build_record(plan, _worker_state["catalog"], _worker_state["bank"],
-                        _worker_state["config"])
+def _worker_build(image_index: int) -> RecordPayload:
+    return _worker_builder(image_index)
 
 
 @contextlib.contextmanager
@@ -491,36 +508,30 @@ def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
         raise ValueError(f"jobs: must be >= 1, got {jobs}")
     # a malformed catalog or bank fails here, before any directory is made;
     # parallel workers build their own
-    catalog, bank = _build_catalog(config), _build_bank(config.template_bank)
+    builder = _RecordBuilder(config)
     root = Path(config.output_dir)
     for _, sub, _ in _LAYOUT:
         (root / sub).mkdir(parents=True, exist_ok=True)
 
-    plans = build_plans(config)
+    total = builder.starts[-1]
     # a pool starts all its workers at once, each building its own catalog
     # and bank: never more of them than records
-    workers = min(jobs, len(plans))
+    workers = min(jobs, total)
     entries: List[dict] = []
     with contextlib.ExitStack() as stack:
         dirs = stack.enter_context(_layout_dirs(root))
         if workers <= 1:
-            payloads = (build_record(plan, catalog, bank, config)
-                        for plan in plans)
+            payloads = map(builder, range(total))
         else:
             pool = stack.enter_context(sys.modules[__name__].ProcessPoolExecutor(
                 max_workers=workers, initializer=_worker_init,
                 initargs=(config,)))
-            payloads = pool.map(_worker_build, plans,
-                                chunksize=max(1, len(plans) // (workers * 8)))
+            payloads = pool.map(_worker_build, range(total),
+                                chunksize=max(1, total // (workers * 8)))
         for payload in payloads:
             _write_payload(root, dirs, payload)
             entries.append(payload.entry)
 
-    cells = [
-        {"category": category, "kind": kind,
-         "count": config.scaled_count(category, kind)}
-        for category in CATEGORIES for kind in KINDS
-    ]
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": config.to_dict(),
@@ -528,7 +539,8 @@ def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
             "charts": len(entries),
             "descriptions": sum(e["n_descriptions"] for e in entries),
         },
-        "cells": cells,
+        "cells": [{"category": category, "kind": kind, "count": count}
+                  for category, kind, count, _ in builder.cells],
         "records": entries,
     }
     _write_file(root / MANIFEST_NAME, (json.dumps(
@@ -542,42 +554,34 @@ def load_manifest(corpus_dir) -> dict:
     if not path.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {corpus_dir}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
         raise ManifestError(
             f"manifest: {MANIFEST_NAME} does not parse: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ManifestError(
+            f"manifest: is a {type(manifest).__name__}, not an object")
+    return manifest
 
 
 def regenerate_record(corpus_dir, image_index: int) -> List[str]:
-    """Rebuild one record's three files from the manifest alone; returns the
-    relative paths written."""
+    """Rebuild one record's three files from the manifest's format_version
+    and config alone; returns the relative paths written."""
     if not isinstance(image_index, int) or isinstance(image_index, bool):
         raise TypeError(f"image_index: need an int, got {image_index!r}")
     root = Path(corpus_dir)
     manifest = load_manifest(root)
-    records = _manifest_records(manifest)
     version = manifest.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise ManifestError(
             f"manifest: format_version {version!r} cannot be regenerated: "
             f"this chartscribe writes format_version {FORMAT_VERSION}")
-    entry = next((e for e in records
-                  if isinstance(e, dict)
-                  and e.get("image_index") == image_index), None)
-    if entry is None:
-        raise KeyError(f"image_index {image_index} not in manifest")
-    shape = _record_shape(entry, _RECORD_FIELDS + _REGEN_FIELDS)
-    if shape is not None:
-        raise ManifestError(f"manifest: record {image_index} {shape}")
     try:
         config = CorpusConfig.from_dict(manifest["config"])
     except _MALFORMED as exc:
         raise ManifestError(f"manifest: config is malformed: "
                             f"{type(exc).__name__}: {exc}") from None
-    plan = RecordPlan(image_index, entry["category"], entry["kind"],
-                      entry["cell_index"], entry["seed"])
-    payload = build_record(plan, _build_catalog(config),
-                           _build_bank(config.template_bank), config)
+    payload = _RecordBuilder(config)(image_index)
     with _layout_dirs(root) as dirs:
         _write_payload(root, dirs, payload)
     return list(payload.entry["files"].values())
@@ -590,7 +594,9 @@ def regenerate_record(corpus_dir, image_index: int) -> List[str]:
 def stats(corpus_dir) -> Tuple[dict, str]:
     """Category x kind grid plus description totals, as a dict and an
     aligned text table."""
-    records = _manifest_records(load_manifest(corpus_dir))
+    records = load_manifest(corpus_dir).get("records")
+    if not isinstance(records, list):
+        raise ManifestError("manifest: records is not a list")
     grid = {(category, kind): 0 for category in CATEGORIES for kind in KINDS}
     descriptions = 0
     for pos, entry in enumerate(records):
@@ -655,28 +661,18 @@ def _iter_bboxes(meta: ChartMeta):
 _MALFORMED = (ArithmeticError, AttributeError, LookupError, RecursionError,
               TypeError, ValueError)
 
-# the fields of a manifest record that the validator reads
+# the fields of a manifest record that the validator and stats read
 _RECORD_FIELDS = (("image_index", int), ("category", str), ("kind", str),
                   ("n_descriptions", int), ("files", dict))
-# and the ones regenerate_record also reads
-_REGEN_FIELDS = (("cell_index", int), ("seed", int))
 
 
-def _manifest_records(manifest) -> list:
-    """The manifest's record list; ManifestError when there is none."""
-    records = manifest.get("records") if isinstance(manifest, dict) else None
-    if not isinstance(records, list):
-        raise ManifestError("manifest: records is not a list")
-    return records
-
-
-def _record_shape(entry, fields=_RECORD_FIELDS) -> Optional[str]:
+def _record_shape(entry) -> Optional[str]:
     """Why a manifest record cannot be read, or None when it can: it needs
-    each (key, type) of `fields`.  Its files must be exactly its layout
-    paths, so nothing outside the corpus root is ever opened."""
+    each (key, type) of _RECORD_FIELDS.  Its files must be exactly its
+    layout paths, so nothing outside the corpus root is ever opened."""
     if not isinstance(entry, dict):
         return f"is a {type(entry).__name__}, not an object"
-    for key, kind in fields:
+    for key, kind in _RECORD_FIELDS:
         if key not in entry:
             return f"has no {key}"
         value = entry[key]
@@ -910,8 +906,6 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
         return [str(exc)], seen
     except OSError as exc:
         return [f"manifest: {exc}"], seen
-    if not isinstance(manifest, dict):
-        return [f"manifest: is a {type(manifest).__name__}, not an object"], seen
     with _layout_dirs(root, ignore=(OSError,)) as dirs:
         problems: List[str] = []
         version = manifest.get("format_version")
@@ -933,14 +927,13 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
             problems.extend(_validate_record(dirs, entry, seen))
 
         totals = _manifest_part(manifest, "totals", {}, problems)
-        if totals.get("charts") != seen["charts"]:
-            problems.append(
-                f"manifest: totals.charts {totals.get('charts')} but "
-                f"{seen['charts']} records validated")
-        if totals.get("descriptions") != seen["descriptions"]:
-            problems.append(
-                f"manifest: totals.descriptions {totals.get('descriptions')} but "
-                f"{seen['descriptions']} description lines on disk")
+        # as in a record, a count is a JSON int: true and 15.0 are not
+        for key, found in (("charts", "records validated"),
+                           ("descriptions", "description lines on disk")):
+            value = totals.get(key)
+            if type(value) is not int or value != seen[key]:
+                problems.append(f"manifest: totals.{key} {value} but "
+                                f"{seen[key]} {found}")
         cells = _manifest_part(manifest, "cells", [], problems)
         for cell in cells:
             key = _cell_key(cell)
@@ -949,7 +942,7 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
                                 f"a kind and a count")
                 continue
             actual = seen["cells"].get(key, 0)
-            if cell["count"] != actual:
+            if type(cell["count"]) is not int or cell["count"] != actual:
                 problems.append(
                     f"manifest: cell {key[0]}/{key[1]} declares {cell['count']} "
                     f"records, found {actual}")

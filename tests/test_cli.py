@@ -458,20 +458,32 @@ class TestEval:
         rc = main(["eval", "--hyp", str(hyp), "--ref", str(ref)])
         assert rc == 2
 
-    @pytest.mark.parametrize("record, message", [
-        ({"image_index": 1, "text": 5}, '"text" must be a string'),
-        ({"image_index": [1], "text": "a"}, '"image_index" must be a number'),
+    @pytest.mark.parametrize("record, message, flag", [
+        ({"image_index": 1, "text": 5}, '"text" must be a string', "--hyp"),
+        ({"image_index": [1], "text": "a"},
+         '"image_index" must be an int or a string, not list', "--hyp"),
         ({"image_index": True, "text": "a"},
-         '"image_index" must be a number or string, not bool'),
-    ], ids=["text-not-string", "index-unhashable", "index-bool"])
-    def test_bad_json_line(self, tmp_path, capsys, record, message):
-        hyp = tmp_path / "hyp.jsonl"
-        hyp.write_text(json.dumps(record) + "\n")
-        ref = tmp_path / "ref.jsonl"
-        ref.write_text(json.dumps({"image_index": 1, "text": "a"}) + "\n")
-        rc = main(["eval", "--hyp", str(hyp), "--ref", str(ref)])
+         '"image_index" must be an int or a string, not bool', "--hyp"),
+        # 1.0 == 1: the line would be scored as, or join, record 1
+        ({"image_index": 1.0, "text": "a"},
+         '"image_index" must be an int or a string, not float', "--hyp"),
+        ({"image_index": 1.0, "text": "a"},
+         '"image_index" must be an int or a string, not float', "--ref"),
+        ({"image_index": None, "text": "a"},
+         '"image_index" must be an int or a string, not NoneType', "--ref"),
+    ], ids=["text-not-string", "index-unhashable", "index-bool",
+            "index-float-hyp", "index-float-ref", "index-null-ref"])
+    def test_bad_json_line(self, tmp_path, capsys, record, message, flag):
+        good = json.dumps({"image_index": 1, "text": "a"}) + "\n"
+        files = {"--hyp": tmp_path / "hyp.jsonl", "--ref": tmp_path / "ref.jsonl"}
+        for name, path in files.items():
+            path.write_text(json.dumps(record) + "\n" if name == flag else good)
+        rc = main(["eval", "--hyp", str(files["--hyp"]),
+                   "--ref", str(files["--ref"])])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("manifest, message", [
         ("not json\n", "is not JSON"),

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,13 +17,14 @@ from hypothesis import given, settings, strategies as st
 from chartscribe.catalog import synth_catalog, write_catalog
 from chartscribe.chartgen import ChartMeta
 from chartscribe.corpus import (
-    CATEGORIES, DEFAULT_CELL_COUNTS, KINDS, MANIFEST_NAME, ConfigError,
-    CorpusConfig, ManifestError, RecordPlan, build_plans, build_record, default_config,
-    generate_corpus, load_config, load_manifest, regenerate_record, stats,
-    validate_corpus, _attempt_record, _build_bank, _build_catalog, _decode_text,
-    _svg_error,
+    CATEGORIES, CATEGORY_CODES, DEFAULT_CELL_COUNTS, KIND_CODES, KINDS,
+    MANIFEST_NAME, ConfigError, CorpusConfig, ManifestError, RecordPlan,
+    build_record, default_config, generate_corpus, load_config, load_manifest,
+    regenerate_record, stats, validate_corpus, _attempt_record, _build_bank,
+    _build_catalog, _decode_text, _RecordBuilder, _svg_error,
 )
 from chartscribe.narrate import Description, PlanParams
+from chartscribe.rng import derive_seed
 from chartscribe.trend import DIRECTIONAL_CLASSES, FLAT_CLASSES, classify_trend
 
 
@@ -200,12 +202,35 @@ class TestLoadConfig:
             load_config(path)
 
 
+def build_plans(config):
+    """The record list as generate once built it, one cell after another:
+    the oracle of the builder's plan lookup."""
+    plans = []
+    image_index = 0
+    for category in CATEGORIES:
+        for kind in KINDS:
+            for cell_index in range(config.scaled_count(category, kind)):
+                seed = derive_seed(config.seed, CATEGORY_CODES[category],
+                                   KIND_CODES[kind], cell_index)
+                plans.append(RecordPlan(image_index, category, kind,
+                                        cell_index, seed))
+                image_index += 1
+    return plans
+
+
+def planned(config):
+    """Every record's plan, each looked up by image_index."""
+    builder = _RecordBuilder(config)
+    return [builder.plan(i) for i in range(builder.starts[-1])]
+
+
 class TestBuildPlans:
-    """Record planning: order, indices, seeds."""
+    """Record planning: order, indices, seeds; each plan is looked up by
+    image_index and equals the one build_plans gives."""
 
     def test_order_and_indices(self):
         config = CorpusConfig(seed=3, count_scale=0.004)
-        plans = build_plans(config)
+        plans = planned(config)
         assert [p.image_index for p in plans] == list(range(len(plans)))
         # category blocks appear in declaration order
         cats = [p.category for p in plans]
@@ -214,7 +239,7 @@ class TestBuildPlans:
 
     def test_cell_index_resets_per_cell(self):
         config = CorpusConfig(seed=3, count_scale=0.004)
-        plans = build_plans(config)
+        plans = planned(config)
         for category in CATEGORIES:
             for kind in KINDS:
                 cell = [p for p in plans
@@ -223,25 +248,44 @@ class TestBuildPlans:
                 assert len(cell) == config.scaled_count(category, kind)
 
     def test_seeds_distinct(self):
-        plans = build_plans(CorpusConfig(seed=3, count_scale=0.01))
+        plans = planned(CorpusConfig(seed=3, count_scale=0.01))
         seeds = [p.seed for p in plans]
         assert len(set(seeds)) == len(seeds)
 
     def test_seeds_independent_of_other_cells(self):
         """A record's seed depends only on its cell and position, so
         resizing one cell leaves every other cell's seeds alone."""
-        a = build_plans(CorpusConfig(seed=3, count_scale=0.004))
+        a = planned(CorpusConfig(seed=3, count_scale=0.004))
         cells = dict(DEFAULT_CELL_COUNTS)
         cells[("temporal-trend", "scatter")] = 2000
-        b = build_plans(CorpusConfig(seed=3, count_scale=0.004, cell_counts=cells))
+        b = planned(CorpusConfig(seed=3, count_scale=0.004, cell_counts=cells))
         seeds_a = {(p.category, p.kind, p.cell_index): p.seed for p in a}
         seeds_b = {(p.category, p.kind, p.cell_index): p.seed for p in b}
         for key, seed in seeds_a.items():
             assert seeds_b[key] == seed
 
     def test_full_grid_size(self):
-        plans = build_plans(CorpusConfig(seed=3))
+        config = CorpusConfig(seed=3)
+        plans = planned(config)
         assert len(plans) == 10232
+        assert plans == build_plans(config)
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(0, 40) | st.just(0),
+                           min_size=len(CATEGORIES) * len(KINDS),
+                           max_size=len(CATEGORIES) * len(KINDS)),
+           scale=st.floats(0.01, 3.0),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_plan_lookup_matches_build_plans(self, counts, scale, seed):
+        cells = dict(zip([(c, k) for c in CATEGORIES for k in KINDS], counts))
+        config = CorpusConfig(seed=seed, cell_counts=cells, count_scale=scale)
+        builder = _RecordBuilder(config)
+        oracle = build_plans(config)
+        assert builder.starts[-1] == len(oracle)
+        assert [builder.plan(i) for i in range(len(oracle))] == oracle
+        for outside in (-1, len(oracle)):
+            with pytest.raises(KeyError):
+                builder.plan(outside)
 
 
 @pytest.fixture(scope="module")
@@ -410,14 +454,18 @@ class TestGenerateCorpus:
                 return False
 
             def map(self, fn, items, chunksize):
-                return map(fn, items)
+                mapped.append(list(items))
+                return map(fn, mapped[-1])
 
+        mapped = []
         monkeypatch.setattr("chartscribe.corpus.ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr("chartscribe.corpus._worker_state", {})
+        monkeypatch.setattr("chartscribe.corpus._worker_builder", None)
         config = CorpusConfig(seed=41, output_dir=str(tmp_path / "out"),
                               cell_counts=cells, count_scale=0.002)
         generate_corpus(config, jobs=64)
         assert started == workers
+        # the workers are handed image indices, not plans
+        assert mapped == [list(range(15))] * len(workers)
 
     def test_bad_jobs(self):
         with pytest.raises(ValueError):
@@ -444,9 +492,12 @@ class TestGenerateCorpus:
         assert tree_hash(out) == before
 
     def test_regenerate_unknown_index(self, tiny_corpus):
-        out, _, _ = tiny_corpus
-        with pytest.raises(KeyError):
-            regenerate_record(out, 999999)
+        out, _, manifest = tiny_corpus
+        before = tree_hash(out)
+        for index in (999999, -1, manifest["totals"]["charts"]):
+            with pytest.raises(KeyError):
+                regenerate_record(out, index)
+        assert tree_hash(out) == before
 
     @pytest.mark.parametrize("index", [True, 1.0, "1", None])
     def test_regenerate_index_not_int(self, tiny_corpus, index):
@@ -457,20 +508,47 @@ class TestGenerateCorpus:
             regenerate_record(out, index)
         assert tree_hash(out) == before
 
-    @pytest.mark.parametrize("damage, message", [
-        (lambda entry: entry.pop("kind"), "has no kind"),
-        (lambda entry: entry.update(seed="7"), "has seed '7'"),
-        (lambda entry: entry.pop("cell_index"), "has no cell_index"),
-    ], ids=["no-kind", "seed-not-int", "no-cell-index"])
-    def test_regenerate_damaged_record(self, tmp_path, damage, message):
+    @pytest.mark.parametrize("damage", [
+        lambda manifest: manifest.pop("records"),
+        lambda manifest: manifest["records"][4].update(seed=7),
+    ], ids=["no-records", "entry-seed-changed"])
+    def test_regenerate_reads_only_version_and_config(self, tmp_path, damage):
+        # a record is rebuilt from the config alone: the manifest's records,
+        # and what they say of a record, play no part
         out = tmp_path / "corpus"
         generate_corpus(CorpusConfig(seed=9, output_dir=str(out),
                                      count_scale=0.002))
         manifest = load_manifest(out)
-        damage(manifest["records"][0])
+        damage(manifest)
         (out / MANIFEST_NAME).write_text(json.dumps(manifest))
-        with pytest.raises(ManifestError, match=message):
-            regenerate_record(out, manifest["records"][0]["image_index"])
+        for image_index in range(15):
+            originals = {rel: (out / rel).read_bytes() for rel in (
+                f"charts/{image_index:06d}.svg", f"meta/{image_index:06d}.json",
+                f"descriptions/{image_index:06d}.txt")}
+            for rel in originals:
+                (out / rel).write_bytes(b"tampered")
+            written = regenerate_record(out, image_index)
+            assert sorted(written) == sorted(originals)
+            for rel, original in originals.items():
+                assert (out / rel).read_bytes() == original
+
+    @pytest.mark.parametrize("manifest, message", [
+        ([1, 2], "manifest: is a list, not an object"),
+        ({"format_version": 2, "config": {"seed": 9}},
+         "manifest: config is malformed: KeyError: 'cell_counts'"),
+        ({"format_version": 2, "config": []},
+         "manifest: config is malformed: TypeError: "),
+    ], ids=["not-an-object", "config-without-cells", "config-not-an-object"])
+    def test_regenerate_unreadable_manifest(self, tiny_corpus, tmp_path,
+                                            manifest, message):
+        out, _, _ = tiny_corpus
+        shutil.copytree(out, tmp_path / "copy")
+        out = tmp_path / "copy"
+        (out / MANIFEST_NAME).write_text(json.dumps(manifest))
+        before = tree_hash(out)
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            regenerate_record(out, 0)
+        assert tree_hash(out) == before
 
     def test_version_1_tree_validates_but_does_not_regenerate(
             self, tiny_corpus, tmp_path):
@@ -636,12 +714,49 @@ class TestValidate:
         (fresh / "charts" / "999999.svg").write_text("<svg/>")
         assert any("not in manifest" in p for p in validate_corpus(fresh))
 
-    def test_manifest_count_tamper(self, fresh):
+    @staticmethod
+    def cell_count_problem(cell, declared):
+        return (f"manifest: cell {cell['category']}/{cell['kind']} declares "
+                f"{declared} records, found {cell['count']}")
+
+    @staticmethod
+    def counts_made_floats(doc):
+        # both totals and every cell count floats, the first cell count
+        # true: each compares equal to the count it stands for
+        doc["totals"] = {key: float(n) for key, n in doc["totals"].items()}
+        for cell in doc["cells"]:
+            cell["count"] = float(cell["count"])
+        doc["cells"][0]["count"] = True
+
+    @pytest.mark.parametrize("tamper, expected", [
+        (lambda doc: doc["totals"].update(charts=17),
+         lambda doc: ["manifest: totals.charts 17 but 15 records validated"]),
+        (lambda doc: doc["totals"].update(charts=15.0),
+         lambda doc: ["manifest: totals.charts 15.0 but 15 records "
+                      "validated"]),
+        (lambda doc: doc["cells"][0].update(count=True),
+         lambda doc: [TestValidate.cell_count_problem(doc["cells"][0],
+                                                      True)]),
+        (counts_made_floats, lambda doc: [
+            "manifest: totals.charts 15.0 but 15 records validated",
+            f"manifest: totals.descriptions "
+            f"{float(doc['totals']['descriptions'])} but "
+            f"{doc['totals']['descriptions']} description lines on disk",
+        ] + [TestValidate.cell_count_problem(
+            cell, True if i == 0 else float(cell["count"]))
+            for i, cell in enumerate(doc["cells"])]),
+    ], ids=["charts-plus-two", "charts-float", "cell-count-true",
+            "every-count-float-or-true"])
+    def test_manifest_count_tamper(self, fresh, tamper, expected):
+        # a count is a JSON int: true and 15.0 compare equal to 1 and 15
+        # but are refused
         path = fresh / MANIFEST_NAME
         doc = json.loads(path.read_text())
-        doc["totals"]["charts"] += 2
+        assert doc["totals"]["charts"] == 15 and doc["cells"][0]["count"] == 1
+        problems = expected(json.loads(path.read_text()))
+        tamper(doc)
         path.write_text(json.dumps(doc))
-        assert any("totals.charts" in p for p in validate_corpus(fresh))
+        assert validate_corpus(fresh) == problems
 
     def test_never_aborts_early(self, fresh):
         """Multiple independent faults are all reported in one pass."""
