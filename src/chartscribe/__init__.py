@@ -54,7 +54,6 @@ from .evalmetrics import (
 )
 from .corpus import (
     CorpusConfig,
-    build_record,
     default_config,
     generate_corpus,
     load_config,

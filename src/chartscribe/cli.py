@@ -27,7 +27,8 @@ from .catalog import CatalogFormatError
 from .chartgen import CATEGORIES, ChartMeta
 from .corpus import (
     _MALFORMED, BUILTIN_BANK, ConfigError, ManifestError, _build_bank,
-    _validate, default_config, generate_corpus, load_config, stats,
+    _config_builder, _read_manifest, _validate, default_config,
+    generate_corpus, load_config, stats,
 )
 from .evalmetrics import (
     SIGNATURE, References, corpus_report, format_report, score_pair,
@@ -164,26 +165,6 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
     return texts
 
 
-def _kind_lookup(manifest_path) -> Dict[int, str]:
-    try:
-        manifest = json.loads(_read_text(manifest_path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise CliError(f"eval: --by-kind {manifest_path} is not JSON: {exc}")
-    kinds: Dict[int, str] = {}
-    try:
-        for entry in manifest["records"]:
-            index, kind = entry["image_index"], entry["kind"]
-            # True == 1, so a bool index would lend its kind to record 1
-            if type(index) is not int or not isinstance(kind, str):
-                raise TypeError(f"got image_index {index!r}, kind {kind!r}")
-            kinds[index] = kind
-    except (KeyError, TypeError) as exc:
-        raise CliError(f"eval: --by-kind {manifest_path} is not a corpus "
-                       f"manifest: records need an int image_index and a "
-                       f"string kind ({type(exc).__name__}: {exc})")
-    return kinds
-
-
 def _cmd_eval(args) -> int:
     hyps = _read_scored_lines(args.hyp)
     refs: Dict[object, List[str]] = {}
@@ -191,7 +172,9 @@ def _cmd_eval(args) -> int:
         for key, texts in _read_scored_lines(ref_path).items():
             refs.setdefault(key, []).extend(texts)
 
-    kinds = None if args.by_kind is None else _kind_lookup(args.by_kind)
+    # the kind of record i is its config's plan of i: the records are not read
+    planner = (None if args.by_kind is None
+               else _config_builder(_read_manifest(Path(args.by_kind))))
 
     pairs = []
     missing = [key for key in hyps if key not in refs]
@@ -201,10 +184,10 @@ def _cmd_eval(args) -> int:
             f"first: {missing[0]!r}")
     for key, hyp_texts in sorted(hyps.items(), key=lambda kv: str(kv[0])):
         kind = "all"
-        if kinds is not None:
-            if key not in kinds:
+        if planner is not None:
+            if type(key) is not int or not 0 <= key < planner.starts[-1]:
                 raise CliError(f"eval: key {key!r} not in --by-kind manifest")
-            kind = kinds[key]
+            kind = planner.plan(key).kind
         key_refs = References.from_texts(refs[key])
         for hyp_text in hyp_texts:
             pairs.append(score_pair(hyp_text, key_refs, kind=kind))

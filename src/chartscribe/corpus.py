@@ -28,6 +28,7 @@ import stat
 import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -106,7 +107,8 @@ class ConfigError(ValueError):
 
 
 class ManifestError(ValueError):
-    """A manifest whose records `stats` or `regenerate_record` cannot read."""
+    """A manifest whose config `stats`, `regenerate_record` or `eval
+    --by-kind` cannot read."""
 
 
 class CorpusGenerationError(RuntimeError):
@@ -144,13 +146,6 @@ class CorpusConfig:
                 raise ConfigError(f"cell_counts: unknown cell {category}/{kind}")
             if count < 0:
                 raise ConfigError(f"cell_counts: {category}/{kind} count {count} < 0")
-        if self.template_bank != BUILTIN_BANK and not Path(self.template_bank).exists():
-            raise ConfigError(f"template_bank: no file at {self.template_bank}")
-        if not _SYNTH_RE.match(self.catalog_source) \
-                and not Path(self.catalog_source).exists():
-            raise ConfigError(
-                f"catalog_source: neither synthetic(nI, nE) nor a file: "
-                f"{self.catalog_source}")
 
     def scaled_count(self, category: str, kind: str) -> int:
         """Per-cell count under count_scale: floor, but never below 1."""
@@ -173,14 +168,20 @@ class CorpusConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CorpusConfig":
-        cells = {}
-        for key, count in doc["cell_counts"].items():
-            category, kind = key.split("/", 1)
-            cells[(category, kind)] = int(count)
-        return cls(cell_counts=cells,
-                   plan_params=PlanParams(**doc.get("plan_params", {})),
-                   **{f.name: f.type(doc[f.name]) for f in _SCALAR_FIELDS
-                      if f.name in doc})
+        cells = {tuple(key.split("/", 1)): _echoed(int, key, count)
+                 for key, count in doc["cell_counts"].items()}
+        params = {key: _echoed(type(getattr(DEFAULT_PLAN_PARAMS, key)), key, value)
+                  for key, value in doc.get("plan_params", {}).items()}
+        return cls(cell_counts=cells, plan_params=PlanParams(**params),
+                   **{f.name: _echoed(f.type, f.name, doc[f.name])
+                      for f in _SCALAR_FIELDS if f.name in doc})
+
+
+def _echoed(cast, name: str, value):
+    """value, when JSON gives it cast's type (an int passes as a float)."""
+    if type(value) is not cast and (cast, type(value)) != (float, int):
+        raise TypeError(f"{name}: {value!r} is not of type {cast.__name__}")
+    return cast(value)
 
 
 # the settings held as one plain value, each read by casting to its type;
@@ -260,15 +261,16 @@ def load_config(path) -> CorpusConfig:
 
     settings = {f.name: _config_value(f.type, "corpus", f.name, corpus[f.name])
                 for f in _SCALAR_FIELDS if f.name in corpus}
-    return CorpusConfig(cell_counts=cells, plan_params=params, **settings)
-
-
-def _build_catalog(config: CorpusConfig) -> Catalog:
-    m = _SYNTH_RE.match(config.catalog_source)
-    if m:
-        return synth_catalog(derive_seed(config.seed, _TAG_CATALOG),
-                             int(m.group(1)), int(m.group(2)))
-    return load_catalog(config.catalog_source)
+    config = CorpusConfig(cell_counts=cells, plan_params=params, **settings)
+    # checked here, not by CorpusConfig: a manifest's echo of a relative
+    # path is read from wherever the corpus is
+    if config.template_bank != BUILTIN_BANK and not Path(config.template_bank).exists():
+        raise ConfigError(f"template_bank: no file at {config.template_bank}")
+    if not _SYNTH_RE.match(config.catalog_source) \
+            and not Path(config.catalog_source).exists():
+        raise ConfigError(f"catalog_source: neither synthetic(nI, nE) nor a "
+                          f"file: {config.catalog_source}")
+    return config
 
 
 def _build_bank(source: str) -> TemplateBank:
@@ -290,11 +292,8 @@ class RecordPlan:
 
 @dataclass(frozen=True)
 class RecordPayload:
-    image_index: int
-    svg: bytes
-    meta_json: str
-    descriptions: str  # JSON lines, trailing newline
     entry: dict
+    data: Dict[str, bytes]  # each file's bytes, keyed as in entry["files"]
 
 
 def _gate_perturb(series: DataSeries, target: TrendClass, attempt_seed: int,
@@ -365,76 +364,30 @@ def _record_files(image_index: int) -> Dict[str, str]:
     return {key: f"{sub}/{name}{suffix}" for key, sub, suffix in _LAYOUT}
 
 
-def _attempt_record(plan: RecordPlan, attempt_seed: int, attempt: int,
-                    catalog: Catalog, bank: TemplateBank,
-                    config: CorpusConfig) -> RecordPayload:
-    rng = Rng(attempt_seed)
-    series = _build_series(plan, attempt_seed, rng, catalog)
-    spec = build_chart_spec(series, ChartKind(plan.kind), rng,
-                            image_index=plan.image_index)
-    svg, meta = render(spec)
-    if meta.category != plan.category:
-        raise _RecordError(
-            f"chart classified as {meta.category}, cell wants {plan.category}")
-
-    desc_rng = Rng(derive_seed(attempt_seed, TAG_DESCRIPTION))
-    descriptions = generate_description_set(
-        meta, series, bank, desc_rng,
-        n_variants=config.descriptions_per_chart,
-        params=config.plan_params)
-
-    entry = {
-        "image_index": plan.image_index,
-        "category": plan.category,
-        "kind": plan.kind,
-        "cell_index": plan.cell_index,
-        "seed": plan.seed,
-        "attempt": attempt,
-        "arity": len(series),
-        "trend_classes": [sm.trend_class for sm in meta.series],
-        "n_descriptions": len(descriptions),
-        "files": _record_files(plan.image_index),
-    }
-    desc_text = "".join(d.to_json_line() + "\n" for d in descriptions)
-    return RecordPayload(plan.image_index, svg, meta.to_json(), desc_text, entry)
-
-
-def build_record(plan: RecordPlan, catalog: Catalog, bank: TemplateBank,
-                 config: CorpusConfig) -> RecordPayload:
-    """Generate one record, retrying with freshly derived seeds on failure."""
-    last: Optional[Exception] = None
-    for attempt in range(_RECORD_ATTEMPTS):
-        attempt_seed = (plan.seed if attempt == 0
-                        else derive_seed(plan.seed, TAG_RETRY, attempt))
-        try:
-            return _attempt_record(plan, attempt_seed, attempt, catalog, bank,
-                                   config)
-        except (ValueError, RuntimeError) as exc:
-            import logging  # on the first retry: most runs never log
-            logging.getLogger(__name__).warning(
-                "record %06d attempt %d failed: %s", plan.image_index, attempt, exc)
-            last = exc
-    raise CorpusGenerationError(
-        f"record {plan.image_index:06d} failed {_RECORD_ATTEMPTS} attempts: {last}")
-
-
 class _RecordBuilder:
-    """Builds a config's records by image_index, from a catalog and bank built
-    once and a grid walked once: `cells` lists each cell in generation order
-    (category-major, as declared in CATEGORIES and KINDS) with its record
-    count and the seed its records' seeds continue, as derive_seed folds one
-    word at a time; `starts[i]` is cell i's first image_index, `starts[-1]`
-    the record total."""
+    """Builds a config's records by image_index, from a grid walked once:
+    `cells` lists each cell in generation order (category-major, as
+    declared in CATEGORIES and KINDS) with its record count and the seed
+    its records' seeds continue, as derive_seed folds one word at a time;
+    `starts[i]` is cell i's first image_index, `starts[-1]` the record
+    total.  Planning builds no catalog or bank: `sources` does, once."""
 
     def __init__(self, config: CorpusConfig):
         self.config = config
-        self.catalog = _build_catalog(config)
-        self.bank = _build_bank(config.template_bank)
         self.cells = [(category, kind, config.scaled_count(category, kind),
                        derive_seed(config.seed, CATEGORY_CODES[category],
                                    KIND_CODES[kind]))
                       for category in CATEGORIES for kind in KINDS]
         self.starts = list(accumulate([c[2] for c in self.cells], initial=0))
+
+    @cached_property
+    def sources(self) -> Tuple[Catalog, TemplateBank]:
+        config = self.config
+        m = _SYNTH_RE.match(config.catalog_source)
+        return (synth_catalog(derive_seed(config.seed, _TAG_CATALOG),
+                              int(m.group(1)), int(m.group(2))) if m
+                else load_catalog(config.catalog_source),
+                _build_bank(config.template_bank))
 
     def plan(self, image_index: int) -> RecordPlan:
         """The plan of record image_index; KeyError outside the corpus."""
@@ -448,8 +401,56 @@ class _RecordBuilder:
                           derive_seed(cell_seed, cell_index))
 
     def __call__(self, image_index: int) -> RecordPayload:
-        return build_record(self.plan(image_index), self.catalog, self.bank,
-                            self.config)
+        return self.build(self.plan(image_index))
+
+    def build(self, plan: RecordPlan) -> RecordPayload:
+        """Generate one record, retrying with freshly derived seeds on
+        failure; a catalog or bank that does not load is not retried."""
+        self.sources
+        last: Optional[Exception] = None
+        for attempt in range(_RECORD_ATTEMPTS):
+            try:
+                return self._attempt(plan, attempt)
+            except (ValueError, RuntimeError) as exc:
+                import logging  # on the first retry: most runs never log
+                logging.getLogger(__name__).warning(
+                    "record %06d attempt %d failed: %s", plan.image_index,
+                    attempt, exc)
+                last = exc
+        raise CorpusGenerationError(f"record {plan.image_index:06d} failed "
+                                    f"{_RECORD_ATTEMPTS} attempts: {last}")
+
+    def _attempt(self, plan: RecordPlan, attempt: int) -> RecordPayload:
+        attempt_seed = (plan.seed if attempt == 0
+                        else derive_seed(plan.seed, TAG_RETRY, attempt))
+        catalog, bank = self.sources
+        rng = Rng(attempt_seed)
+        series = _build_series(plan, attempt_seed, rng, catalog)
+        spec = build_chart_spec(series, ChartKind(plan.kind), rng,
+                                image_index=plan.image_index)
+        svg, meta = render(spec)
+        if meta.category != plan.category:
+            raise _RecordError(f"chart classified as {meta.category}, cell "
+                               f"wants {plan.category}")
+
+        desc_rng = Rng(derive_seed(attempt_seed, TAG_DESCRIPTION))
+        descriptions = generate_description_set(
+            meta, series, bank, desc_rng,
+            n_variants=self.config.descriptions_per_chart,
+            params=self.config.plan_params)
+
+        entry = {
+            **vars(plan),  # image_index, category, kind, cell_index, seed
+            "attempt": attempt,
+            "arity": len(series),
+            "trend_classes": [sm.trend_class for sm in meta.series],
+            "n_descriptions": len(descriptions),
+            "files": _record_files(plan.image_index),
+        }
+        desc_text = "".join(d.to_json_line() + "\n" for d in descriptions)
+        return RecordPayload(entry, {
+            "chart": svg, "meta": meta.to_json().encode("utf-8"),
+            "descriptions": desc_text.encode("utf-8")})
 
 
 # each parallel-generation worker's builder, made by its pool initializer
@@ -496,19 +497,18 @@ def _write_file(path: Path, data: bytes, dir_fd: Optional[int] = None) -> None:
 def _write_payload(root: Path, dirs: Dict[str, int],
                    payload: RecordPayload) -> None:
     """Write a record's files into the open layout directories."""
-    data = {"chart": payload.svg, "meta": payload.meta_json.encode("utf-8"),
-            "descriptions": payload.descriptions.encode("utf-8")}
     for key, rel in payload.entry["files"].items():
-        _write_file(root / rel, data[key], dirs[rel.partition("/")[0]])
+        _write_file(root / rel, payload.data[key], dirs[rel.partition("/")[0]])
 
 
 def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
     """Generate the full corpus tree and return the manifest document."""
     if jobs < 1:
         raise ValueError(f"jobs: must be >= 1, got {jobs}")
-    # a malformed catalog or bank fails here, before any directory is made;
-    # parallel workers build their own
+    # a missing or malformed catalog or bank fails here, before any
+    # directory is made; parallel workers build their own
     builder = _RecordBuilder(config)
+    builder.sources
     root = Path(config.output_dir)
     for _, sub, _ in _LAYOUT:
         (root / sub).mkdir(parents=True, exist_ok=True)
@@ -553,15 +553,28 @@ def load_manifest(corpus_dir) -> dict:
     path = Path(corpus_dir) / MANIFEST_NAME
     if not path.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {corpus_dir}")
+    return _read_manifest(path)
+
+
+def _read_manifest(path: Path) -> dict:
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
         raise ManifestError(
-            f"manifest: {MANIFEST_NAME} does not parse: {exc}") from None
+            f"manifest: {path.name} does not parse: {exc}") from None
     if not isinstance(manifest, dict):
         raise ManifestError(
             f"manifest: is a {type(manifest).__name__}, not an object")
     return manifest
+
+
+def _config_builder(manifest: dict) -> _RecordBuilder:
+    """The builder, and planner, of the config a manifest echoes."""
+    try:
+        return _RecordBuilder(CorpusConfig.from_dict(manifest["config"]))
+    except _MALFORMED as exc:
+        raise ManifestError(f"manifest: config is malformed: "
+                            f"{type(exc).__name__}: {exc}") from None
 
 
 def regenerate_record(corpus_dir, image_index: int) -> List[str]:
@@ -576,12 +589,7 @@ def regenerate_record(corpus_dir, image_index: int) -> List[str]:
         raise ManifestError(
             f"manifest: format_version {version!r} cannot be regenerated: "
             f"this chartscribe writes format_version {FORMAT_VERSION}")
-    try:
-        config = CorpusConfig.from_dict(manifest["config"])
-    except _MALFORMED as exc:
-        raise ManifestError(f"manifest: config is malformed: "
-                            f"{type(exc).__name__}: {exc}") from None
-    payload = _RecordBuilder(config)(image_index)
+    payload = _config_builder(manifest)(image_index)
     with _layout_dirs(root) as dirs:
         _write_payload(root, dirs, payload)
     return list(payload.entry["files"].values())
@@ -593,22 +601,16 @@ def regenerate_record(corpus_dir, image_index: int) -> List[str]:
 
 def stats(corpus_dir) -> Tuple[dict, str]:
     """Category x kind grid plus description totals, as a dict and an
-    aligned text table."""
-    records = load_manifest(corpus_dir).get("records")
-    if not isinstance(records, list):
-        raise ManifestError("manifest: records is not a list")
-    grid = {(category, kind): 0 for category in CATEGORIES for kind in KINDS}
-    descriptions = 0
-    for pos, entry in enumerate(records):
-        shape = _record_shape(entry)
-        if shape is None and (entry["category"], entry["kind"]) not in grid:
-            shape = (f"has cell {entry['category']}/{entry['kind']}, "
-                     f"not in the grid")
-        if shape is not None:
-            raise ManifestError(f"manifest: records[{pos}] {shape}")
-        grid[(entry["category"], entry["kind"])] += 1
-        descriptions += entry["n_descriptions"]
-    charts = len(records)
+    aligned text table: the grid the manifest's config plans, and the
+    description count of its totals."""
+    manifest = load_manifest(corpus_dir)
+    builder = _config_builder(manifest)
+    grid = {(category, kind): n for category, kind, n, _ in builder.cells}
+    charts = builder.starts[-1]
+    totals = manifest.get("totals")
+    descriptions = isinstance(totals, dict) and totals.get("descriptions")
+    if type(descriptions) is not int:
+        raise ManifestError("manifest: totals.descriptions is not an int")
 
     doc = {
         "charts": charts,
@@ -661,7 +663,7 @@ def _iter_bboxes(meta: ChartMeta):
 _MALFORMED = (ArithmeticError, AttributeError, LookupError, RecursionError,
               TypeError, ValueError)
 
-# the fields of a manifest record that the validator and stats read
+# the fields of a manifest record that the validator reads
 _RECORD_FIELDS = (("image_index", int), ("category", str), ("kind", str),
                   ("n_descriptions", int), ("files", dict))
 
@@ -797,7 +799,7 @@ def _validate_record(dirs: Dict[str, int], entry: dict,
         problems.append(f"{tag}: meta does not parse: {exc}")
         return problems
 
-    if meta.image_index != idx:
+    if type(meta.image_index) is not int or meta.image_index != idx:
         problems.append(f"{tag}: meta image_index {meta.image_index} mismatch")
     if meta.category != entry["category"]:
         problems.append(f"{tag}: meta category {meta.category!r} mismatch, "
@@ -837,7 +839,7 @@ def _validate_record(dirs: Dict[str, int], entry: dict,
             problems.append(
                 f"{tag}: description line {line_no} does not parse: {exc}")
             continue
-        if desc.image_index != idx:
+        if type(desc.image_index) is not int or desc.image_index != idx:
             problems.append(
                 f"{tag}: description line {line_no} image_index "
                 f"{desc.image_index} mismatch")
@@ -912,6 +914,11 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
         # True and 1.0 compare equal to 1 but are not format versions
         if type(version) is not int or version not in VALIDATED_VERSIONS:
             problems.append(f"manifest: unknown format_version {version!r}")
+        try:
+            builder = _config_builder(manifest)
+        except ManifestError as exc:
+            problems.append(str(exc))
+            builder = None
 
         records = _manifest_part(manifest, "records", [], problems)
         indices = set()
@@ -924,6 +931,16 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
             if idx in indices:
                 problems.append(f"manifest: duplicate image_index {idx}")
             indices.add(idx)
+            if builder is not None:
+                # an index outside the plan differs in image_index itself
+                plan = (vars(builder.plan(idx)) if 0 <= idx < builder.starts[-1]
+                        else {"image_index": None})
+                # as (type, value): true and 1.0 are not cell_index 1
+                wrong = [key for key, value in plan.items() if (
+                    type(entry.get(key)), entry.get(key)) != (type(value), value)]
+                if wrong:
+                    problems.append(f"manifest: records[{pos}] has "
+                                    f"{', '.join(wrong)} other than the config plans")
             problems.extend(_validate_record(dirs, entry, seen))
 
         totals = _manifest_part(manifest, "totals", {}, problems)
@@ -935,6 +952,9 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
                 problems.append(f"manifest: totals.{key} {value} but "
                                 f"{seen[key]} {found}")
         cells = _manifest_part(manifest, "cells", [], problems)
+        if builder is not None and [_cell_key(cell) for cell in cells] \
+                != [cell[:2] for cell in builder.cells]:
+            problems.append("manifest: cells do not list the config's grid")
         for cell in cells:
             key = _cell_key(cell)
             if key is None:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from chartscribe import cli, corpus
+from chartscribe.catalog import synth_catalog, write_catalog
 from chartscribe.cli import build_parser, main
 from chartscribe.corpus import MANIFEST_NAME, load_manifest
 from chartscribe.narrate import Description
@@ -204,14 +205,25 @@ class TestStats:
         assert "error:" in capsys.readouterr().err
 
     def test_record_without_kind(self, corpus_dir, tmp_path, capsys):
+        # stats plans from the config: a damaged record is not read
+        assert main(["stats", str(corpus_dir)]) == 0
+        clean = capsys.readouterr().out
         out = tmp_path / "corpus"
         out.mkdir()
         manifest = json.loads((corpus_dir / MANIFEST_NAME).read_text())
         del manifest["records"][0]["kind"]
         (out / MANIFEST_NAME).write_text(json.dumps(manifest))
         rc = main(["stats", str(out)])
-        assert rc == 2
-        one_line_error(capsys, "records[0] has no kind")
+        assert rc == 0
+        assert capsys.readouterr().out == clean
+
+    def test_config_malformed(self, corpus_dir, tmp_path, capsys):
+        manifest = json.loads((corpus_dir / MANIFEST_NAME).read_text())
+        manifest["config"]["seed"] = True
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        assert main(["stats", str(tmp_path)]) == 2
+        one_line_error(capsys, "manifest: config is malformed: TypeError: "
+                               "seed: True is not of type int")
 
     def test_manifest_not_json(self, tmp_path, capsys):
         (tmp_path / MANIFEST_NAME).write_text("not json", encoding="utf-8")
@@ -377,6 +389,10 @@ def eval_files(tmp_path_factory, corpus_dir):
     return hyp, ref
 
 
+def set_record(position, **fields):
+    return lambda manifest: manifest["records"][position].update(fields)
+
+
 class TestEval:
     """The eval subcommand."""
 
@@ -485,32 +501,65 @@ class TestEval:
         assert message in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("manifest, message", [
-        ("not json\n", "is not JSON"),
-        (json.dumps({"records": [{"image_index": 1}]}), "not a corpus manifest"),
-        # a record that is not an object, or a manifest without records
-        (json.dumps({"records": ["x"]}), "not a corpus manifest"),
-        (json.dumps([1]), "not a corpus manifest"),
+    @pytest.mark.parametrize("damage, message", [
+        ("not json\n", "manifest: manifest.json does not parse: "),
+        ("[1]", "manifest: is a list, not an object"),
+        # --by-kind plans from the config: a damaged record is not read,
+        # and the report is the clean one
+        (lambda manifest: manifest["records"][1].pop("kind"), None),
+        (lambda manifest: manifest["records"].__setitem__(1, "x"), None),
+        (lambda manifest: manifest.pop("records"), None),
     ] + [
-        (json.dumps({"records": [{"image_index": 1, "kind": kind}]}),
-         f"kind {kind!r}") for kind in (5, None, ["x"])
+        (set_record(1, kind=kind), None) for kind in (5, None, ["x"])
     ] + [
-        # listed after record 1, true would give record 1 its kind
-        (json.dumps({"records": [{"image_index": 1, "kind": "line"},
-                                 {"image_index": index, "kind": "scatter"}]}),
-         f"image_index {index!r}") for index in (True, 1.0, "1", None)
-    ], ids=["not-json", "record-without-kind", "record-not-object",
-            "no-records", "kind-int", "kind-null", "kind-list", "index-bool",
-            "index-float", "index-string", "index-null"])
-    def test_bad_by_kind_manifest(self, tmp_path, capsys, manifest, message):
-        hyp = tmp_path / "hyp.jsonl"
-        hyp.write_text(json.dumps({"image_index": 1, "text": "a"}) + "\n")
+        # true was once read as 1, and gave record 1 this record's kind
+        (set_record(2, image_index=index), None)
+        for index in (True, 1.0, "1", None)
+    ] + [
+        (lambda manifest: manifest.pop("config"),
+         "manifest: config is malformed: KeyError: 'config'"),
+        (lambda manifest: manifest["config"].update(seed=True),
+         "manifest: config is malformed: TypeError: seed: True is not of "
+         "type int"),
+        (lambda manifest: manifest["config"]["cell_counts"].update(
+            {"pie/line": 1}), "manifest: config is malformed: ConfigError: "
+                              "cell_counts: unknown cell pie/line"),
+    ], ids=["not-json", "no-records", "record-without-kind",
+            "record-not-object", "records-missing", "kind-int", "kind-null",
+            "kind-list", "index-bool", "index-float", "index-string",
+            "index-null", "no-config", "config-seed-true",
+            "config-unknown-cell"])
+    def test_bad_by_kind_manifest(self, eval_files, corpus_dir, tmp_path,
+                                  capsys, damage, message):
+        hyp, ref = eval_files
+        argv = ["eval", "--hyp", str(hyp), "--ref", str(ref), "--by-kind"]
+        assert main(argv + [str(corpus_dir / MANIFEST_NAME)]) == 0
+        clean = capsys.readouterr().out
         by_kind = tmp_path / "manifest.json"
-        by_kind.write_text(manifest)
-        rc = main(["eval", "--hyp", str(hyp), "--ref", str(hyp),
-                   "--by-kind", str(by_kind)])
-        assert rc == 2
-        one_line_error(capsys, message)
+        if isinstance(damage, str):
+            by_kind.write_text(damage)
+        else:
+            manifest = load_manifest(corpus_dir)
+            damage(manifest)
+            by_kind.write_text(json.dumps(manifest))
+        rc = main(argv + [str(by_kind)])
+        if message is None:
+            assert rc == 0
+            assert capsys.readouterr().out == clean
+        else:
+            assert rc == 2
+            one_line_error(capsys, message)
+
+    def test_by_kind_key_outside_the_plan(self, corpus_dir, tmp_path, capsys):
+        charts = load_manifest(corpus_dir)["totals"]["charts"]
+        for key in (charts, -1, "1"):
+            hyp = tmp_path / "hyp.jsonl"
+            hyp.write_text(json.dumps({"image_index": key, "text": "a"}) + "\n")
+            rc = main(["eval", "--hyp", str(hyp), "--ref", str(hyp),
+                       "--by-kind", str(corpus_dir / MANIFEST_NAME)])
+            assert rc == 2
+            one_line_error(capsys, f"eval: key {key!r} not in --by-kind "
+                                   f"manifest")
 
     def test_line_nested_too_deep_is_plain_text(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
@@ -529,7 +578,8 @@ class TestEval:
         rc = main(["eval", "--hyp", str(hyp), "--ref", str(hyp),
                    "--by-kind", str(by_kind)])
         assert rc == 2
-        one_line_error(capsys, "is not JSON: maximum recursion depth exceeded")
+        one_line_error(capsys, "manifest: manifest.json does not parse: "
+                               "maximum recursion depth exceeded")
 
     def test_hyp_is_directory(self, tmp_path, capsys):
         ref = tmp_path / "ref.txt"
@@ -539,8 +589,11 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("flag", ["--hyp", "--by-kind"])
-    def test_input_not_utf8(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag, message", [
+        ("--hyp", "bad.txt is not UTF-8 text"),
+        ("--by-kind", "manifest: bad.txt does not parse: 'utf-8' codec"),
+    ], ids=["--hyp", "--by-kind"])
+    def test_input_not_utf8(self, tmp_path, capsys, flag, message):
         good = tmp_path / "good.jsonl"
         good.write_text(json.dumps({"image_index": 1, "text": "a"}) + "\n")
         bad = tmp_path / "bad.txt"
@@ -551,7 +604,55 @@ class TestEval:
                            if v is not None for x in (k, v)]
         rc = main(argv)
         assert rc == 2
-        one_line_error(capsys, "is not UTF-8 text")
+        one_line_error(capsys, message)
+
+
+class TestPlannedFromTheConfig:
+    """stats and eval --by-kind read a manifest's config and plan from it:
+    they build no catalog or bank, and open no file the config names."""
+
+    def test_planning_builds_nothing(self, corpus_dir, eval_files, capsys,
+                                     monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a catalog or bank was built")
+
+        for name in ("synth_catalog", "load_catalog", "load_default_bank"):
+            monkeypatch.setattr(corpus, name, refuse)
+        hyp, ref = eval_files
+        assert main(["stats", str(corpus_dir)]) == 0
+        assert main(["eval", "--hyp", str(hyp), "--ref", str(ref), "--by-kind",
+                     str(corpus_dir / MANIFEST_NAME)]) == 0
+        assert "horizontal-bar" in capsys.readouterr().out
+
+    def test_moved_corpus(self, tmp_path, capsys, monkeypatch):
+        # a relative template_bank and a catalog file, both in the directory
+        # generate ran in; the echo names them as given
+        made = tmp_path / "made"
+        made.mkdir()
+        monkeypatch.chdir(made)
+        Path("bank.tsv").write_text(serialize_bank(load_default_bank()),
+                                    encoding="utf-8")
+        write_catalog(synth_catalog(7, 24, 30), Path("catalog.csv"))
+        Path("corpus.ini").write_text(
+            "[corpus]\nseed = 41\ncount_scale = 0.002\noutput_dir = out\n"
+            "template_bank = bank.tsv\ncatalog_source = catalog.csv\n")
+        assert main(["generate", "--config", "corpus.ini"]) == 0
+        assert "wrote 15 charts" in capsys.readouterr().out
+
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        out = made / "out"
+        assert main(["stats", str(out)]) == 0
+        assert "charts: 15" in capsys.readouterr().out
+        assert main(["validate", str(out)]) == 0
+        assert "ok: 15 charts" in capsys.readouterr().out
+        text = (out / "descriptions" / "000003.txt").read_text()
+        hyp = elsewhere / "hyp.jsonl"
+        hyp.write_text(text.splitlines()[0] + "\n")
+        assert main(["eval", "--hyp", str(hyp), "--ref", str(hyp),
+                     "--by-kind", str(out / MANIFEST_NAME)]) == 0
+        assert "overall" in capsys.readouterr().out
 
 
 class TestParser:

@@ -14,14 +14,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chartscribe import cli
 from chartscribe.catalog import synth_catalog, write_catalog
 from chartscribe.chartgen import ChartMeta
 from chartscribe.corpus import (
     CATEGORIES, CATEGORY_CODES, DEFAULT_CELL_COUNTS, KIND_CODES, KINDS,
     MANIFEST_NAME, ConfigError, CorpusConfig, ManifestError, RecordPlan,
-    build_record, default_config, generate_corpus, load_config, load_manifest,
-    regenerate_record, stats, validate_corpus, _attempt_record, _build_bank,
-    _build_catalog, _decode_text, _RecordBuilder, _svg_error,
+    default_config, generate_corpus, load_config, load_manifest,
+    regenerate_record, stats, validate_corpus, _decode_text, _RecordBuilder,
+    _svg_error,
 )
 from chartscribe.narrate import Description, PlanParams
 from chartscribe.rng import derive_seed
@@ -71,6 +72,19 @@ def tiny_corpus(tmp_path_factory):
     return out, config, manifest
 
 
+@pytest.fixture(scope="module")
+def file_catalog_corpus(tmp_path_factory):
+    """A corpus drawn from a catalog file, with most cells empty."""
+    root = tmp_path_factory.mktemp("file-catalog")
+    cat_path = root / "catalog.tsv"
+    write_catalog(synth_catalog(2, 8, 10), cat_path)
+    out = root / "corpus"
+    cells = {("categorical", "line"): 3, ("temporal-random", "line"): 3}
+    config = CorpusConfig(seed=4, output_dir=str(out), cell_counts=cells,
+                          catalog_source=str(cat_path))
+    return out, config, generate_corpus(config)
+
+
 class TestConfig:
     """CorpusConfig construction and validation."""
 
@@ -97,13 +111,40 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CorpusConfig(seed=1, cell_counts={("temporal-trend", "pie"): 5})
 
-    def test_missing_bank_file_rejected(self):
-        with pytest.raises(ConfigError):
-            CorpusConfig(seed=1, template_bank="/nonexistent/bank.tsv")
+    # load_config and generate_corpus check the bank and catalog files;
+    # CorpusConfig opens none, so a manifest's echo reads anywhere
 
-    def test_bad_catalog_source_rejected(self):
-        with pytest.raises(ConfigError):
-            CorpusConfig(seed=1, catalog_source="synthetic(oops)")
+    @staticmethod
+    def rejected(tmp_path, key, value, message):
+        ini = tmp_path / "corpus.ini"
+        ini.write_text(f"[corpus]\nseed = 1\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(ini)
+        out = tmp_path / "out"
+        with pytest.raises(OSError):
+            generate_corpus(CorpusConfig(seed=1, output_dir=str(out),
+                                         **{key: value}))
+        assert not out.exists()
+
+    def test_missing_bank_file_rejected(self, tmp_path):
+        self.rejected(tmp_path, "template_bank", "/nonexistent/bank.tsv",
+                      "template_bank: no file at /nonexistent/bank.tsv")
+
+    def test_bad_catalog_source_rejected(self, tmp_path):
+        self.rejected(tmp_path, "catalog_source", "synthetic(oops)",
+                      "catalog_source: neither synthetic(nI, nE) nor a file: "
+                      "synthetic(oops)")
+
+    def test_config_opens_no_file(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a file was looked up")
+
+        with monkeypatch.context() as patched:
+            for name in ("stat", "open", "lstat"):
+                patched.setattr(os, name, refuse)
+            config = CorpusConfig(seed=1, template_bank="/nonexistent/bank.tsv",
+                                  catalog_source="/nonexistent/catalog.csv")
+        assert config.template_bank == "/nonexistent/bank.tsv"
 
     def test_scaled_count_floors_at_one(self):
         config = CorpusConfig(seed=1, count_scale=0.0001)
@@ -122,6 +163,14 @@ class TestConfig:
                               descriptions_per_chart=2,
                               plan_params=PlanParams(p_move2=0.25))
         assert CorpusConfig.from_dict(config.to_dict()) == config
+
+    def test_from_dict_reads_an_int_as_a_float(self):
+        doc = CorpusConfig(seed=11).to_dict()
+        doc["count_scale"] = 1
+        doc["plan_params"]["p_move2"] = 0
+        config = CorpusConfig.from_dict(doc)
+        assert type(config.count_scale) is float
+        assert type(config.plan_params.p_move2) is float
 
 
 class TestLoadConfig:
@@ -289,57 +338,51 @@ class TestBuildPlans:
 
 
 @pytest.fixture(scope="module")
-def env():
-    config = CorpusConfig(seed=44, count_scale=0.004)
-    return config, _build_catalog(config), _build_bank(config.template_bank)
+def builder():
+    return _RecordBuilder(CorpusConfig(seed=44, count_scale=0.004))
+
+
+def meta_of(payload) -> ChartMeta:
+    return ChartMeta.from_json(payload.data["meta"].decode("utf-8"))
 
 
 class TestBuildRecord:
-    """Single-record generation."""
+    """Single-record generation, from a plan."""
 
-    def test_deterministic(self, env):
-        config, catalog, bank = env
+    def test_deterministic(self, builder):
         plan = RecordPlan(0, "temporal-trend", "line", 0, 12345)
-        a = build_record(plan, catalog, bank, config)
-        b = build_record(plan, catalog, bank, config)
-        assert a.svg == b.svg
-        assert a.meta_json == b.meta_json
-        assert a.descriptions == b.descriptions
+        a = builder.build(plan)
+        b = builder.build(plan)
+        assert a.data == b.data
         assert a.entry == b.entry
+        assert sorted(a.data) == sorted(a.entry["files"])
 
-    def test_trend_cell_first_series_cycles_classes(self, env):
-        config, catalog, bank = env
+    def test_trend_cell_first_series_cycles_classes(self, builder):
         for cell_index in range(6):
             plan = RecordPlan(cell_index, "temporal-trend", "line",
                               cell_index, 500 + cell_index)
-            payload = build_record(plan, catalog, bank, config)
-            meta = ChartMeta.from_json(payload.meta_json)
+            meta = meta_of(builder.build(plan))
             want = DIRECTIONAL_CLASSES[cell_index % 6].value
             assert meta.series[0].trend_class == want
 
-    def test_random_cell_all_flat(self, env):
-        config, catalog, bank = env
+    def test_random_cell_all_flat(self, builder):
         flat = {c.value for c in FLAT_CLASSES}
         for i in range(8):
             plan = RecordPlan(i, "temporal-random", "scatter", i, 900 + i)
-            payload = build_record(plan, catalog, bank, config)
-            meta = ChartMeta.from_json(payload.meta_json)
+            meta = meta_of(builder.build(plan))
             assert meta.category == "temporal-random"
             for sm in meta.series:
                 assert sm.trend_class in flat
 
-    def test_categorical_cell(self, env):
-        config, catalog, bank = env
+    def test_categorical_cell(self, builder):
         plan = RecordPlan(9, "categorical", "vertical-bar", 0, 321)
-        payload = build_record(plan, catalog, bank, config)
-        meta = ChartMeta.from_json(payload.meta_json)
+        meta = meta_of(builder.build(plan))
         assert meta.category == "categorical"
         assert all(sm.trend_class is None for sm in meta.series)
 
-    def test_entry_fields(self, env):
-        config, catalog, bank = env
+    def test_entry_fields(self, builder):
         plan = RecordPlan(17, "categorical", "line", 4, 888)
-        payload = build_record(plan, catalog, bank, config)
+        payload = builder.build(plan)
         entry = payload.entry
         assert entry["image_index"] == 17
         assert entry["cell_index"] == 4
@@ -347,35 +390,45 @@ class TestBuildRecord:
         assert entry["files"]["chart"] == "charts/000017.svg"
         assert entry["files"]["meta"] == "meta/000017.json"
         assert entry["files"]["descriptions"] == "descriptions/000017.txt"
-        assert entry["n_descriptions"] == payload.descriptions.count("\n")
+        assert entry["n_descriptions"] == \
+            payload.data["descriptions"].count(b"\n")
 
-    def test_failed_attempt_logs_a_warning(self, env, monkeypatch, caplog):
-        config, catalog, bank = env
+    def test_failed_attempt_logs_a_warning(self, builder, monkeypatch, caplog):
+        attempt_record = _RecordBuilder._attempt
 
-        def fail_first(plan, seed, attempt, *args):
+        def fail_first(self, plan, attempt):
             if attempt == 0:
                 raise ValueError("forced")
-            return _attempt_record(plan, seed, attempt, *args)
+            return attempt_record(self, plan, attempt)
 
-        monkeypatch.setattr("chartscribe.corpus._attempt_record", fail_first)
+        monkeypatch.setattr(_RecordBuilder, "_attempt", fail_first)
         plan = RecordPlan(31, "temporal-trend", "line", 0, 4242)
         with caplog.at_level("WARNING", logger="chartscribe.corpus"):
-            payload = build_record(plan, catalog, bank, config)
+            payload = builder.build(plan)
         assert payload.entry["attempt"] == 1
         assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] \
             == [("chartscribe.corpus", "WARNING",
                  "record 000031 attempt 0 failed: forced")]
 
-    def test_descriptions_parse_with_matching_index(self, env):
-        config, catalog, bank = env
+    def test_descriptions_parse_with_matching_index(self, builder):
         plan = RecordPlan(23, "temporal-trend", "scatter", 2, 777)
-        payload = build_record(plan, catalog, bank, config)
-        lines = payload.descriptions.splitlines()
-        assert 1 <= len(lines) <= config.descriptions_per_chart
+        lines = builder.build(plan).data["descriptions"].decode().splitlines()
+        assert 1 <= len(lines) <= builder.config.descriptions_per_chart
         for v, line in enumerate(lines):
             desc = Description.from_json_line(line)
             assert desc.image_index == 23
             assert desc.variant_index == v
+
+
+def echo_with(path, value):
+    """A version-2 manifest whose config echo has value at path."""
+    config = CorpusConfig(seed=41, count_scale=0.002).to_dict()
+    *parents, key = path
+    target = config
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    return {"format_version": 2, "config": config}
 
 
 class TestGenerateCorpus:
@@ -538,7 +591,27 @@ class TestGenerateCorpus:
          "manifest: config is malformed: KeyError: 'cell_counts'"),
         ({"format_version": 2, "config": []},
          "manifest: config is malformed: TypeError: "),
-    ], ids=["not-an-object", "config-without-cells", "config-not-an-object"])
+    ] + [
+        # each value needs its field's JSON type: true == 1 and 41.9 would
+        # rebuild another record, and int() made 41 of 41.9 and "41"
+        (echo_with(path, value), "manifest: config is malformed: TypeError: "
+                                 f"{path[-1]}: {value!r} is not of type {cast}")
+        for path, value, cast in [
+            (["seed"], True, "int"), (["seed"], 41.9, "int"),
+            (["seed"], "41", "int"), (["count_scale"], "0.002", "float"),
+            (["count_scale"], None, "float"),
+            (["cell_counts", "temporal-trend/line"], 880.9, "int"),
+            (["cell_counts", "temporal-trend/line"], False, "int"),
+            (["plan_params", "m3_min"], True, "int"),
+            (["plan_params", "p_move2"], "0.5", "float"),
+            (["template_bank"], 5, "str"),
+            (["descriptions_per_chart"], 3.0, "int"),
+        ]
+    ], ids=["not-an-object", "config-without-cells", "config-not-an-object",
+            "seed-true", "seed-float", "seed-string", "scale-string",
+            "scale-null", "cell-count-float", "cell-count-false",
+            "plan-int-true", "plan-float-string", "bank-int",
+            "variants-float"])
     def test_regenerate_unreadable_manifest(self, tiny_corpus, tmp_path,
                                             manifest, message):
         out, _, _ = tiny_corpus
@@ -579,18 +652,45 @@ class TestGenerateCorpus:
                            match=f"format_version {version!r} cannot"):
             regenerate_record(out, 0)
 
-    def test_file_catalog_source(self, tmp_path):
-        catalog = synth_catalog(2, 8, 10)
-        cat_path = tmp_path / "catalog.tsv"
-        write_catalog(catalog, cat_path)
-        out = tmp_path / "corpus"
-        cells = {("categorical", "line"): 3, ("temporal-random", "line"): 3}
-        config = CorpusConfig(seed=4, output_dir=str(out),
-                              cell_counts=cells,
-                              catalog_source=str(cat_path))
-        manifest = generate_corpus(config)
+    def test_file_catalog_source(self, file_catalog_corpus):
+        out, _, manifest = file_catalog_corpus
         assert manifest["totals"]["charts"] == 6
         assert validate_corpus(out) == []
+
+
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("a catalog or bank was built")
+
+
+def stats_from_records(corpus_dir) -> dict:
+    """The stats document as once counted from the per-record index: the
+    oracle of stats, which now plans from the config."""
+    records = load_manifest(corpus_dir)["records"]
+    grid = {(category, kind): 0 for category in CATEGORIES for kind in KINDS}
+    descriptions = 0
+    for entry in records:
+        grid[(entry["category"], entry["kind"])] += 1
+        descriptions += entry["n_descriptions"]
+    charts = len(records)
+    return {
+        "charts": charts,
+        "descriptions": descriptions,
+        "descriptions_per_chart": descriptions / charts if charts else 0.0,
+        "grid": {f"{category}/{kind}": count
+                 for (category, kind), count in sorted(grid.items())},
+    }
+
+
+def kinds_from_records(manifest_path) -> dict:
+    """eval --by-kind's kinds as once read from the per-record index: the
+    oracle of the config's plan."""
+    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    kinds = {}
+    for entry in manifest["records"]:
+        index, kind = entry["image_index"], entry["kind"]
+        assert type(index) is int and isinstance(kind, str)
+        kinds[index] = kind
+    return kinds
 
 
 class TestStats:
@@ -607,19 +707,65 @@ class TestStats:
                 assert doc["grid"][f"{category}/{kind}"] == want
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda m: m["records"][0].pop("kind"), "records[0] has no kind"),
-        (lambda m: m["records"][1].update(category="pie"),
-         "records[1] has cell pie/"),
-        (lambda m: m.update(records={}), "records is not a list"),
-    ], ids=["no-kind", "unknown-category", "records-not-a-list"])
+        # stats reads the config and totals, not the records: damage to a
+        # record changes nothing
+        (lambda m: m["records"][0].pop("kind"), None),
+        (lambda m: m["records"][1].update(category="pie"), None),
+        (lambda m: m.update(records={}), None),
+        (lambda m: m.pop("config"),
+         "manifest: config is malformed: KeyError: 'config'"),
+        (lambda m: m["config"].update(seed=True), "manifest: config is "
+         "malformed: TypeError: seed: True is not of type int"),
+        (lambda m: m["config"]["cell_counts"].update({"pie/line": 1}),
+         "manifest: config is malformed: ConfigError: cell_counts: unknown "
+         "cell pie/line"),
+        (lambda m: m["totals"].update(
+            descriptions=float(m["totals"]["descriptions"])),
+         "manifest: totals.descriptions is not an int"),
+        (lambda m: m.update(totals=[]),
+         "manifest: totals.descriptions is not an int"),
+    ], ids=["no-kind", "unknown-category", "records-not-a-list", "no-config",
+            "config-seed-true", "config-unknown-cell", "descriptions-float",
+            "totals-not-an-object"])
     def test_damaged_manifest(self, tiny_corpus, tmp_path, damage, message):
         out, _, _ = tiny_corpus
         manifest = load_manifest(out)
         damage(manifest)
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        if message is None:
+            assert stats(tmp_path) == stats(out)
+            return
         with pytest.raises(ManifestError) as err:
             stats(tmp_path)
-        assert message in str(err.value)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("corpus", ["tiny_corpus", "file_catalog_corpus"])
+    def test_matches_the_record_walk(self, request, monkeypatch, capsys,
+                                     corpus):
+        out, _, manifest = request.getfixturevalue(corpus)
+        # planning from the config builds no catalog or bank
+        for name in ("synth_catalog", "load_catalog", "load_default_bank"):
+            monkeypatch.setattr(f"chartscribe.corpus.{name}", refuse_to_build)
+        assert stats(out)[0] == stats_from_records(out)
+
+        # eval --by-kind: each key's hypothesis names it, and is scored
+        # under the kind the config plans for it
+        scored = {}
+        real_score_pair = cli.score_pair
+
+        def spy(hyp, refs, kind):
+            scored[int(hyp.split()[1])] = kind
+            return real_score_pair(hyp, refs, kind=kind)
+
+        monkeypatch.setattr(cli, "score_pair", spy)
+        keys = out.parent / f"{corpus}-keys.jsonl"
+        keys.write_text("".join(
+            json.dumps({"image_index": i, "text": f"chart {i} shown"}) + "\n"
+            for i in range(manifest["totals"]["charts"])))
+        assert cli.main(["eval", "--hyp", str(keys), "--ref", str(keys),
+                         "--by-kind", str(out / MANIFEST_NAME)]) == 0
+        capsys.readouterr()
+        assert scored == kinds_from_records(out / MANIFEST_NAME)
 
     def test_table_text(self, tiny_corpus):
         out, _, manifest = tiny_corpus
@@ -757,6 +903,81 @@ class TestValidate:
         tamper(doc)
         path.write_text(json.dumps(doc))
         assert validate_corpus(fresh) == problems
+
+    def test_cells_must_list_the_config_grid(self, fresh):
+        # without its first cell, no cell check would see temporal-trend/line
+        edit_json(fresh / MANIFEST_NAME, lambda doc: doc["cells"].pop(0))
+        assert validate_corpus(fresh) == [
+            "manifest: cells do not list the config's grid"]
+
+    @pytest.mark.parametrize("tamper, expected", [
+        # another seed plans other records: every one is flagged
+        (lambda doc: doc["config"].update(seed=42),
+         [f"manifest: records[{i}] has seed other than the config plans"
+          for i in range(15)]),
+        (lambda doc: doc["records"][3].update(cell_index=1),
+         ["manifest: records[3] has cell_index other than the config plans"]),
+        # as a JSON int: true and 1.0 compare equal to 1
+        (lambda doc: doc["records"][1].update(
+            cell_index=True, seed=float(doc["records"][1]["seed"])),
+         ["manifest: records[1] has cell_index, seed other than the config "
+          "plans"]),
+        (lambda doc: doc["records"][4].pop("seed"),
+         ["manifest: records[4] has seed other than the config plans"]),
+    ], ids=["config-seed", "cell-index", "cell-index-true-seed-float",
+            "no-seed"])
+    def test_records_must_match_the_config_plan(self, fresh, tamper,
+                                                expected):
+        edit_json(fresh / MANIFEST_NAME, tamper)
+        assert validate_corpus(fresh) == expected
+
+    def test_record_outside_the_config_plan(self, fresh):
+        # the config plans 15 records; the 16th entry copies record 14's
+        # files under index 15
+        for sub, suffix in (("charts", ".svg"), ("meta", ".json"),
+                            ("descriptions", ".txt")):
+            shutil.copy(fresh / sub / f"000014{suffix}",
+                        fresh / sub / f"000015{suffix}")
+
+        def add_record(doc):
+            entry = dict(doc["records"][14], image_index=15)
+            entry["files"] = {key: rel.replace("000014", "000015")
+                              for key, rel in entry["files"].items()}
+            doc["records"].append(entry)
+
+        edit_json(fresh / MANIFEST_NAME, add_record)
+        problems = validate_corpus(fresh)
+        assert problems[0] == ("manifest: records[15] has image_index other "
+                               "than the config plans")
+
+    def test_malformed_config_is_one_violation(self, fresh):
+        # and every record is still checked
+        edit_json(fresh / MANIFEST_NAME,
+                  lambda doc: doc["config"].update(seed="13"))
+        (fresh / "charts" / "000002.svg").unlink()
+        problems = validate_corpus(fresh)
+        assert problems[0] == ("manifest: config is malformed: TypeError: "
+                               "seed: '13' is not of type int")
+        assert not any(p.startswith("manifest: config") for p in problems[1:])
+        assert "record 000002: missing chart file 000002.svg" in problems
+
+    @pytest.mark.parametrize("name, edit, expected", [
+        ("descriptions/000001.txt", lambda doc: doc.update(image_index=True),
+         "record 000001: description line 0 image_index True mismatch"),
+        ("descriptions/000002.txt", lambda doc: doc.update(image_index=2.0),
+         "record 000002: description line 0 image_index 2.0 mismatch"),
+        ("meta/000002.json", lambda doc: doc.update(image_index=2.0),
+         "record 000002: meta image_index 2.0 mismatch"),
+    ], ids=["description-true", "description-float", "meta-float"])
+    def test_record_index_not_an_int(self, fresh, name, edit, expected):
+        # true == 1 and 2.0 == 2, but neither is a JSON int
+        path = fresh / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[0])
+        edit(doc)
+        lines[0] = json.dumps(doc, ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert validate_corpus(fresh) == [expected]
 
     def test_never_aborts_early(self, fresh):
         """Multiple independent faults are all reported in one pass."""
