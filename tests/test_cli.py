@@ -609,7 +609,7 @@ class TestEval:
 
 class TestPlannedFromTheConfig:
     """stats and eval --by-kind read a manifest's config and plan from it:
-    they build no catalog or bank, and open no file the config names."""
+    they build no catalog or bank, and work wherever the corpus has moved."""
 
     def test_planning_builds_nothing(self, corpus_dir, eval_files, capsys,
                                      monkeypatch):
