@@ -57,6 +57,8 @@ class InsufficientCoverageError(RuntimeError):
 
 @dataclass(frozen=True)
 class Indicator:
+    """A measured quantity: catalog id, display name, unit, value kind."""
+
     id: str
     name: str
     unit: str
@@ -75,6 +77,8 @@ class Indicator:
 
 @dataclass(frozen=True)
 class Entity:
+    """A place or group an indicator is measured for; never unnamed."""
+
     id: str
     name: str
     kind: str

@@ -90,6 +90,8 @@ class NegativeBarValueError(ValueError):
 
 @dataclass(frozen=True)
 class StyleSpec:
+    """Visual choices of one chart, as indexes into the style tables."""
+
     marker_shape: int
     colors: Tuple[int, ...]
     bar_thickness: float
@@ -115,6 +117,9 @@ class StyleSpec:
 
 @dataclass
 class ChartSpec:
+    """What `render` draws: one or two series on shared x labels, the
+    title and axis labels, and the style."""
+
     kind: ChartKind
     series: List[DataSeries]
     title: str
@@ -136,6 +141,8 @@ class ChartSpec:
 
 @dataclass
 class BBox:
+    """An axis-aligned box in canvas units, origin at the top left."""
+
     x: float
     y: float
     w: float
@@ -150,12 +157,16 @@ class BBox:
 
 @dataclass
 class LabeledText:
+    """A drawn text and its box."""
+
     text: str
     bbox: BBox
 
 
 @dataclass
 class TickMark:
+    """An axis tick's label, its box and, on a value axis, its value."""
+
     label: str
     bbox: BBox
     value: Optional[float]  # numeric tick value; None for category ticks
@@ -163,6 +174,8 @@ class TickMark:
 
 @dataclass
 class LegendEntry:
+    """One series' legend row: its name box and its marker box."""
+
     name: str
     name_bbox: BBox
     marker_bbox: BBox
@@ -170,12 +183,16 @@ class LegendEntry:
 
 @dataclass
 class Legend:
+    """The legend's box and its rows, one per series."""
+
     bbox: BBox
     entries: List[LegendEntry]
 
 
 @dataclass
 class PointRecord:
+    """One plotted point: its category, value and canvas position."""
+
     x_label: str
     x_index: int
     value: float  # data units, full precision
@@ -185,6 +202,8 @@ class PointRecord:
 
 @dataclass
 class SeriesMeta:
+    """One plotted series: its name, trend class and points."""
+
     name: str
     trend_class: Optional[str]
     points: List[PointRecord]
@@ -211,6 +230,8 @@ class AxisTransform:
 
 @dataclass
 class Canvas:
+    """The drawing area's size in canvas units."""
+
     width: int = CANVAS_W
     height: int = CANVAS_H
 

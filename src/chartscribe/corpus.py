@@ -16,7 +16,11 @@ can be built concurrently.
 checks everything from those bytes: the SVG with a namespace-aware expat
 parser that gives ElementTree's verdict and message without building a
 tree, the meta and description JSON, the stored description text against
-its sentences, the move order, and the digit audit.
+its sentences, the move order, and the digit audit.  The digit audit runs
+once over all of a record's description lines, whose variants repeat most
+words, and line by line only when that finds a foreign token, so each
+message keeps its line number.  Each distinct move sequence is checked once
+per call.  The manifest must list every record the config plans.
 """
 
 import contextlib
@@ -283,6 +287,8 @@ def _build_bank(source: str) -> TemplateBank:
 
 @dataclass(frozen=True)
 class RecordPlan:
+    """Where a record sits in the config's grid, and its build seed."""
+
     image_index: int
     category: str
     kind: str
@@ -292,6 +298,8 @@ class RecordPlan:
 
 @dataclass(frozen=True)
 class RecordPayload:
+    """A built record: its manifest entry and its three files' bytes."""
+
     entry: dict
     data: Dict[str, bytes]  # each file's bytes, keyed as in entry["files"]
 
@@ -769,13 +777,14 @@ def _decode_text(data: bytes) -> str:
     return text
 
 
-def _validate_record(dirs: Dict[str, int], entry: dict,
-                     seen_counts: dict) -> List[str]:
+def _validate_record(dirs: Dict[str, int], entry: dict, seen_counts: dict,
+                     move_checks: Dict[tuple, List[str]]) -> List[str]:
     """Check one record whose manifest entry has passed `_record_shape`.
 
     Each of the record's files is read once, as bytes, by name from its
     open layout directory, with no stat before; a file that cannot be read,
-    or is not a regular file, is reported missing."""
+    or is not a regular file, is reported missing.  move_checks holds the
+    `check_move_order` verdict of each move sequence seen so far."""
     problems: List[str] = []
     idx = entry["image_index"]
     tag = f"record {_record_name(idx)}"
@@ -832,18 +841,27 @@ def _validate_record(dirs: Dict[str, int], entry: dict,
         problems.append(
             f"{tag}: {len(lines)} description lines, manifest says "
             f"{entry['n_descriptions']}")
-    for line_no, line in enumerate(lines):
+    descs: List[object] = []  # per line, its Description or parse error
+    for line in lines:
         try:
-            desc = Description.from_json_line(line)
+            descs.append(Description.from_json_line(line))
         except _MALFORMED as exc:
+            descs.append(exc)
+    texts = [desc.text if isinstance(desc, Description) else ""
+             for desc in descs]
+    # whitespace ends every token, so the audit of all lines at once is
+    # empty exactly when each line's is; only then are lines audited alone
+    audit = facts is not None and bool(hallucination_check(" ".join(texts),
+                                                           facts))
+    for line_no, (desc, text) in enumerate(zip(descs, texts)):
+        if not isinstance(desc, Description):
             problems.append(
-                f"{tag}: description line {line_no} does not parse: {exc}")
+                f"{tag}: description line {line_no} does not parse: {desc}")
             continue
         if type(desc.image_index) is not int or desc.image_index != idx:
             problems.append(
                 f"{tag}: description line {line_no} image_index "
                 f"{desc.image_index} mismatch")
-        text = desc.text
         if desc.stored_text != text:
             problems.append(
                 f"{tag}: description line {line_no} text is not its "
@@ -851,11 +869,14 @@ def _validate_record(dirs: Dict[str, int], entry: dict,
         if "{" in text or "}" in text:
             problems.append(
                 f"{tag}: description line {line_no} has residual slots")
-        violations = check_move_order(desc.moves)
+        moves = desc.moves
+        violations = move_checks.get(moves)
+        if violations is None:
+            violations = move_checks[moves] = check_move_order(moves)
         for violation in violations:
             problems.append(
                 f"{tag}: description line {line_no} move order: {violation}")
-        if facts is not None:
+        if audit:
             for token in hallucination_check(text, facts):
                 problems.append(
                     f"{tag}: description line {line_no} digit token "
@@ -922,6 +943,7 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
 
         records = _manifest_part(manifest, "records", [], problems)
         indices = set()
+        move_checks: Dict[tuple, List[str]] = {}
         for pos, entry in enumerate(records):
             shape = _record_shape(entry)
             if shape is not None:
@@ -941,7 +963,22 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
                 if wrong:
                     problems.append(f"manifest: records[{pos}] has "
                                     f"{', '.join(wrong)} other than the config plans")
-            problems.extend(_validate_record(dirs, entry, seen))
+            problems.extend(_validate_record(dirs, entry, seen, move_checks))
+        if builder is not None:
+            # a planned record with no entry, files or count left would
+            # otherwise pass every count check; an entry reported above as
+            # malformed still lists its index
+            listed = {entry["image_index"] for entry in records
+                      if isinstance(entry, dict)
+                      and type(entry.get("image_index")) is int}
+            total = builder.starts[-1]
+            unlisted = [i for i in range(total) if i not in listed]
+            if unlisted:
+                shown = ", ".join(map(str, unlisted[:5]))
+                problems.append(
+                    f"manifest: no record lists image_index {shown}"
+                    f"{', ...' if len(unlisted) > 5 else ''}, of the "
+                    f"{total} the config plans")
 
         totals = _manifest_part(manifest, "totals", {}, problems)
         # as in a record, a count is a JSON int: true and 15.0 are not

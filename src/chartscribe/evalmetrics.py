@@ -247,6 +247,8 @@ def rouge_l(hyp: Sequence[str], refs: RefsLike) -> float:
 
 @dataclass
 class ScoredPair:
+    """The metric scores of one hypothesis, and the chart kind it describes."""
+
     scores: Dict[str, float] = field(default_factory=dict)
     kind: str = ""
 

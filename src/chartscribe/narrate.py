@@ -7,7 +7,8 @@ so a (chart, seed) pair always yields byte-identical text.  A chart's facts
 are extracted once for all its variants, a template's text is split into
 literal and slot pieces once per bank, and the applicable templates of a
 move come from the bank's index.  The digit audit tokenizes a chart's facts
-once, and each text once, over only its words that are not all letters.
+once, and each record's distinct words once, over only the words that hold
+a digit; it places tokens in their text only when one matches no fact.
 
 Move tags and their ordering contract:
 
@@ -23,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import filterfalse
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .catalog import DataSeries
@@ -142,6 +144,8 @@ class CrossFacts:
 
 @dataclass(frozen=True)
 class ChartFacts:
+    """Everything a template slot can print about one chart."""
+
     image_index: int
     category: str
     kind_phrase: str
@@ -157,7 +161,7 @@ class ChartFacts:
     @cached_property
     def digit_tokens(self) -> FrozenSet[str]:
         """The digit-bearing tokens of every fact a slot can print.  The
-        texts are joined with spaces and go through one `_digit_tokens`
+        texts are joined with spaces and go through one `_digit_token_set`
         call, which gives the tokens of one call per text: whitespace
         always ends a token."""
         texts = [self.title, self.x_label, self.y_label, self.unit,
@@ -166,7 +170,7 @@ class ChartFacts:
             texts += (sf.name, sf.x_first, sf.x_last, sf.x_at_max, sf.x_at_min)
             texts += (_plain_number(_round_2sf(v)) for v in (
                 sf.y_first, sf.y_last, sf.y_max, sf.y_min, sf.y_mean, sf.delta))
-        return frozenset(_digit_tokens(" ".join(texts)))
+        return frozenset(_digit_token_set(" ".join(texts)))
 
 
 def _check_consistency(meta: ChartMeta, series: Sequence[DataSeries]) -> None:
@@ -512,6 +516,8 @@ def realize(template: Template, facts: ChartFacts, series_index: int,
 
 @dataclass(frozen=True)
 class Sentence:
+    """One realized sentence: its move, the template it came from, its text."""
+
     move: str
     template_id: str
     text: str
@@ -519,6 +525,8 @@ class Sentence:
 
 @dataclass(frozen=True)
 class Description:
+    """One description of a chart: its variant's sentences, in move order."""
+
     image_index: int
     variant_index: int
     sentences: Tuple[Sentence, ...]
@@ -706,7 +714,21 @@ def _digit_tokens(text: str) -> List[str]:
     return [tok for tok in tokenize(" ".join(words)) if _has_digit(tok)]
 
 
+def _digit_token_set(text: str) -> Set[str]:
+    """The set of digit-bearing tokens of text, from one `tokenize` call
+    over its distinct words that hold a digit.  A word's tokens are pieces
+    of it and do not depend on the words around it, so no other word can
+    add one.  All-letter words, most of a text, are dropped first in C."""
+    words = set(filterfalse(str.isalpha, text.lower().split()))
+    return set(filter(_has_digit,
+                      tokenize(" ".join(filter(_has_digit, words)))))
+
+
 def hallucination_check(text: str, facts: ChartFacts) -> List[str]:
-    """Digit-bearing tokens in the text that match no value in the facts."""
+    """Digit-bearing tokens in the text that match no value in the facts,
+    in text order.  The ordered list is built only when some token is
+    foreign; the tokens of repeated words are looked at once before."""
     allowed = facts.digit_tokens
+    if _digit_token_set(text) <= allowed:
+        return []
     return [tok for tok in _digit_tokens(text) if tok not in allowed]

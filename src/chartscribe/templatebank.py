@@ -17,7 +17,6 @@ is a coverage error.  `query` on such a cell is a lookup.
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -90,6 +89,8 @@ class EmptyQueryError(LookupError):
 
 @dataclass(frozen=True)
 class Template:
+    """One bank record: the text of a move and the charts it applies to."""
+
     id: str
     move: str
     category: str  # one of CATEGORIES or "any"
@@ -247,6 +248,9 @@ def load_bank(path) -> TemplateBank:
 
 def load_default_bank() -> TemplateBank:
     """Load the seed bank shipped inside the package."""
+    # importlib.resources loads tempfile, shutil, random, bz2 and lzma, so
+    # it is imported by the first call, not by `import chartscribe`
+    from importlib import resources
     text = resources.files("chartscribe").joinpath("data/seed_bank.tsv") \
         .read_text(encoding="utf-8")
     return parse_bank(text, source="seed_bank.tsv")

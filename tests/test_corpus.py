@@ -950,6 +950,68 @@ class TestValidate:
         assert problems[0] == ("manifest: records[15] has image_index other "
                                "than the config plans")
 
+    def test_one_audit_per_record_and_check_per_move_sequence(
+            self, fresh, monkeypatch):
+        # and nothing is kept for the next call
+        from chartscribe.corpus import check_move_order, hallucination_check
+        sequences = {tuple(s["move"] for s in json.loads(line)["sentences"])
+                     for path in (fresh / "descriptions").iterdir()
+                     for line in path.read_text().splitlines()}
+        audits, checks = [], []
+        monkeypatch.setattr(
+            "chartscribe.corpus.hallucination_check",
+            lambda text, facts: audits.append(text) or hallucination_check(
+                text, facts))
+        monkeypatch.setattr(
+            "chartscribe.corpus.check_move_order",
+            lambda moves: checks.append(moves) or check_move_order(moves))
+        for _ in range(2):
+            audits.clear()
+            checks.clear()
+            assert validate_corpus(fresh) == []
+            assert len(audits) == 15
+            assert sorted(checks) == sorted(sequences)
+
+    def test_planned_record_not_listed(self, tmp_path):
+        # record 14 is gone with its entry, its files and its counts, so
+        # every count agrees; the config still plans it
+        out = tmp_path / "corpus"
+        manifest = generate_corpus(CorpusConfig(seed=41, output_dir=str(out),
+                                                count_scale=0.002))
+        entry = manifest["records"][14]
+        assert (entry["image_index"], manifest["totals"]["charts"]) == (14, 15)
+        for rel in entry["files"].values():
+            (out / rel).unlink()
+
+        def drop_record(doc):
+            doc["records"].pop(14)
+            for cell in doc["cells"]:
+                if (cell["category"], cell["kind"]) == (entry["category"],
+                                                        entry["kind"]):
+                    cell["count"] -= 1
+            doc["totals"]["charts"] -= 1
+            doc["totals"]["descriptions"] -= entry["n_descriptions"]
+
+        edit_json(out / MANIFEST_NAME, drop_record)
+        assert validate_corpus(out) == [
+            "manifest: no record lists image_index 14, of the 15 the config "
+            "plans"]
+
+    @pytest.mark.parametrize("field", ["kind", "files"])
+    def test_malformed_record_still_lists_its_index(self, fresh, field):
+        edit_json(fresh / MANIFEST_NAME,
+                  lambda doc: doc["records"][4].pop(field))
+        problems = validate_corpus(fresh)
+        assert f"manifest: records[4] has no {field}" in problems
+        assert not any("no record lists" in p for p in problems)
+
+    def test_unlisted_records_are_one_violation(self, fresh):
+        edit_json(fresh / MANIFEST_NAME, lambda doc: doc.update(records=[]))
+        problems = validate_corpus(fresh)
+        assert problems[0] == ("manifest: no record lists image_index 0, 1, "
+                               "2, 3, 4, ..., of the 15 the config plans")
+        assert not any("no record lists" in p for p in problems[1:])
+
     def test_malformed_config_is_one_violation(self, fresh):
         # and every record is still checked
         edit_json(fresh / MANIFEST_NAME,

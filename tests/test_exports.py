@@ -1,11 +1,14 @@
 """Names that other code looks up by string: the attributes the benchmark's
 tracer wraps, and the package exports.  A deletion that leaves one of them
 dangling fails here, not in a traced benchmark run or at
-`from chartscribe import *`.  Also what a bare `import chartscribe` loads."""
+`from chartscribe import *`.  Also what a bare `import chartscribe` loads,
+and what its dataclasses cost it."""
 
+import dataclasses
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -72,14 +75,30 @@ def test_pool_hook_exists():
 
 
 def test_import_loads_no_pool_logging_expat_or_csv():
-    # a serial generate, validate, eval or describe uses none of these, and
-    # every CLI call, regenerate and pool worker pays for what the import
-    # loads; -S keeps site-packages' start-up files from loading them
+    # a serial generate, validate, eval or describe uses none of these (the
+    # packaged bank's reader, importlib.resources with tempfile, loads on
+    # its first call), and every CLI call, regenerate and pool worker pays
+    # for what the import loads; -S keeps site-packages' start-up files
+    # from loading them
     lazy = ["multiprocessing", "concurrent.futures", "logging",
-            "xml.parsers.expat", "csv"]
+            "xml.parsers.expat", "csv", "importlib.resources", "tempfile"]
     code = ("import sys, chartscribe, chartscribe.cli\n"
             f"print([name for name in {lazy!r} if name in sys.modules])")
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert out.stdout.strip() == "[]"
+
+
+def test_no_dataclass_docstring_is_generated():
+    # a dataclass without a docstring gets "Name(field: type, ...)", which
+    # `dataclass` writes with inspect.signature at every import
+    modules = [importlib.import_module(f"chartscribe.{info.name}")
+               for info in pkgutil.iter_modules(chartscribe.__path__)]
+    classes = [(name, cls) for module in modules
+               for name, cls in vars(module).items()
+               if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+               and cls.__module__ == module.__name__]
+    assert len(classes) >= 30
+    assert [name for name, cls in classes
+            if (cls.__doc__ or "").startswith(f"{name}(")] == []

@@ -745,6 +745,21 @@ class TestDigitAuditOracle:
         assert narrate._digit_tokens(text) == \
             [tok for tok in tokenize(text) if has_digit_scan(tok)]
 
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.text(), AUDIT_TRICKY,
+                              st.sampled_from(["It hit 15 million.",
+                                               "It hit 42.5 million."])),
+                    max_size=4),
+           AUDIT_TRICKY)
+    def test_record_audit_is_its_lines_audits(self, texts, title):
+        # validate audits a record's lines joined by a space, and each
+        # line alone only when that finds a token
+        facts = self.facts_with(title, "2015")
+        lines = [hallucination_check(text, facts) for text in texts]
+        record = hallucination_check(" ".join(texts), facts)
+        assert record == [tok for line in lines for tok in line]
+        assert (record == []) == all(line == [] for line in lines)
+
     def test_generated_descriptions(self):
         for seed in range(6):
             _, meta = make_chart(seed % 2 == 0, 1 + seed % 2, seed=seed,
