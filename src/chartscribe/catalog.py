@@ -9,7 +9,7 @@ builder either raw or perturbed toward a requested trend class.
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import combinations
 from pathlib import Path
@@ -243,33 +243,30 @@ def load_catalog(path) -> Catalog:
     next to it with a .dict.csv suffix."""
     path = Path(path)
     dict_path = path.with_suffix(".dict.csv")
-    if not path.exists():
-        raise FileNotFoundError(f"catalog data file not found: {path}")
-    if not dict_path.exists():
-        raise FileNotFoundError(f"catalog dictionary file not found: {dict_path}")
+    for what, p in (("data", path), ("dictionary", dict_path)):
+        if not p.exists():
+            raise FileNotFoundError(f"catalog {what} file not found: {p}")
 
     indicators: Dict[str, Indicator] = {}
     entities: Dict[str, Entity] = {}
+    # record type -> (row name, the class a row's fields make, its table)
+    row_types = {"I": ("indicator", Indicator, indicators),
+                 "E": ("entity", Entity, entities)}
     for lineno, row in _csv_rows(dict_path, DICT_HEADER):
         kind = row[0]
-        if kind == "I":
-            if len(row) != 5:
-                raise CatalogFormatError(f"{dict_path}:{lineno}: indicator row needs 5 fields")
-            try:
-                indicators[row[1]] = Indicator(row[1], row[2], row[3], row[4])
-            except ParameterError as exc:
-                raise CatalogFormatError(f"{dict_path}:{lineno}: {exc}") from exc
-        elif kind == "E":
-            if len(row) != 4:
-                raise CatalogFormatError(f"{dict_path}:{lineno}: entity row needs 4 fields")
-            try:
-                entities[row[1]] = Entity(row[1], row[2], row[3])
-            except ParameterError as exc:
-                raise CatalogFormatError(f"{dict_path}:{lineno}: {exc}") from exc
-        else:
+        if kind not in row_types:
             raise CatalogFormatError(
                 f"{dict_path}:{lineno}: unknown record type {kind!r} (want I or E)"
             )
+        what, cls, table = row_types[kind]
+        n_fields = 1 + len(fields(cls))  # the record type, then the class's
+        if len(row) != n_fields:
+            raise CatalogFormatError(
+                f"{dict_path}:{lineno}: {what} row needs {n_fields} fields")
+        try:
+            table[row[1]] = cls(*row[1:])
+        except ParameterError as exc:
+            raise CatalogFormatError(f"{dict_path}:{lineno}: {exc}") from exc
 
     observations = _CheckedObservations()
     for lineno, row in _csv_rows(path, DATA_HEADER):
@@ -364,6 +361,12 @@ _FLOAT_UNITS = ["kt", "tonnes", "million USD", "GWh", "thousand barrels",
                 "billion cubic meters", "USD per capita", "kg per capita"]
 _INT_UNITS = ["units", "people", "head", "vehicles", "devices", "subscriptions"]
 
+# synth_catalog's indicator kinds: (the bound a kind draw falls below, the
+# last above any; value kind; measures; units, or one string: a unit undrawn)
+_SYNTH_KINDS = ((0.2, "percentage", _PCT_MEASURES, "%"),
+                (0.6, "positive-integer", _MEASURES, _INT_UNITS),
+                (1.0, "float", _MEASURES, _FLOAT_UNITS))
+
 _COUNTRIES = [
     "Afghanistan", "Albania", "Algeria", "Angola", "Argentina", "Armenia",
     "Australia", "Austria", "Azerbaijan", "Bahrain", "Bangladesh", "Belarus",
@@ -416,27 +419,17 @@ def synth_catalog(seed: int, n_indicators: int, n_entities: int,
 
     roster = Rng(derive_seed(seed, _TAG_INDICATOR))
     indicators: Dict[str, Indicator] = {}
-    seen_names = set()
     while len(indicators) < n_indicators:
         r = roster.random()
         subject = roster.choice(_SUBJECTS)
-        if r < 0.2:
-            kind = "percentage"
-            name = f"{subject} {roster.choice(_PCT_MEASURES)}"
-            unit = "%"
-        elif r < 0.6:
-            kind = "positive-integer"
-            name = f"{subject} {roster.choice(_MEASURES)}"
-            unit = roster.choice(_INT_UNITS)
-        else:
-            kind = "float"
-            name = f"{subject} {roster.choice(_MEASURES)}"
-            unit = roster.choice(_FLOAT_UNITS)
-        if name in seen_names:
+        kind, measures, units = next(row[1:] for row in _SYNTH_KINDS
+                                     if r < row[0])
+        name = f"{subject} {roster.choice(measures)}"
+        unit = units if isinstance(units, str) else roster.choice(units)
+        ind_id = _slug(name)  # distinct names have distinct slugs
+        if ind_id in indicators:
             continue
-        seen_names.add(name)
-        ind = Indicator(_slug(name), name, unit, kind)
-        indicators[ind.id] = ind
+        indicators[ind_id] = Indicator(ind_id, name, unit, kind)
 
     entities: Dict[str, Entity] = {}
     pool = _COUNTRIES + [f"Territory {k}" for k in range(1, 1001)]
@@ -594,6 +587,21 @@ def sample_series(catalog: Catalog, temporal: bool, arity: int, rng: Rng,
     )
 
 
+def _draw_len(rng: Rng, min_len: int, n: int) -> int:
+    """A series length from min_len up to n items, at most MAX_TICKS."""
+    return min_len + rng.randint(min(MAX_TICKS, n) - min_len + 1)
+
+
+def _indicator_series(ind: Indicator, name: str, labels: List[str],
+                      values: List[float], temporal: bool,
+                      entity_kind: str) -> DataSeries:
+    """A sampled series of indicator ind, with its unit and value kind."""
+    return DataSeries(series_name=name, x_labels=labels, y_values=values,
+                      y_unit=ind.unit, temporal=temporal,
+                      indicator_name=ind.name, entity_kind=entity_kind,
+                      value_kind=ind.value_kind)
+
+
 def _pair_candidates(n: int, rng: Rng) -> Iterator[Tuple[int, int]]:
     """Index pairs a < b of n >= 2 items for a sampler to try: 20 random
     pairs, each drawn only when the one before it failed, then every pair
@@ -627,23 +635,14 @@ def _sample_temporal(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
             return None
         ent_ids = [usable[a][0], usable[b][0]]
     run = runs[rng.randint(len(runs))]
-    k = min_len + rng.randint(min(MAX_TICKS, len(run)) - min_len + 1)
+    k = _draw_len(rng, min_len, len(run))
     start = rng.randint(len(run) - k + 1)
     years = run[start:start + k]
-    out = []
-    for ent_id in ent_ids:
-        ent, by_year = catalog.entities[ent_id], catalog.observations[(ind_id, ent_id)]
-        out.append(DataSeries(
-            series_name=ent.name,
-            x_labels=[str(y) for y in years],
-            y_values=[by_year[y] for y in years],
-            y_unit=ind.unit,
-            temporal=True,
-            indicator_name=ind.name,
-            entity_kind=ent.kind,
-            value_kind=ind.value_kind,
-        ))
-    return out
+    rows = [catalog.observations[(ind_id, e)] for e in ent_ids]
+    return [_indicator_series(ind, catalog.entities[e].name,
+                              [str(y) for y in years], [row[y] for y in years],
+                              True, catalog.entities[e].kind)
+            for e, row in zip(ent_ids, rows)]
 
 
 def _sample_categorical(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
@@ -668,19 +667,14 @@ def _sample_categorical(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
         else:
             return None
         named_years = [(f"{ind.name} ({years[i]})", years[i]) for i in (a, b)]
-    k = min_len + rng.randint(min(MAX_TICKS, len(common)) - min_len + 1)
+    k = _draw_len(rng, min_len, len(common))
     chosen = rng.sample(common, k)
     rows = [catalog.observations[(ind_id, e)] for e in chosen]
-    return [DataSeries(
-        series_name=name,
-        x_labels=[catalog.entities[e].name for e in chosen],
-        y_values=[row[year] for row in rows],
-        y_unit=ind.unit,
-        temporal=False,
-        indicator_name=ind.name,
-        entity_kind=catalog.entities[chosen[0]].kind,
-        value_kind=ind.value_kind,
-    ) for name, year in named_years]
+    return [_indicator_series(ind, name,
+                              [catalog.entities[e].name for e in chosen],
+                              [row[year] for row in rows], False,
+                              catalog.entities[chosen[0]].kind)
+            for name, year in named_years]
 
 
 # ---------------------------------------------------------------------------

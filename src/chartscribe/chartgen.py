@@ -453,10 +453,11 @@ class _Svg:
     def path(self, d, stroke):
         self.parts.append(f'<path d="{d}" stroke="{stroke}" stroke-width="2.00" fill="none"/>')
 
-    def text(self, cx, cy, content, font_size, rotate=None):
-        """Text centered on (cx, cy) under the fixed-metrics model: the
+    def text(self, box, content, font_size, rotate=None):
+        """Text centered in box under the fixed-metrics model: the
         baseline sits 0.35 * font_size below the box center.  It is black,
         SVG's default fill, so it carries no fill attribute."""
+        cx, cy = box.x + box.w / 2, box.y + box.h / 2
         y = cy + 0.35 * font_size
         attrs = (f'x="{cx:.2f}" y="{y:.2f}" font-size="{font_size:.2f}" '
                  f'font-family="Helvetica, Arial, sans-serif" text-anchor="middle"')
@@ -670,7 +671,7 @@ def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
             else:
                 svg.line(c, plot_bottom, c, plot_bottom + TICK_LEN)
                 bb = _clamp_box(c - tw / 2, plot_bottom + TICK_LEN + TICK_GAP, tw, th)
-            svg.text(bb.x + bb.w / 2, bb.y + bb.h / 2, lab, TICK_FS)
+            svg.text(bb, lab, TICK_FS)
             marks.append(TickMark(lab, bb, val))
         return marks
 
@@ -683,17 +684,14 @@ def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
     val_ticks = ticks(vtick_labels, vtick_pos, vticks, val_on_y)
     x_ticks, y_ticks = xy(cat_ticks, val_ticks)
 
-    svg.text(title_bbox.x + title_bbox.w / 2, title_bbox.y + title_bbox.h / 2,
-             spec.title, title_fs)
+    svg.text(title_bbox, spec.title, title_fs)
     xlab_bbox = _clamp_box(plot_left + (plot_right - plot_left - xlab_w) / 2,
                            CANVAS_H - MARGIN - xlab_h, max(xlab_w, 1.0), xlab_h)
-    svg.text(xlab_bbox.x + xlab_bbox.w / 2, xlab_bbox.y + xlab_bbox.h / 2,
-             spec.x_label, xlab_fs)
+    svg.text(xlab_bbox, spec.x_label, xlab_fs)
     # rotated y label: box dimensions swap
     ylab_bbox = _clamp_box(MARGIN, plot_top + (plot_bottom - plot_top - ylab_w) / 2,
                            ylab_h, max(ylab_w, 1.0))
-    svg.text(ylab_bbox.x + ylab_bbox.w / 2, ylab_bbox.y + ylab_bbox.h / 2,
-             spec.y_label, ylab_fs, rotate=-90)
+    svg.text(ylab_bbox, spec.y_label, ylab_fs, rotate=-90)
 
     svg.rect(legend_bbox.x, legend_bbox.y, legend_bbox.w, legend_bbox.h,
              fill="#FFFFFF", stroke="#999999")
@@ -708,9 +706,7 @@ def render(spec: ChartSpec) -> Tuple[bytes, ChartMeta]:
             svg.marker(marker_name, mcx, mcy, 4.0, color)
         else:
             svg.rect(mb.x + 2, mb.y + 1, mb.w - 4, mb.h - 2, fill=color)
-        svg.text(entry.name_bbox.x + entry.name_bbox.w / 2,
-                 entry.name_bbox.y + entry.name_bbox.h / 2,
-                 entry.name, LEGEND_FS)
+        svg.text(entry.name_bbox, entry.name, LEGEND_FS)
 
     meta = ChartMeta(
         image_index=spec.image_index,

@@ -108,19 +108,15 @@ def _cmd_describe(args) -> int:
     except _MALFORMED as exc:
         raise CliError(f"describe: {args.meta} has malformed chart facts: "
                        f"{type(exc).__name__}: {exc}") from None
+    if len(meta.series) > 2:  # one with none fails the facts check
+        raise CliError(f"describe: {args.meta} has {len(meta.series)} "
+                       f"series, not 1 or 2")
     bank = _build_bank(args.bank)
     descriptions = generate_description_set(
         meta, None, bank, Rng(args.seed), n_variants=args.variants)
     for desc in descriptions:
         print(desc.to_json_line())
     return 0
-
-
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CliError(f"eval: {path} is not UTF-8 text: {exc}") from None
 
 
 def _read_scored_lines(path) -> Dict[object, List[str]]:
@@ -132,7 +128,10 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
     """
     texts: Dict[object, List[str]] = {}
     styles = set()
-    raw = _read_text(path)
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"eval: {path} is not UTF-8 text: {exc}") from None
     for line_no, line in enumerate(raw.splitlines()):
         if not line.strip():
             continue

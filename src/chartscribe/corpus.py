@@ -632,13 +632,11 @@ def stats(corpus_dir) -> Tuple[dict, str]:
     col_w = max(len(k) for k in KINDS + ("total",)) + 2
     header = " " * name_w + "".join(f"{k:>{col_w}}" for k in KINDS + ("total",))
     lines = [header]
-    for category in CATEGORIES:
-        row = [grid[(category, kind)] for kind in KINDS]
+    rows = [(c, [grid[(c, k)] for k in KINDS]) for c in CATEGORIES]
+    rows.append(("total", [sum(grid[(c, k)] for c in CATEGORIES) for k in KINDS]))
+    for name, row in rows:  # the total row's own total is the chart count
         cells = "".join(f"{v:>{col_w}}" for v in row + [sum(row)])
-        lines.append(f"{category:<{name_w}}{cells}")
-    col_totals = [sum(grid[(c, k)] for c in CATEGORIES) for k in KINDS]
-    cells = "".join(f"{v:>{col_w}}" for v in col_totals + [charts])
-    lines.append(f"{'total':<{name_w}}{cells}")
+        lines.append(f"{name:<{name_w}}{cells}")
     lines.append("")
     lines.append(f"charts: {charts}")
     lines.append(f"descriptions: {descriptions}")
@@ -655,10 +653,9 @@ def _iter_bboxes(meta: ChartMeta):
     yield "title", meta.title.bbox
     yield "x_label", meta.x_label.bbox
     yield "y_label", meta.y_label.bbox
-    for i, tick in enumerate(meta.x_ticks):
-        yield f"x_tick[{i}]", tick.bbox
-    for i, tick in enumerate(meta.y_ticks):
-        yield f"y_tick[{i}]", tick.bbox
+    for axis, ticks in (("x", meta.x_ticks), ("y", meta.y_ticks)):
+        for i, tick in enumerate(ticks):
+            yield f"{axis}_tick[{i}]", tick.bbox
     yield "legend", meta.legend.bbox
     for i, entry in enumerate(meta.legend.entries):
         yield f"legend_entry[{i}].name", entry.name_bbox
@@ -778,7 +775,8 @@ def _decode_text(data: bytes) -> str:
 
 
 def _validate_record(dirs: Dict[str, int], entry: dict, seen_counts: dict,
-                     move_checks: Dict[tuple, List[str]]) -> List[str]:
+                     move_checks: Dict[tuple, List[str]],
+                     variants: float) -> List[str]:
     """Check one record whose manifest entry has passed `_record_shape`.
 
     Each of the record's files is read once, as bytes, by name from its
@@ -810,12 +808,13 @@ def _validate_record(dirs: Dict[str, int], entry: dict, seen_counts: dict,
 
     if type(meta.image_index) is not int or meta.image_index != idx:
         problems.append(f"{tag}: meta image_index {meta.image_index} mismatch")
-    if meta.category != entry["category"]:
-        problems.append(f"{tag}: meta category {meta.category!r} mismatch, "
-                        f"manifest says {entry['category']!r}")
-    if meta.chart_kind != entry["kind"]:
-        problems.append(f"{tag}: meta kind {meta.chart_kind!r} mismatch, "
-                        f"manifest says {entry['kind']!r}")
+    # as (type, value), as the plan is compared: true is not arity 1
+    for key, value in (("category", meta.category), ("kind", meta.chart_kind),
+                       ("arity", len(meta.series)),
+                       ("trend_classes", [sm.trend_class for sm in meta.series])):
+        if (type(entry.get(key)), entry.get(key)) != (type(value), value):
+            problems.append(f"{tag}: meta {key} {value!r} mismatch, "
+                            f"manifest says {entry.get(key)!r}")
 
     try:
         problems += _check_geometry(tag, meta)
@@ -853,6 +852,8 @@ def _validate_record(dirs: Dict[str, int], entry: dict, seen_counts: dict,
     # empty exactly when each line's is; only then are lines audited alone
     audit = facts is not None and bool(hallucination_check(" ".join(texts),
                                                            facts))
+    # variant indices rise (a dropped duplicate leaves a gap) below variants
+    last_variant = -1
     for line_no, (desc, text) in enumerate(zip(descs, texts)):
         if not isinstance(desc, Description):
             problems.append(
@@ -862,6 +863,13 @@ def _validate_record(dirs: Dict[str, int], entry: dict, seen_counts: dict,
             problems.append(
                 f"{tag}: description line {line_no} image_index "
                 f"{desc.image_index} mismatch")
+        variant = desc.variant_index
+        if type(variant) is int and last_variant < variant < variants:
+            last_variant = variant
+        else:
+            problems.append(f"{tag}: description line {line_no} variant_index "
+                            f"{variant!r} is not an int above {last_variant} "
+                            f"and below {variants}")
         if desc.stored_text != text:
             problems.append(
                 f"{tag}: description line {line_no} text is not its "
@@ -942,9 +950,13 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
             builder = None
 
         records = _manifest_part(manifest, "records", [], problems)
-        indices = set()
+        variants = builder.config.descriptions_per_chart if builder else math.inf
+        indices, listed = set(), set()
         move_checks: Dict[tuple, List[str]] = {}
         for pos, entry in enumerate(records):
+            # an entry reported below as malformed still lists its index
+            if isinstance(entry, dict) and type(entry.get("image_index")) is int:
+                listed.add(entry["image_index"])
             shape = _record_shape(entry)
             if shape is not None:
                 problems.append(f"manifest: records[{pos}] {shape}")
@@ -963,14 +975,11 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
                 if wrong:
                     problems.append(f"manifest: records[{pos}] has "
                                     f"{', '.join(wrong)} other than the config plans")
-            problems.extend(_validate_record(dirs, entry, seen, move_checks))
+            problems.extend(_validate_record(dirs, entry, seen, move_checks,
+                                             variants))
         if builder is not None:
             # a planned record with no entry, files or count left would
-            # otherwise pass every count check; an entry reported above as
-            # malformed still lists its index
-            listed = {entry["image_index"] for entry in records
-                      if isinstance(entry, dict)
-                      and type(entry.get("image_index")) is int}
+            # otherwise pass every count check
             total = builder.starts[-1]
             unlisted = [i for i in range(total) if i not in listed]
             if unlisted:

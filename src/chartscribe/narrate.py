@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import filterfalse
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .catalog import DataSeries
@@ -112,6 +113,10 @@ COMPARISON_PHRASES: Dict[str, Tuple[str, ...]] = {
     "mixed": ("trading places with", "crossing paths with"),
 }
 
+# each dominance as that relation, seen from the first series and the second
+_RELATIONS = {"first": ("above", "below"), "second": ("below", "above"),
+              "tie": ("tie", "tie"), "mixed": ("mixed", "mixed")}
+
 # ---------------------------------------------------------------------------
 # fact extraction
 
@@ -121,7 +126,6 @@ class SeriesFacts:
     """Per-series values a template may reference."""
 
     name: str
-    n_points: int
     x_first: str
     x_last: str
     x_at_max: str  # label at the maximum value; ties keep the earliest
@@ -160,16 +164,15 @@ class ChartFacts:
 
     @cached_property
     def digit_tokens(self) -> FrozenSet[str]:
-        """The digit-bearing tokens of every fact a slot can print.  The
-        texts are joined with spaces and go through one `_digit_token_set`
-        call, which gives the tokens of one call per text: whitespace
-        always ends a token."""
-        texts = [self.title, self.x_label, self.y_label, self.unit,
-                 str(self.n_categories), *self.entity_list]
+        """The digit-bearing tokens of every fact a slot can print, read
+        through the slot tables `_slot_value` reads.  The texts are joined
+        with spaces and go through one `_digit_token_set` call, which gives
+        the tokens of one call per text: whitespace always ends a token."""
+        texts = [*_chart_facts(self), *self.entity_list]
         for sf in self.series:
-            texts += (sf.name, sf.x_first, sf.x_last, sf.x_at_max, sf.x_at_min)
-            texts += (_plain_number(_round_2sf(v)) for v in (
-                sf.y_first, sf.y_last, sf.y_max, sf.y_min, sf.y_mean, sf.delta))
+            texts += _series_facts(sf)
+            texts += (_plain_number(_round_2sf(v)) for v in _number_facts(sf))
+        texts.append(str(self.n_categories))
         return frozenset(_digit_token_set(" ".join(texts)))
 
 
@@ -215,7 +218,6 @@ def extract_facts(meta: ChartMeta,
         imin = min(range(n), key=values.__getitem__)
         per_series.append(SeriesFacts(
             name=sm.name,
-            n_points=n,
             x_first=labels[0],
             x_last=labels[-1],
             x_at_max=labels[imax],
@@ -367,7 +369,7 @@ def plan_moves(category: str, rng: Rng, n_series: int = 1,
 
     Fixed draw order: the M2 coin, the M3 block counts (one per series for
     temporal charts, a single total for categorical), one M3_1 count per
-    block, the M4 coin, and finally the M4 insertion point.  Temporal charts
+    block, the M4 coin, and finally the block the M4 closes.  Temporal charts
     walk their series in order; categorical blocks alternate focus.
     """
     if category not in CATEGORIES:
@@ -400,17 +402,14 @@ def plan_moves(category: str, rng: Rng, n_series: int = 1,
                      for _ in range(draw_count(params.m31_min, params.m31_max)))
         blocks.append(entry)
 
-    m4_after = 0
     if rng.random() < params.p_move4:
-        m4_after = 1 + rng.randint(len(blocks))
+        entry = blocks[rng.randint(len(blocks))]
+        entry.append(("M4", entry[0][1]))
 
-    for i, entry in enumerate(blocks, start=1):
+    for entry in blocks:
         for move, focus in entry:
             moves.append(move)
             targets.append(focus)
-        if m4_after == i:
-            moves.append("M4")
-            targets.append(entry[0][1])
 
     moves.append("M5")
     targets.append(0)
@@ -434,19 +433,22 @@ def _oxford_join(items: Sequence[str]) -> str:
 def _comparison_phrase(facts: ChartFacts, series_index: int, rng: Rng) -> str:
     if facts.cross is None:
         raise RealizationError("comparison_phrase", "chart has a single series")
-    dominance = facts.cross.dominance
-    if dominance == "first":
-        key = "above" if series_index == 0 else "below"
-    elif dominance == "second":
-        key = "below" if series_index == 0 else "above"
-    else:
-        key = dominance
+    key = _RELATIONS[facts.cross.dominance][series_index]
     return rng.choice(COMPARISON_PHRASES[key])
 
 
-# the slots filled with `format_number`
-NUMBER_SLOTS = frozenset(("y_first", "y_last", "y_max", "y_min", "y_mean",
-                          "delta"))
+# the slots `format_number` fills, each from its namesake SeriesFacts field
+NUMBER_SLOTS = ("y_first", "y_last", "y_max", "y_min", "y_mean", "delta")
+
+# slot -> the ChartFacts, or focal SeriesFacts, field it prints as it is;
+# the digit audit reads each table's fields with one getter
+_CHART_SLOTS = {"title": "title", "x_label": "x_label", "y_label": "y_label",
+                "unit": "unit", "chart_kind_phrase": "kind_phrase"}
+_SERIES_SLOTS = {"series_name": "name", "x_first": "x_first",
+                 "x_last": "x_last", "x_at_max": "x_at_max", "x_at_min": "x_at_min"}
+_chart_facts = attrgetter(*_CHART_SLOTS.values())
+_series_facts = attrgetter(*_SERIES_SLOTS.values())
+_number_facts = attrgetter(*NUMBER_SLOTS)
 
 
 def _slot_value(slot: str, facts: ChartFacts, series_index: int, rng: Rng) -> str:
@@ -454,24 +456,14 @@ def _slot_value(slot: str, facts: ChartFacts, series_index: int, rng: Rng) -> st
         raise RealizationError(slot, f"series index {series_index} out of range")
     sf = facts.series[series_index]
 
-    if slot == "title":
-        return facts.title
-    if slot == "chart_kind_phrase":
-        return facts.kind_phrase
-    if slot == "y_label":
-        return facts.y_label
-    if slot == "x_label":
-        return facts.x_label
-    if slot == "unit":
-        return facts.unit
-    if slot == "series_name":
-        return sf.name
+    if slot in _CHART_SLOTS:
+        return getattr(facts, _CHART_SLOTS[slot])
+    if slot in _SERIES_SLOTS:
+        return getattr(sf, _SERIES_SLOTS[slot])
     if slot == "series_name_2":
         if len(facts.series) < 2:
             raise RealizationError(slot, "chart has a single series")
         return facts.series[1 - series_index].name
-    if slot in ("x_first", "x_last", "x_at_max", "x_at_min"):
-        return getattr(sf, slot)
     if slot in NUMBER_SLOTS:
         return format_number(getattr(sf, slot), rng)
     if slot == "trend_phrase":
@@ -587,9 +579,8 @@ def generate_description(meta: ChartMeta,
 
 def _describe(facts: ChartFacts, bank: TemplateBank, variant_index: int,
               rng: Rng, params: PlanParams) -> Description:
-    plan = plan_moves(facts.category, rng, n_series=len(facts.series),
-                      params=params)
     arity = len(facts.series)
+    plan = plan_moves(facts.category, rng, n_series=arity, params=params)
     used: Set[str] = set()
     sentences: List[Sentence] = []
     for move, target in zip(plan.moves, plan.targets):

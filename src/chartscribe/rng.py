@@ -13,8 +13,8 @@ import math
 M64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
-# Stream tags used by derive_seed callers; listed here so the full seed
-# derivation tree is auditable in one place.
+# Stream tags shared through this module; catalog and corpus hold private
+# ones (_TAG_*).  docs/rng.md's corpus seed tree shows every derivation.
 TAG_TREND_RESAMPLE = 0x54524E44  # trend-series resample attempts
 TAG_DESCRIPTION = 0x44455343     # per-variant description seeds
 TAG_RETRY = 0x52545259           # record retry seeds

@@ -32,8 +32,6 @@ SLOT_VOCABULARY = frozenset({
     "trend_phrase", "comparison_phrase", "n_categories", "entity_list",
 })
 
-BANK_HEADER = "# template-bank v1"
-
 _SLOT_RE = re.compile(r"\{([A-Za-z0-9_]+)\}")
 
 _FLAT = tuple(c.value for c in FLAT_CLASSES)
@@ -196,7 +194,6 @@ def parse_bank(text: str, source: str = "<bank>") -> TemplateBank:
     templates: List[Template] = []
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
@@ -254,20 +251,6 @@ def load_default_bank() -> TemplateBank:
     text = resources.files("chartscribe").joinpath("data/seed_bank.tsv") \
         .read_text(encoding="utf-8")
     return parse_bank(text, source="seed_bank.tsv")
-
-
-def serialize_bank(bank: TemplateBank) -> str:
-    """Bank back to its file format, records in bank order."""
-    lines = [BANK_HEADER,
-             "# fields: id, move, category, trend, arity, origin, text"]
-    for t in bank.templates:
-        trend_s = "any" if not t.trend_applicability \
-            else ",".join(sorted(t.trend_applicability))
-        arity_s = "any" if t.series_arity == 0 else str(t.series_arity)
-        lines.append("\t".join(
-            (t.id, t.move, t.category, trend_s, arity_s, t.origin, t.text)
-        ))
-    return "\n".join(lines) + "\n"
 
 
 def query(bank: TemplateBank, move: str, category: str,

@@ -14,7 +14,9 @@ from chartscribe.catalog import synth_catalog, write_catalog
 from chartscribe.cli import build_parser, main
 from chartscribe.corpus import MANIFEST_NAME, load_manifest
 from chartscribe.narrate import Description
-from chartscribe.templatebank import load_default_bank, serialize_bank
+from chartscribe.templatebank import load_default_bank
+
+from bank_text import serialize_bank
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEEP_JSON = "[" * 200000 + "]" * 200000
@@ -347,6 +349,17 @@ class TestDescribe:
         rc = main(["describe", "--meta", str(meta)])
         assert rc == 2
         one_line_error(capsys, "has malformed chart facts")
+
+    @pytest.mark.parametrize("extra", [2, 3])
+    def test_meta_with_more_than_two_series(self, corpus_dir, tmp_path,
+                                            capsys, extra):
+        doc = json.loads((corpus_dir / "meta" / "000000.json").read_text())
+        doc["series"] += [doc["series"][0]] * extra
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps(doc))
+        rc = main(["describe", "--meta", str(meta)])
+        assert rc == 2
+        one_line_error(capsys, f"has {len(doc['series'])} series, not 1 or 2")
 
     @pytest.mark.parametrize("category", ["pie", 3, None])
     def test_meta_unknown_category(self, corpus_dir, tmp_path, capsys,

@@ -950,6 +950,67 @@ class TestValidate:
         assert problems[0] == ("manifest: records[15] has image_index other "
                                "than the config plans")
 
+    @pytest.mark.parametrize("key, value", [
+        ("arity", 7), ("arity", True), ("trend_classes", ["x"]),
+        ("trend_classes", None)],
+        ids=["arity-7", "arity-true", "trend-classes-x", "no-trend-classes"])
+    def test_records_must_match_their_meta_series(self, fresh, key, value):
+        series = json.loads((fresh / "meta" / "000003.json").read_text())[
+            "series"]
+        actual = {"arity": len(series),
+                  "trend_classes": [s["trend_class"] for s in series]}[key]
+        edit_json(fresh / MANIFEST_NAME,
+                  lambda doc: doc["records"][3].update({key: value}))
+        assert validate_corpus(fresh) == [
+            f"record 000003: meta {key} {actual!r} mismatch, manifest says "
+            f"{value!r}"]
+
+    def test_meta_that_grew_a_series(self, fresh):
+        path = fresh / "meta" / "000003.json"
+        doc = json.loads(path.read_text())
+        before = [s["trend_class"] for s in doc["series"]]
+        doc["series"].append(doc["series"][0])
+        path.write_text(json.dumps(doc))
+        assert validate_corpus(fresh) == [
+            f"record 000003: meta arity {len(before) + 1} mismatch, manifest "
+            f"says {len(before)}",
+            f"record 000003: meta trend_classes {before + before[:1]!r} "
+            f"mismatch, manifest says {before!r}"]
+
+    @staticmethod
+    def edit_variant_indices(root: Path, indices: dict) -> None:
+        path = root / "descriptions" / "000000.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["variant_index"] for line in lines] == [0, 1, 2]
+        for line_no, index in indices.items():
+            doc = json.loads(lines[line_no])
+            doc["variant_index"] = index
+            lines[line_no] = json.dumps(doc, ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("indices, line_no, index, last", [
+        ({1: "x"}, 1, "x", 0), ({1: 0}, 1, 0, 0), ({1: 1.0}, 1, 1.0, 0),
+        ({1: 2, 2: 1}, 2, 1, 2), ({2: 3}, 2, 3, 1), ({0: -1}, 0, -1, -1),
+    ], ids=["string", "repeat", "float", "fall", "too-large", "negative"])
+    def test_variant_indices_rise_below_the_config_count(
+            self, fresh, indices, line_no, index, last):
+        self.edit_variant_indices(fresh, indices)
+        assert validate_corpus(fresh) == [
+            f"record 000000: description line {line_no} variant_index "
+            f"{index!r} is not an int above {last} and below 3"]
+
+    def test_variant_index_gap_of_a_dropped_duplicate(self, fresh):
+        path = fresh / "descriptions" / "000000.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(lines[0] + "\n" + lines[2] + "\n", encoding="utf-8")
+
+        def drop_line(doc):
+            doc["records"][0]["n_descriptions"] -= 1
+            doc["totals"]["descriptions"] -= 1
+
+        edit_json(fresh / MANIFEST_NAME, drop_line)
+        assert validate_corpus(fresh) == []
+
     def test_one_audit_per_record_and_check_per_move_sequence(
             self, fresh, monkeypatch):
         # and nothing is kept for the next call

@@ -49,7 +49,7 @@ def crafted_meta(*series_list, kind=ChartKind.LINE):
 
 
 def visitor_facts():
-    sf = SeriesFacts(name="Singapore", n_points=4, x_first="2013",
+    sf = SeriesFacts(name="Singapore", x_first="2013",
                      x_last="2016", x_at_max="2015", x_at_min="2013",
                      y_first=12.0, y_last=9.0, y_max=15.0, y_min=8.0,
                      y_mean=11.0, delta=3.0, trend_class="concave-increase")

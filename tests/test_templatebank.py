@@ -3,7 +3,6 @@
 import pytest
 
 from chartscribe.templatebank import (
-    BANK_HEADER,
     CATEGORIES,
     MOVES,
     REACHABLE_CELLS,
@@ -19,9 +18,10 @@ from chartscribe.templatebank import (
     load_default_bank,
     parse_bank,
     query,
-    serialize_bank,
 )
 from chartscribe.trend import TrendClass
+
+from bank_text import BANK_HEADER, serialize_bank
 
 
 def query_scan(bank, move, category, trend, arity):
