@@ -104,13 +104,17 @@ def _cmd_describe(args) -> int:
                        f"{meta.category!r}, not one of "
                        f"{', '.join(CATEGORIES)}")
     try:
-        extract_facts(meta).digit_tokens  # reads every fact a slot can print
+        extract_facts(meta).fact_words  # reads every fact a slot can print
     except _MALFORMED as exc:
         raise CliError(f"describe: {args.meta} has malformed chart facts: "
                        f"{type(exc).__name__}: {exc}") from None
     if len(meta.series) > 2:  # one with none fails the facts check
         raise CliError(f"describe: {args.meta} has {len(meta.series)} "
                        f"series, not 1 or 2")
+    counts = [len(sm.points) for sm in meta.series]
+    if counts[0] != counts[-1]:
+        raise CliError(f"describe: {args.meta} has series of {counts[0]} and "
+                       f"{counts[1]} points, not one count")
     bank = _build_bank(args.bank)
     descriptions = generate_description_set(
         meta, None, bank, Rng(args.seed), n_variants=args.variants)

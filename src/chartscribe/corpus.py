@@ -649,18 +649,22 @@ def stats(corpus_dir) -> Tuple[dict, str]:
 # validation
 
 
-def _iter_bboxes(meta: ChartMeta):
-    yield "title", meta.title.bbox
-    yield "x_label", meta.x_label.bbox
-    yield "y_label", meta.y_label.bbox
-    for axis, ticks in (("x", meta.x_ticks), ("y", meta.y_ticks)):
-        for i, tick in enumerate(ticks):
-            yield f"{axis}_tick[{i}]", tick.bbox
-    yield "legend", meta.legend.bbox
-    for i, entry in enumerate(meta.legend.entries):
-        yield f"legend_entry[{i}].name", entry.name_bbox
-        yield f"legend_entry[{i}].marker", entry.marker_bbox
-    yield "plot_area", meta.plot_area
+def _bboxes(meta: ChartMeta) -> list:
+    """Every box of meta, in the order `_bbox_names` names them."""
+    return [meta.title.bbox, meta.x_label.bbox, meta.y_label.bbox,
+            *[tick.bbox for tick in meta.x_ticks + meta.y_ticks],
+            meta.legend.bbox, *[box for entry in meta.legend.entries
+                                for box in (entry.name_bbox, entry.marker_bbox)],
+            meta.plot_area]
+
+
+def _bbox_names(meta: ChartMeta) -> List[str]:
+    """The name of each box of `_bboxes(meta)`: built only for a report."""
+    return ["title", "x_label", "y_label",
+            *[f"x_tick[{i}]" for i in range(len(meta.x_ticks))],
+            *[f"y_tick[{i}]" for i in range(len(meta.y_ticks))], "legend",
+            *[f"legend_entry[{i}].{part}" for i in range(len(meta.legend.entries))
+              for part in ("name", "marker")], "plot_area"]
 
 
 # what reading a field of decoded JSON raises when the field has the wrong
@@ -693,9 +697,11 @@ def _record_shape(entry) -> Optional[str]:
 
 def _check_geometry(tag: str, meta: ChartMeta) -> List[str]:
     problems: List[str] = []
-    for name, bbox in _iter_bboxes(meta):
-        if not bbox.within_canvas():
-            problems.append(f"{tag}: {name} bbox outside canvas: {asdict(bbox)}")
+    boxes = _bboxes(meta)
+    if not all([bbox.within_canvas() for bbox in boxes]):
+        problems += [f"{tag}: {name} bbox outside canvas: {asdict(bbox)}"
+                     for name, bbox in zip(_bbox_names(meta), boxes)
+                     if not bbox.within_canvas()]
 
     axis = meta.value_axis
     for s, sm in enumerate(meta.series):
@@ -754,15 +760,19 @@ def _read_file(name: str, dir_fd: Optional[int]) -> bytes:
     """The bytes of the regular file `name` in the layout directory open
     as dir_fd (None: it did not open), from one open; OSError when there is
     none.  A symlink, directory, FIFO or device there is refused unread;
-    with O_NONBLOCK, opening a FIFO does not wait for a writer."""
+    with O_NONBLOCK, opening a FIFO does not wait for a writer.  One read
+    of its size and a byte more gets all of a regular file."""
     if dir_fd is None:
         raise FileNotFoundError(name)
     fd = os.open(name, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK,
                  dir_fd=dir_fd)
-    with open(fd, "rb", buffering=0) as f:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
             raise OSError(f"{name} is not a regular file")
-        return f.read()
+        return os.read(fd, info.st_size + 1)
+    finally:
+        os.close(fd)
 
 
 def _decode_text(data: bytes) -> str:
@@ -824,7 +834,7 @@ def _validate_record(dirs: Dict[str, int], entry: dict, seen_counts: dict,
 
     try:
         facts = extract_facts(meta)
-        facts.digit_tokens  # reads every fact text the digit audit uses
+        facts.fact_words  # reads every fact text the digit audit uses
     except _MALFORMED as exc:
         problems.append(f"{tag}: facts not extractable: {exc}")
         facts = None

@@ -6,9 +6,9 @@ slot filled from the fact table.  All randomness flows through a single Rng,
 so a (chart, seed) pair always yields byte-identical text.  A chart's facts
 are extracted once for all its variants, a template's text is split into
 literal and slot pieces once per bank, and the applicable templates of a
-move come from the bank's index.  The digit audit tokenizes a chart's facts
-once, and each record's distinct words once, over only the words that hold
-a digit; it places tokens in their text only when one matches no fact.
+move come from the bank's index.  The digit audit decides by set lookups:
+a text passes when each of its digit-bearing words, stripped of ASCII
+punctuation at both ends, is a fact word stripped so; only others tokenize.
 
 Move tags and their ordering contract:
 
@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import filterfalse
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from .catalog import DataSeries
 from .chartgen import CATEGORIES, ChartMeta
@@ -163,17 +164,37 @@ class ChartFacts:
     cross: Optional[CrossFacts]
 
     @cached_property
-    def digit_tokens(self) -> FrozenSet[str]:
-        """The digit-bearing tokens of every fact a slot can print, read
-        through the slot tables `_slot_value` reads.  The texts are joined
-        with spaces and go through one `_digit_token_set` call, which gives
-        the tokens of one call per text: whitespace always ends a token."""
-        texts = [*_chart_facts(self), *self.entity_list]
+    def fact_words(self) -> FrozenSet[str]:
+        """The lowercased words of the fact texts `_slot_value` prints, each
+        stripped of ASCII punctuation at both ends: such a mark is a token
+        that never joins a digit, so a word's digit tokens are its core's.
+        TypeError names a fact that is not text."""
+        texts = [*_chart_facts(self)]
         for sf in self.series:
             texts += _series_facts(sf)
             texts += (_plain_number(_round_2sf(v)) for v in _number_facts(sf))
+        texts += self.entity_list
         texts.append(str(self.n_categories))
-        return frozenset(_digit_token_set(" ".join(texts)))
+        try:
+            joined = " ".join(texts)
+        except TypeError:  # name the first fact that is not text
+            named = [*zip(_CHART_SLOTS.values(), _chart_facts(self))]
+            for i, sf in enumerate(self.series):
+                names = [f"series[{i}].{n}" for n in _SERIES_SLOTS.values()]
+                named += zip(names, _series_facts(sf))
+            named += ((f"entity_list[{i}]", v)
+                      for i, v in enumerate(self.entity_list))
+            name, kind = next((n, type(v).__name__) for n, v in named
+                              if not isinstance(v, str))
+            article = "an" if kind[0] in "aeiou" else "a"
+            raise TypeError(f"{name} is {article} {kind}, not text") from None
+        return frozenset(word.strip(_PUNCTUATION)
+                         for word in joined.lower().split())
+
+    @cached_property
+    def digit_tokens(self) -> FrozenSet[str]:
+        """The digit-bearing tokens of the fact words, from one `tokenize`."""
+        return frozenset(_digit_tokens(" ".join(self.fact_words)))
 
 
 def _check_consistency(meta: ChartMeta, series: Sequence[DataSeries]) -> None:
@@ -449,6 +470,9 @@ _SERIES_SLOTS = {"series_name": "name", "x_first": "x_first",
 _chart_facts = attrgetter(*_CHART_SLOTS.values())
 _series_facts = attrgetter(*_SERIES_SLOTS.values())
 _number_facts = attrgetter(*NUMBER_SLOTS)
+# `string.punctuation`, without loading `string`: the ASCII punctuation the
+# digit audit strips from both ends of a word
+_PUNCTUATION = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"
 
 
 def _slot_value(slot: str, facts: ChartFacts, series_index: int, rng: Rng) -> str:
@@ -506,8 +530,7 @@ def realize(template: Template, facts: ChartFacts, series_index: int,
 # descriptions
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """One realized sentence: its move, the template it came from, its text."""
 
     move: str
@@ -539,10 +562,7 @@ class Description:
         doc = {
             "image_index": self.image_index,
             "variant_index": self.variant_index,
-            "sentences": [
-                {"move": s.move, "template_id": s.template_id, "text": s.text}
-                for s in self.sentences
-            ],
+            "sentences": [s._asdict() for s in self.sentences],
             "text": self.text,
         }
         return json.dumps(doc, ensure_ascii=False)
@@ -552,8 +572,7 @@ class Description:
         doc = json.loads(line)
         sentences = tuple(Sentence(s["move"], s["template_id"], s["text"])
                           for s in doc["sentences"])
-        if not all(isinstance(v, str) for s in sentences
-                   for v in (s.move, s.template_id, s.text)):
+        if not all(isinstance(v, str) for s in sentences for v in s):
             raise ValueError("sentence move, template_id and text must be "
                              "strings")
         return cls(image_index=doc["image_index"],
@@ -705,21 +724,13 @@ def _digit_tokens(text: str) -> List[str]:
     return [tok for tok in tokenize(" ".join(words)) if _has_digit(tok)]
 
 
-def _digit_token_set(text: str) -> Set[str]:
-    """The set of digit-bearing tokens of text, from one `tokenize` call
-    over its distinct words that hold a digit.  A word's tokens are pieces
-    of it and do not depend on the words around it, so no other word can
-    add one.  All-letter words, most of a text, are dropped first in C."""
-    words = set(filterfalse(str.isalpha, text.lower().split()))
-    return set(filter(_has_digit,
-                      tokenize(" ".join(filter(_has_digit, words)))))
-
-
 def hallucination_check(text: str, facts: ChartFacts) -> List[str]:
     """Digit-bearing tokens in the text that match no value in the facts,
-    in text order.  The ordered list is built only when some token is
-    foreign; the tokens of repeated words are looked at once before."""
-    allowed = facts.digit_tokens
-    if _digit_token_set(text) <= allowed:
+    in text order.  The text is tokenized only when one of its words that
+    holds a digit, stripped as the fact words are, is not a fact word."""
+    words = {word.strip(_PUNCTUATION)
+             for word in filterfalse(str.isalpha, text.lower().split())}
+    if not any(map(_has_digit, words - facts.fact_words)):
         return []
+    allowed = facts.digit_tokens
     return [tok for tok in _digit_tokens(text) if tok not in allowed]

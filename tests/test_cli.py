@@ -361,6 +361,34 @@ class TestDescribe:
         assert rc == 2
         one_line_error(capsys, f"has {len(doc['series'])} series, not 1 or 2")
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("y_unit",), 5, "unit is an int, not text"),
+        (("series", 0, "points", 0, "x_label"), 7,
+         "series[0].x_first is an int, not text")], ids=["y_unit", "x_label"])
+    def test_meta_fact_that_is_not_text(self, corpus_dir, tmp_path, capsys,
+                                        path, value, message):
+        doc = json.loads((corpus_dir / "meta" / "000000.json").read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps(doc))
+        rc = main(["describe", "--meta", str(meta)])
+        assert rc == 2
+        one_line_error(capsys, f"has malformed chart facts: TypeError: {message}")
+
+    def test_meta_with_unequal_series(self, corpus_dir, tmp_path, capsys):
+        doc = json.loads((corpus_dir / "meta" / "000001.json").read_text())
+        assert [len(sm["points"]) for sm in doc["series"]] == [5, 5]
+        del doc["series"][1]["points"][-1]
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps(doc))
+        for seed in range(10):
+            rc = main(["describe", "--meta", str(meta), "--seed", str(seed)])
+            assert rc == 2
+            one_line_error(capsys, "has series of 5 and 4 points")
+
     @pytest.mark.parametrize("category", ["pie", 3, None])
     def test_meta_unknown_category(self, corpus_dir, tmp_path, capsys,
                                    category):

@@ -1,5 +1,7 @@
 """Tests for corpus assembly, the manifest, and disk validation."""
 
+import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chartscribe import cli
+from chartscribe import cli, corpus
 from chartscribe.catalog import synth_catalog, write_catalog
 from chartscribe.chartgen import ChartMeta
 from chartscribe.corpus import (
@@ -856,6 +858,26 @@ class TestValidate:
         path.write_text("\n".join(lines) + "\n")
         assert any("987654" in p for p in validate_corpus(fresh))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.__setitem__("y_unit", 5), "unit is an int, not text"),
+        (lambda doc: doc["series"][0]["points"][0].__setitem__("x_label", 7),
+         "series[0].x_first is an int, not text")], ids=["y_unit", "x_label"])
+    def test_fact_that_is_not_text_is_named(self, fresh, edit, message):
+        edit_json(fresh / "meta" / "000001.json", edit)
+        problems = validate_corpus(fresh)
+        assert f"record 000001: facts not extractable: {message}" in problems
+
+    def test_each_box_off_canvas_is_named(self, fresh):
+        meta = ChartMeta.from_json((fresh / "meta" / "000001.json").read_text())
+        names = corpus._bbox_names(meta)
+        assert len(names) == len(corpus._bboxes(meta)) == len(set(names))
+        for name in names:
+            moved = copy.deepcopy(meta)
+            box = box_named(moved, name)
+            box.x = -5.0
+            assert corpus._check_geometry("t", moved) == [
+                f"t: {name} bbox outside canvas: {dataclasses.asdict(box)}"]
+
     def test_orphan_file(self, fresh):
         (fresh / "charts" / "999999.svg").write_text("<svg/>")
         assert any("not in manifest" in p for p in validate_corpus(fresh))
@@ -1215,6 +1237,19 @@ class TestValidate:
         reason = et_error(path.read_bytes())
         assert [p for p in problems if p.startswith("record 000002")] == [
             f"record 000002: chart svg does not parse: {reason}"]
+
+
+def box_named(meta, name):
+    """The box of meta that a geometry violation names name."""
+    if name == "plot_area":
+        return meta.plot_area
+    tick = re.fullmatch(r"([xy])_tick\[(\d+)\]", name)
+    if tick:
+        return getattr(meta, f"{tick[1]}_ticks")[int(tick[2])].bbox
+    entry = re.fullmatch(r"legend_entry\[(\d+)\]\.(name|marker)", name)
+    if entry:
+        return getattr(meta.legend.entries[int(entry[1])], f"{entry[2]}_bbox")
+    return getattr(meta, name).bbox
 
 
 def edit_json(path, mutate):

@@ -1,8 +1,9 @@
 """The benchmark's nine injected faults against the real validator, in the
 main suite: a validator change that stops flagging one of them fails here,
 not only in a benchmark run.  A tree carrying all nine, plus foreign digit
-tokens in two lines of one record, must give the violation list of digit
-and move-order audits that check every description line on its own."""
+tokens in three lines of one record (one wrapped in punctuation), must give
+the violation list of digit and move-order audits that check every
+description line on its own."""
 
 import dataclasses
 import json
@@ -17,8 +18,9 @@ from chartscribe import corpus, default_config, generate_corpus  # noqa: E402
 from chartscribe import check_move_order, validate_corpus  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
-# text appended to the first sentence of description lines 0 and 2
-FOREIGN = {0: " It peaked at 987654 units.", 2: " It fell by 31,337.5 in all."}
+# text appended to the first sentence of description lines 0, 1 and 2
+FOREIGN = {0: " It peaked at 987654 units.", 1: " It stood at (4,242),",
+           2: " It fell by 31,337.5 in all."}
 MARKER = "\x00marker"
 
 
@@ -85,6 +87,8 @@ def test_faulty_tree_gives_the_line_by_line_list(tmp_path, monkeypatch):
         assert any(sub in p for p in problems for sub in expected), name
     assert [p for p in problems if p.startswith("record 000008")] == [
         "record 000008: description line 0 digit token '987654' matches no "
+        "chart fact",
+        "record 000008: description line 1 digit token '4,242' matches no "
         "chart fact",
         "record 000008: description line 2 digit token '31,337.5' matches no "
         "chart fact"]

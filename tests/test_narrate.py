@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import string
 import sys
 
 import pytest
@@ -613,6 +614,16 @@ class TestSerialization:
         assert doc["sentences"][0]["move"] == "M1"
         assert doc["text"] == "A chart."
 
+    def test_sentence_repr_equality_and_hash(self):
+        s = Sentence("M1", "m1-001", "A chart.")
+        assert repr(s) == \
+            "Sentence(move='M1', template_id='m1-001', text='A chart.')"
+        assert s == Sentence(move="M1", template_id="m1-001", text="A chart.")
+        assert hash(s) == hash(("M1", "m1-001", "A chart."))
+        assert s != Sentence("M1", "m1-001", "A chart!")
+        with pytest.raises(AttributeError):
+            s.text = "Another chart."
+
 
 def fact_texts(facts):
     """Every fact text a slot can print."""
@@ -657,14 +668,22 @@ class TestHallucinationCheck:
         assert hallucination_check("Beta ends at 350 kt.", facts) == []
 
     def test_allowed_set_built_once_per_fact_table(self, monkeypatch):
-        calls = []
-        real = narrate.tokenize
-        monkeypatch.setattr(narrate, "tokenize",
-                            lambda text: calls.append(text) or real(text))
+        calls, reads = [], []
+        real_tokenize, real_read = narrate.tokenize, narrate._chart_facts
+        monkeypatch.setattr(narrate, "tokenize", lambda text:
+                            calls.append(text) or real_tokenize(text))
+        monkeypatch.setattr(narrate, "_chart_facts", lambda facts:
+                            reads.append(facts) or real_read(facts))
         facts = visitor_facts()
         for _ in range(3):
             assert hallucination_check("It hit 15 million.", facts) == []
-        assert len(calls) == 4
+        # the fact words are read once, and a clean text tokenizes nothing
+        assert (len(reads), calls) == (1, [])
+        for _ in range(2):
+            assert hallucination_check("It hit 42 million.", facts) == ["42"]
+        # the digit tokens of the facts once, then the foreign text each time
+        assert len(reads) == 1
+        assert len(calls) == 3 and calls[1:] == ["42 million."] * 2
 
     def test_allowed_set_matches_one_tokenize_call_per_text(self):
         _, meta = make_chart(True, 2, seed=5, min_len=5)
@@ -672,6 +691,38 @@ class TestHallucinationCheck:
         expected = {tok for text in fact_texts(facts) for tok in tokenize(text)
                     if any(c.isdigit() for c in tok)}
         assert facts.digit_tokens == expected
+
+
+class TestFactWords:
+    """The words the audit looks up, and the fact that is not text."""
+
+    def test_stripped_marks_are_ascii_punctuation(self):
+        assert narrate._PUNCTUATION == string.punctuation
+
+    def test_punctuation_stripped_from_both_ends(self):
+        facts = dataclasses.replace(visitor_facts(),
+                                    title="Imports (1973), in '000s")
+        assert {"imports", "1973", "in", "000s"} <= facts.fact_words
+        assert "(1973)," not in facts.fact_words
+
+    @pytest.mark.parametrize("change, message", [
+        ({"unit": 5}, "unit is an int, not text"),
+        ({"title": None}, "title is a NoneType, not text"),
+        ({"entity_list": ("2013", 7.5)}, "entity_list[1] is a float, not text"),
+    ])
+    def test_fact_that_is_not_text_is_named(self, change, message):
+        facts = dataclasses.replace(visitor_facts(), **change)
+        with pytest.raises(TypeError) as err:
+            facts.fact_words
+        assert str(err.value) == message
+
+    def test_series_fact_that_is_not_text_is_named(self):
+        facts = visitor_facts()
+        second = dataclasses.replace(facts.series[0], x_at_min=["2013"])
+        facts = dataclasses.replace(facts, series=facts.series + (second,))
+        with pytest.raises(TypeError,
+                           match=r"^series\[1\]\.x_at_min is a list, not text$"):
+            facts.fact_words
 
 
 class TestDigitTest:
@@ -712,6 +763,48 @@ def hallucination_check_oracle(text, facts):
 # lowercase is two characters, a capital sigma and two letters
 AUDIT_TRICKY = st.text(alphabet="12.,\t –²½_İΣaA",
                        max_size=40)
+
+
+# letters, ASCII digits, a space, the punctuation that wraps or joins
+# numbers, an en dash, and two digits that are not ASCII (a superscript two
+# and an Arabic-Indic three)
+AUDIT_WORDS = st.text(alphabet="abXY0123456789 .,%()-'\"–²٣", max_size=30)
+
+
+class TestWordSetAudit:
+    """The audit by stripped fact words against tokenize-then-filter."""
+
+    @staticmethod
+    def facts_named(title, entity, name):
+        facts = TestDigitAuditOracle.facts_with(title, entity)
+        series = dataclasses.replace(facts.series[0], name=name)
+        return dataclasses.replace(facts, series=(series,))
+
+    @settings(max_examples=500)
+    @given(AUDIT_WORDS, AUDIT_WORDS, AUDIT_WORDS, AUDIT_WORDS,
+           st.sampled_from(["", "(", "'", '"', "-"]),
+           st.sampled_from(["", ").", "%,", "'", "),", "."]))
+    def test_equals_the_token_oracle(self, text, title, entity, name,
+                                     before, after):
+        facts = self.facts_named(title, entity, name)
+        # fact words, wrapped in punctuation, inside the text too
+        for audited in (text, f"{before}{name}{after} {text}",
+                        f"{text} {before}{entity}{after}",
+                        f"{before}{title}{after}"):
+            assert hallucination_check(audited, facts) == \
+                hallucination_check_oracle(audited, facts)
+
+    @pytest.mark.parametrize("text", ["It hit (987654),", "It hit 987654%"])
+    def test_wrapped_foreign_number_flagged(self, text):
+        facts = self.facts_named("Visitors", "2014", "Singapore")
+        assert hallucination_check(text, facts) == ["987654"]
+        assert hallucination_check_oracle(text, facts) == ["987654"]
+
+    def test_wrapped_fact_passes_without_tokenize(self, monkeypatch):
+        facts = self.facts_named("Visitors", "2014", "x (1973)")
+        monkeypatch.setattr(narrate, "tokenize", None)  # any call fails
+        assert hallucination_check("Imports of x (1973), then 15.",
+                                   facts) == []
 
 
 class TestDigitAuditOracle:
