@@ -709,7 +709,7 @@ class TestFactWords:
         ({"unit": 5}, "unit is an int, not text"),
         ({"title": None}, "title is a NoneType, not text"),
         ({"entity_list": ("2013", 7.5)}, "entity_list[1] is a float, not text"),
-    ])
+    ], ids=["unit", "title", "entity"])
     def test_fact_that_is_not_text_is_named(self, change, message):
         facts = dataclasses.replace(visitor_facts(), **change)
         with pytest.raises(TypeError) as err:
