@@ -16,13 +16,13 @@ two decimals.
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple, get_args, get_origin
 
 from .catalog import DataSeries, _parse_years
 from .rng import Rng
-from .trend import FLAT_CLASSES, ParameterError, classify_trend
+from .trend import FLAT_CLASSES, ParameterError, TrendClass, classify_trend
 
 CANVAS_W = 640
 CANVAS_H = 480
@@ -78,6 +78,24 @@ class ChartKind(str, Enum):
 
 KINDS = tuple(kind.value for kind in ChartKind)
 CATEGORIES = ("temporal-trend", "temporal-random", "categorical")
+
+_FLAT = tuple(c.value for c in FLAT_CLASSES)
+_DIRECTIONAL = tuple(c.value for c in TrendClass if c not in FLAT_CLASSES)
+
+# Every (category, trend, arity) combination the planner can ask for.
+# temporal-trend charts include flat trends: a two-series chart is in that
+# category as soon as one series is directional, and a sentence may focus
+# on the other one.
+REACHABLE_CELLS: Tuple[Tuple[str, Optional[str], int], ...] = tuple(
+    (category, trend, arity)
+    for category, trends in (
+        ("temporal-trend", _DIRECTIONAL + _FLAT),
+        ("temporal-random", _FLAT),
+        ("categorical", (None,)),
+    )
+    for trend in trends
+    for arity in (1, 2)
+)
 
 
 class ArityError(ValueError):
@@ -149,10 +167,13 @@ class BBox:
     h: float
 
     def within_canvas(self) -> bool:
-        return (self.x >= 0 and self.y >= 0
-                and self.x + self.w <= CANVAS_W
-                and self.y + self.h <= CANVAS_H
-                and self.w > 0 and self.h > 0)
+        try:
+            return (self.x >= 0 and self.y >= 0
+                    and self.x + self.w <= CANVAS_W
+                    and self.y + self.h <= CANVAS_H
+                    and self.w > 0 and self.h > 0)
+        except (ArithmeticError, TypeError):  # a field that is not a number
+            return False
 
 
 @dataclass
@@ -285,6 +306,122 @@ def _codec(cls) -> Tuple[Callable, Callable]:
     exec(f"def encode(o): return {{{', '.join(enc)}}}\n"
          f"def decode(d): return cls({', '.join(dec)})", env)
     return env["encode"], env["decode"]
+
+
+# ---------------------------------------------------------------------------
+# the meta contract
+
+# the largest magnitude of a meta number: the facts a slot prints round,
+# add and subtract point values, and stay finite below it
+NUMBER_LIMIT = 1e300
+
+
+def _not_a(want: type, value) -> Optional[str]:
+    """Why value is not text (want str) or not a number (want float: a
+    finite int or float, not a bool, of magnitude at most NUMBER_LIMIT);
+    None when it is one."""
+    if type(value) is want or want is float and type(value) is int:
+        if want is str or -NUMBER_LIMIT <= value <= NUMBER_LIMIT:
+            return None  # NaN fails the comparison
+        return (f"{value!r} is not a finite number between {-NUMBER_LIMIT:g} "
+                f"and {NUMBER_LIMIT:g}")
+    name = type(value).__name__
+    return (f"is {'an' if name[0] in 'aeiou' else 'a'} {name}, not "
+            f"{'text' if want is str else 'a number'}")
+
+
+def _bboxes(meta: ChartMeta) -> list:
+    """Every box of meta, in the order `_bbox_names` names them."""
+    return [meta.title.bbox, meta.x_label.bbox, meta.y_label.bbox,
+            *[tick.bbox for tick in meta.x_ticks + meta.y_ticks],
+            meta.legend.bbox, *[box for entry in meta.legend.entries
+                                for box in (entry.name_bbox, entry.marker_bbox)],
+            meta.plot_area]
+
+
+def _bbox_names(meta: ChartMeta) -> List[str]:
+    """The name of each box of `_bboxes(meta)`: built only for a report."""
+    return ["title", "x_label", "y_label",
+            *[f"x_tick[{i}]" for i in range(len(meta.x_ticks))],
+            *[f"y_tick[{i}]" for i in range(len(meta.y_ticks))], "legend",
+            *[f"legend_entry[{i}].{part}" for i in range(len(meta.legend.entries))
+              for part in ("name", "marker")], "plot_area"]
+
+
+def meta_problems(meta: ChartMeta) -> List[str]:
+    """Why meta is not a chart that can be described and audited, one line
+    per problem, each naming its field; empty when meta is well formed.
+    Never raises on a meta `ChartMeta.from_json` decoded: a field of the
+    wrong type is one problem.  docs/meta-schema.md lists the rules."""
+    category, kind, series, axis = (meta.category, meta.chart_kind,
+                                    meta.series, meta.value_axis)
+    problems: List[str] = []
+    if category not in CATEGORIES:
+        problems.append(f"category {category!r} is not one of "
+                        f"{', '.join(CATEGORIES)}")
+    orientation = "x" if kind == ChartKind.HORIZONTAL_BAR.value else "y"
+    if kind not in KINDS:
+        problems.append(f"chart_kind {kind!r} is not one of {', '.join(KINDS)}")
+    elif axis.orientation != orientation:
+        problems.append(f"value_axis.orientation {axis.orientation!r} is not "
+                        f"{orientation!r}")
+    arity, counts = len(series), [len(sm.points) for sm in series]
+    if not 1 <= arity <= 2:
+        problems.append(f"{arity} series, not 1 or 2")
+    if 0 in counts or len(set(counts)) > 1:
+        problems.append(f"series have {' and '.join(map(str, counts))} "
+                        f"points, not one count above 0")
+    cells = category in CATEGORIES and 1 <= arity <= 2
+
+    # each text a slot prints and each number the checks below read
+    wrong = [f"{name} {why}" for want, name, value in (
+        (str, "title.text", meta.title.text),
+        (str, "x_label.text", meta.x_label.text),
+        (str, "y_label.text", meta.y_label.text), (str, "y_unit", meta.y_unit),
+        (float, "value_axis.lo", axis.lo), (float, "value_axis.hi", axis.hi),
+        (float, "value_axis.canvas_lo", axis.canvas_lo),
+        (float, "value_axis.canvas_hi", axis.canvas_hi))
+        if (why := _not_a(want, value))]
+    if not wrong and axis.hi - axis.lo == 0:
+        wrong.append(f"value_axis.lo {axis.lo!r} equals value_axis.hi {axis.hi!r}")
+    maps = not wrong  # the transform reads the axis numbers
+    placed: List[str] = []  # what the transform and canvas rules find
+    limit = NUMBER_LIMIT
+    for s, sm in enumerate(series):
+        if cells and (category, sm.trend_class, arity) not in REACHABLE_CELLS:
+            problems.append(f"series[{s}].trend_class {sm.trend_class!r} does "
+                            f"not fit a {category} chart of {arity} series")
+        if type(sm.name) is not str:
+            wrong.append(f"series[{s}].name {_not_a(str, sm.name)}")
+        for i, p in enumerate(sm.points):
+            v, x, y = p.value, p.x_canvas, p.y_canvas
+            if not (type(v) is type(x) is type(y) is float  # the common case
+                    and -limit <= v <= limit and -limit <= x <= limit
+                    and -limit <= y <= limit and type(p.x_label) is str):
+                bad = [f"series[{s}].points[{i}].{key} {why}"
+                       for want, key, value in ((str, "x_label", p.x_label),
+                                                (float, "value", v),
+                                                (float, "x_canvas", x),
+                                                (float, "y_canvas", y))
+                       if (why := _not_a(want, value))]
+                if bad:
+                    wrong += bad
+                    continue
+            coord = x if axis.orientation == "x" else y
+            if maps and (off := abs(axis.to_canvas(v) - coord)) > 0.5:
+                placed.append(f"series[{s}].points[{i}] canvas coordinate "
+                              f"{coord} is {off:.3f} units from the value "
+                              f"transform")
+            if not (-0.5 <= x <= CANVAS_W + 0.5 and -0.5 <= y <= CANVAS_H + 0.5):
+                placed.append(f"series[{s}].points[{i}] plotted off canvas")
+    # those rules compare numbers: judged only when no field has a wrong type
+    problems += wrong or placed
+    boxes = _bboxes(meta)
+    if not all([box.within_canvas() for box in boxes]):
+        problems += [f"{name} bbox outside canvas: {asdict(box)}"
+                     for name, box in zip(_bbox_names(meta), boxes)
+                     if not box.within_canvas()]
+    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from .catalog import CatalogFormatError
-from .chartgen import CATEGORIES, ChartMeta
+from .chartgen import ChartMeta, meta_problems
 from .corpus import (
     _MALFORMED, BUILTIN_BANK, ConfigError, ManifestError, _build_bank,
     _config_builder, _read_manifest, _validate, default_config,
@@ -33,7 +33,7 @@ from .corpus import (
 from .evalmetrics import (
     SIGNATURE, References, corpus_report, format_report, score_pair,
 )
-from .narrate import DEFAULT_VARIANTS, extract_facts, generate_description_set
+from .narrate import DEFAULT_VARIANTS, generate_description_set
 from .rng import Rng
 from .templatebank import BankFormatError
 
@@ -99,22 +99,9 @@ def _cmd_describe(args) -> int:
     except _MALFORMED as exc:
         raise CliError(f"describe: {args.meta} is not chart metadata: "
                        f"{type(exc).__name__}: {exc}") from None
-    if meta.category not in CATEGORIES:
-        raise CliError(f"describe: {args.meta} has category "
-                       f"{meta.category!r}, not one of "
-                       f"{', '.join(CATEGORIES)}")
-    try:
-        extract_facts(meta).fact_words  # reads every fact a slot can print
-    except _MALFORMED as exc:
-        raise CliError(f"describe: {args.meta} has malformed chart facts: "
-                       f"{type(exc).__name__}: {exc}") from None
-    if len(meta.series) > 2:  # one with none fails the facts check
-        raise CliError(f"describe: {args.meta} has {len(meta.series)} "
-                       f"series, not 1 or 2")
-    counts = [len(sm.points) for sm in meta.series]
-    if counts[0] != counts[-1]:
-        raise CliError(f"describe: {args.meta} has series of {counts[0]} and "
-                       f"{counts[1]} points, not one count")
+    problems = meta_problems(meta)
+    if problems:
+        raise CliError(f"describe: {args.meta}: {problems[0]}")
     bank = _build_bank(args.bank)
     descriptions = generate_description_set(
         meta, None, bank, Rng(args.seed), n_variants=args.variants)

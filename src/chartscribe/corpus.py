@@ -42,7 +42,7 @@ from .catalog import (
     synth_catalog,
 )
 from .chartgen import (CATEGORIES, KINDS, ChartKind, ChartMeta, render,
-                       build_chart_spec)
+                       build_chart_spec, meta_problems)
 from .narrate import (
     DEFAULT_PLAN_PARAMS, DEFAULT_VARIANTS, PlanParams, Description,
     check_move_order, extract_facts, generate_description_set,
@@ -649,24 +649,6 @@ def stats(corpus_dir) -> Tuple[dict, str]:
 # validation
 
 
-def _bboxes(meta: ChartMeta) -> list:
-    """Every box of meta, in the order `_bbox_names` names them."""
-    return [meta.title.bbox, meta.x_label.bbox, meta.y_label.bbox,
-            *[tick.bbox for tick in meta.x_ticks + meta.y_ticks],
-            meta.legend.bbox, *[box for entry in meta.legend.entries
-                                for box in (entry.name_bbox, entry.marker_bbox)],
-            meta.plot_area]
-
-
-def _bbox_names(meta: ChartMeta) -> List[str]:
-    """The name of each box of `_bboxes(meta)`: built only for a report."""
-    return ["title", "x_label", "y_label",
-            *[f"x_tick[{i}]" for i in range(len(meta.x_ticks))],
-            *[f"y_tick[{i}]" for i in range(len(meta.y_ticks))], "legend",
-            *[f"legend_entry[{i}].{part}" for i in range(len(meta.legend.entries))
-              for part in ("name", "marker")], "plot_area"]
-
-
 # what reading a field of decoded JSON raises when the field has the wrong
 # type or shape: the validator reports it as a violation of the record
 _MALFORMED = (ArithmeticError, AttributeError, LookupError, RecursionError,
@@ -693,31 +675,6 @@ def _record_shape(entry) -> Optional[str]:
     if entry["files"] != expected:
         return f"has files {entry['files']!r}, not the layout paths {expected!r}"
     return None
-
-
-def _check_geometry(tag: str, meta: ChartMeta) -> List[str]:
-    problems: List[str] = []
-    boxes = _bboxes(meta)
-    if not all([bbox.within_canvas() for bbox in boxes]):
-        problems += [f"{tag}: {name} bbox outside canvas: {asdict(bbox)}"
-                     for name, bbox in zip(_bbox_names(meta), boxes)
-                     if not bbox.within_canvas()]
-
-    axis = meta.value_axis
-    for s, sm in enumerate(meta.series):
-        for p_i, point in enumerate(sm.points):
-            coord = point.x_canvas if axis.orientation == "x" else point.y_canvas
-            expected = axis.to_canvas(point.value)
-            if abs(expected - coord) > 0.5:
-                problems.append(
-                    f"{tag}: series[{s}].points[{p_i}] canvas coordinate "
-                    f"{coord} is {abs(expected - coord):.3f} units from the "
-                    f"value transform")
-            if not (-0.5 <= point.x_canvas <= meta.canvas.width + 0.5
-                    and -0.5 <= point.y_canvas <= meta.canvas.height + 0.5):
-                problems.append(
-                    f"{tag}: series[{s}].points[{p_i}] plotted off canvas")
-    return problems
 
 
 def _svg_error(data: bytes) -> Optional[str]:
@@ -826,18 +783,10 @@ def _validate_record(dirs: Dict[str, int], entry: dict, seen_counts: dict,
             problems.append(f"{tag}: meta {key} {value!r} mismatch, "
                             f"manifest says {entry.get(key)!r}")
 
-    try:
-        problems += _check_geometry(tag, meta)
-    except _MALFORMED as exc:
-        problems.append(f"{tag}: meta geometry is malformed: "
-                        f"{type(exc).__name__}: {exc}")
-
-    try:
-        facts = extract_facts(meta)
-        facts.fact_words  # reads every fact text the digit audit uses
-    except _MALFORMED as exc:
-        problems.append(f"{tag}: facts not extractable: {exc}")
-        facts = None
+    wrong = meta_problems(meta)
+    problems += [f"{tag}: {problem}" for problem in wrong]
+    # only a well-formed meta has facts to audit the descriptions against
+    facts = None if wrong else extract_facts(meta)
 
     try:
         lines = _decode_text(data["descriptions"]).splitlines()

@@ -168,28 +168,15 @@ class ChartFacts:
         """The lowercased words of the fact texts `_slot_value` prints, each
         stripped of ASCII punctuation at both ends: such a mark is a token
         that never joins a digit, so a word's digit tokens are its core's.
-        TypeError names a fact that is not text."""
+        Every fact is text when the meta has no `meta_problems`."""
         texts = [*_chart_facts(self)]
         for sf in self.series:
             texts += _series_facts(sf)
             texts += (_plain_number(_round_2sf(v)) for v in _number_facts(sf))
         texts += self.entity_list
         texts.append(str(self.n_categories))
-        try:
-            joined = " ".join(texts)
-        except TypeError:  # name the first fact that is not text
-            named = [*zip(_CHART_SLOTS.values(), _chart_facts(self))]
-            for i, sf in enumerate(self.series):
-                names = [f"series[{i}].{n}" for n in _SERIES_SLOTS.values()]
-                named += zip(names, _series_facts(sf))
-            named += ((f"entity_list[{i}]", v)
-                      for i, v in enumerate(self.entity_list))
-            name, kind = next((n, type(v).__name__) for n, v in named
-                              if not isinstance(v, str))
-            article = "an" if kind[0] in "aeiou" else "a"
-            raise TypeError(f"{name} is {article} {kind}, not text") from None
         return frozenset(word.strip(_PUNCTUATION)
-                         for word in joined.lower().split())
+                         for word in " ".join(texts).lower().split())
 
     @cached_property
     def digit_tokens(self) -> FrozenSet[str]:
@@ -219,9 +206,10 @@ def extract_facts(meta: ChartMeta,
                   series: Optional[Sequence[DataSeries]] = None) -> ChartFacts:
     """Build the fact table for one chart.
 
-    Works from metadata alone; passing the raw series additionally verifies
-    that metadata and data agree.  Axis labels are normalized so y_label is
-    always the value axis, whatever the chart orientation.
+    Works from metadata alone, which `meta_problems` must pass; passing
+    the raw series additionally verifies that metadata and data agree.
+    Axis labels are normalized so y_label is always the value axis,
+    whatever the chart orientation.
     """
     if series is not None:
         _check_consistency(meta, series)
@@ -254,19 +242,17 @@ def extract_facts(meta: ChartMeta,
 
     cross: Optional[CrossFacts] = None
     if len(meta.series) == 2:
-        a = [p.value for p in meta.series[0].points]
-        b = [p.value for p in meta.series[1].points]
-        if len(a) == len(b):
-            diffs = [x - y for x, y in zip(a, b)]
-            if all(d == 0 for d in diffs):
-                dominance = "tie"
-            elif all(d >= 0 for d in diffs):
-                dominance = "first"
-            elif all(d <= 0 for d in diffs):
-                dominance = "second"
-            else:
-                dominance = "mixed"
-            cross = CrossFacts(dominance)
+        diffs = [p.value - q.value
+                 for p, q in zip(meta.series[0].points, meta.series[1].points)]
+        if all(d == 0 for d in diffs):
+            dominance = "tie"
+        elif all(d >= 0 for d in diffs):
+            dominance = "first"
+        elif all(d <= 0 for d in diffs):
+            dominance = "second"
+        else:
+            dominance = "mixed"
+        cross = CrossFacts(dominance)
 
     first = meta.series[0]
     return ChartFacts(

@@ -20,8 +20,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .chartgen import CATEGORIES
-from .trend import FLAT_CLASSES, TrendClass
+from .chartgen import CATEGORIES, REACHABLE_CELLS
+from .trend import TrendClass
 
 MOVES = ("M1", "M2", "M3", "M3_1", "M4", "M5")
 
@@ -33,25 +33,6 @@ SLOT_VOCABULARY = frozenset({
 })
 
 _SLOT_RE = re.compile(r"\{([A-Za-z0-9_]+)\}")
-
-_FLAT = tuple(c.value for c in FLAT_CLASSES)
-_DIRECTIONAL = tuple(c.value for c in TrendClass if c not in FLAT_CLASSES)
-
-# Every (category, trend, arity) combination the planner can ask for.
-# temporal-trend charts include flat trends: a two-series chart is in that
-# category as soon as one series is directional, and a sentence may focus
-# on the other one.
-REACHABLE_CELLS: Tuple[Tuple[str, Optional[str], int], ...] = tuple(
-    (category, trend, arity)
-    for category, trends in (
-        ("temporal-trend", _DIRECTIONAL + _FLAT),
-        ("temporal-random", _FLAT),
-        ("categorical", (None,)),
-    )
-    for trend in trends
-    for arity in (1, 2)
-)
-
 
 CellKey = Tuple[str, str, Optional[str], int]  # move, category, trend, arity
 

@@ -1,5 +1,6 @@
 """Tests for chart layout, rendering, and meta ground truth."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chartscribe import chartgen
 from chartscribe.catalog import DataSeries, sample_series, synth_catalog
 from chartscribe.chartgen import (
     CANVAS_H,
@@ -37,6 +39,7 @@ from chartscribe.chartgen import (
     _codec,
     build_chart_spec,
     estimate_text_bbox,
+    meta_problems,
     nice_ticks,
     render,
 )
@@ -485,6 +488,9 @@ class TestBBox:
         assert not BBox(635, 0, 10, 10).within_canvas()
         assert not BBox(0, 475, 10, 10).within_canvas()
         assert not BBox(0, 0, 0, 10).within_canvas()
+        # a decoded field that is not a number is outside, not an error
+        assert not BBox("0", 0, 10, 10).within_canvas()
+        assert not BBox(0.5, 0, 10 ** 400, 10).within_canvas()
 
     def test_overlaps(self):
         a = BBox(0, 0, 10, 10)
@@ -679,6 +685,85 @@ class TestMetaCodec:
         assert list(doc) == [f.name for f in dataclasses.fields(ChartMeta)]
         assert list(doc["legend"]) == ["bbox", "entries"]
         assert doc["canvas"] == {"width": CANVAS_W, "height": CANVAS_H}
+
+
+def box_named(meta, name):
+    """The box of meta that a geometry violation names name."""
+    if name == "plot_area":
+        return meta.plot_area
+    tick = re.fullmatch(r"([xy])_tick\[(\d+)\]", name)
+    if tick:
+        return getattr(meta, f"{tick[1]}_ticks")[int(tick[2])].bbox
+    entry = re.fullmatch(r"legend_entry\[(\d+)\]\.(name|marker)", name)
+    if entry:
+        return getattr(meta.legend.entries[int(entry[1])], f"{entry[2]}_bbox")
+    return getattr(meta, name).bbox
+
+
+def edited_meta(which, path, value):
+    """META_TEXTS[which] decoded, with the field at path set to value."""
+    doc = json.loads(META_TEXTS[which])
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return ChartMeta.from_json(json.dumps(doc))
+
+
+class TestMetaProblems:
+    """`meta_problems`, the one meta contract of describe and validate."""
+
+    def test_rendered_metas_are_well_formed(self):
+        assert [meta_problems(ChartMeta.from_json(t)) for t in META_TEXTS] == \
+            [[]] * len(META_TEXTS)
+
+    def test_each_box_off_canvas_is_named(self):
+        meta = ChartMeta.from_json(META_TEXTS[2])  # two series, two entries
+        names = chartgen._bbox_names(meta)
+        assert len(names) == len(chartgen._bboxes(meta)) == len(set(names))
+        for name in names:
+            moved = copy.deepcopy(meta)
+            box = box_named(moved, name)
+            box.x = -5.0
+            assert meta_problems(moved) == [
+                f"{name} bbox outside canvas: {dataclasses.asdict(box)}"]
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("y_unit",), 5, "y_unit is an int, not text"),
+        (("title", "text"), None, "title.text is a NoneType, not text"),
+        (("series", 0, "points", 1, "x_label"), 7.5,
+         "series[0].points[1].x_label is a float, not text"),
+    ], ids=["unit", "title", "entity"])
+    def test_fact_that_is_not_text_is_named(self, path, value, message):
+        assert meta_problems(edited_meta(0, path, value)) == [message]
+
+    def test_series_fact_that_is_not_text_is_named(self):
+        meta = edited_meta(2, ("series", 1, "name"), ["2013"])
+        assert meta_problems(meta) == ["series[1].name is a list, not text"]
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "nan is not a finite number between -1e+300 and 1e+300"),
+        (True, "is a bool, not a number"),
+        (10 ** 400, f"{10 ** 400} is not a finite number between -1e+300 "
+                    f"and 1e+300"),
+        ("12", "is a str, not a number")], ids=["nan", "true", "huge", "text"])
+    def test_bad_point_value_is_one_problem(self, value, message):
+        meta = edited_meta(0, ("series", 0, "points", 0, "value"), value)
+        assert meta_problems(meta) == [
+            f"series[0].points[0].value {message}"]
+
+    @settings(max_examples=200)
+    @given(which=st.integers(0, len(META_TEXTS) - 1),
+           steps=st.lists(st.integers(0, 1000), max_size=6),
+           action=st.sampled_from(["replace", "delete"]),
+           value=JSON_VALUES)
+    def test_never_raises_on_a_decoded_meta(self, which, steps, action, value):
+        doc = mutate_at(json.loads(META_TEXTS[which]), steps, action, value)
+        try:
+            meta = ChartMeta.from_json(json.dumps(doc))
+        except (ArithmeticError, LookupError, TypeError, ValueError):
+            return  # not chart metadata: describe and validate say so first
+        assert all(isinstance(p, str) for p in meta_problems(meta))
 
 
 def test_meta_schema_doc_lists_the_chartmeta_fields():

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +12,11 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chartscribe import cli, corpus
 from chartscribe.catalog import synth_catalog, write_catalog
+from chartscribe.chartgen import ChartMeta, meta_problems
 from chartscribe.cli import build_parser, main
 from chartscribe.corpus import MANIFEST_NAME, load_manifest
 from chartscribe.narrate import Description
@@ -348,7 +354,8 @@ class TestDescribe:
         meta.write_text(json.dumps(doc))
         rc = main(["describe", "--meta", str(meta)])
         assert rc == 2
-        one_line_error(capsys, "has malformed chart facts")
+        one_line_error(capsys, ": series[0].points[0].value is a str, not a "
+                               "number")
 
     @pytest.mark.parametrize("extra", [2, 3])
     def test_meta_with_more_than_two_series(self, corpus_dir, tmp_path,
@@ -359,12 +366,13 @@ class TestDescribe:
         meta.write_text(json.dumps(doc))
         rc = main(["describe", "--meta", str(meta)])
         assert rc == 2
-        one_line_error(capsys, f"has {len(doc['series'])} series, not 1 or 2")
+        one_line_error(capsys, f": {len(doc['series'])} series, not 1 or 2")
 
     @pytest.mark.parametrize("path, value, message", [
-        (("y_unit",), 5, "unit is an int, not text"),
+        (("y_unit",), 5, "y_unit is an int, not text"),
         (("series", 0, "points", 0, "x_label"), 7,
-         "series[0].x_first is an int, not text")], ids=["y_unit", "x_label"])
+         "series[0].points[0].x_label is an int, not text")],
+        ids=["y_unit", "x_label"])
     def test_meta_fact_that_is_not_text(self, corpus_dir, tmp_path, capsys,
                                         path, value, message):
         doc = json.loads((corpus_dir / "meta" / "000000.json").read_text())
@@ -376,7 +384,7 @@ class TestDescribe:
         meta.write_text(json.dumps(doc))
         rc = main(["describe", "--meta", str(meta)])
         assert rc == 2
-        one_line_error(capsys, f"has malformed chart facts: TypeError: {message}")
+        one_line_error(capsys, f"{meta}: {message}")
 
     def test_meta_with_unequal_series(self, corpus_dir, tmp_path, capsys):
         doc = json.loads((corpus_dir / "meta" / "000001.json").read_text())
@@ -387,7 +395,8 @@ class TestDescribe:
         for seed in range(10):
             rc = main(["describe", "--meta", str(meta), "--seed", str(seed)])
             assert rc == 2
-            one_line_error(capsys, "has series of 5 and 4 points")
+            one_line_error(capsys, f"{meta}: series have 5 and 4 points, not "
+                                   f"one count above 0")
 
     @pytest.mark.parametrize("category", ["pie", 3, None])
     def test_meta_unknown_category(self, corpus_dir, tmp_path, capsys,
@@ -398,8 +407,22 @@ class TestDescribe:
         meta.write_text(json.dumps(doc))
         rc = main(["describe", "--meta", str(meta)])
         assert rc == 2
-        one_line_error(capsys, f"has category {category!r}, not one of "
+        one_line_error(capsys, f"{meta}: category {category!r} is not one of "
                                f"temporal-trend, temporal-random, categorical")
+
+    @pytest.mark.parametrize("trend", ["bogus", 3, None])
+    def test_meta_trend_class_outside_the_cells(self, corpus_dir, tmp_path,
+                                                capsys, trend):
+        doc = json.loads((corpus_dir / "meta" / "000000.json").read_text())
+        assert doc["category"] == "temporal-trend"
+        doc["series"][0]["trend_class"] = trend
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps(doc))
+        rc = main(["describe", "--meta", str(meta)])
+        assert rc == 2
+        one_line_error(capsys, f"{meta}: series[0].trend_class {trend!r} does "
+                               f"not fit a temporal-trend chart of "
+                               f"{len(doc['series'])} series")
 
     def test_meta_nested_too_deep(self, tmp_path, capsys):
         meta = tmp_path / "meta.json"
@@ -413,6 +436,99 @@ class TestDescribe:
         rc = main(["describe", "--meta", str(tmp_path / "none.json")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _box_off_canvas(doc, draw):
+    box = draw(st.sampled_from([doc["title"]["bbox"], doc["plot_area"],
+                                doc["legend"]["bbox"], doc["x_ticks"][0]["bbox"]]))
+    box.update(draw(st.sampled_from([{"x": -5.0}, {"w": 900.0}, {"h": 0.0}])))
+
+
+def _point(doc, draw):
+    points = draw(st.sampled_from(
+        [sm["points"] for sm in doc["series"] if sm["points"]]))
+    return points[draw(st.integers(0, len(points) - 1))]
+
+
+def _non_text_label(doc, draw):
+    value = draw(st.sampled_from([7, 2.5, None, True, ["2013"], {"a": 1}]))
+    field = draw(st.sampled_from(["title", "y_unit", "series", "point"]))
+    if field == "title":
+        doc["title"]["text"] = value
+    elif field == "y_unit":
+        doc["y_unit"] = value
+    elif field == "series":
+        draw(st.sampled_from(doc["series"]))["name"] = value
+    else:
+        _point(doc, draw)["x_label"] = value
+
+
+# each way the contract test breaks a clean meta document
+META_MUTATIONS = {
+    "drop a point": lambda doc, draw: draw(
+        st.sampled_from(doc["series"]))["points"].__delitem__(slice(-1, None)),
+    "third series": lambda doc, draw: doc["series"].extend(
+        copy.deepcopy(doc["series"][:1]) * (3 - len(doc["series"]))),
+    "non-text label": _non_text_label,
+    "bad value": lambda doc, draw: _point(doc, draw).__setitem__(
+        "value", draw(st.sampled_from([math.nan, math.inf, -math.inf, True,
+                                       False, 10 ** 400, 1e301, "12"]))),
+    "unknown category": lambda doc, draw: doc.__setitem__(
+        "category", draw(st.sampled_from(["pie", "Categorical", 3, None]))),
+    "unknown kind": lambda doc, draw: doc.__setitem__(
+        "chart_kind", draw(st.sampled_from(["pie", "bar", 0, None]))),
+    "flip orientation": lambda doc, draw: doc["value_axis"].__setitem__(
+        "orientation", {"x": "y", "y": "x"}[doc["value_axis"]["orientation"]]),
+    "trend class": lambda doc, draw: draw(
+        st.sampled_from(doc["series"])).__setitem__(
+        "trend_class", draw(st.sampled_from(
+            ["bogus", 3, None, "plateau", "linear-increase", ["plateau"]]))),
+    "box off canvas": _box_off_canvas,
+    "lo equals hi": lambda doc, draw: doc["value_axis"].__setitem__(
+        "hi", doc["value_axis"]["lo"]),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_tree(tmp_path_factory):
+    out = tmp_path_factory.mktemp("contract") / "corpus"
+    assert main(["generate", "--seed", "41", "--count-scale", "0.002",
+                 "--out", str(out)]) == 0
+    return out, len(load_manifest(out)["records"])
+
+
+@settings(max_examples=60)
+@given(data=st.data(), record=st.integers(0, 1000),
+       mutations=st.lists(st.sampled_from(sorted(META_MUTATIONS)), min_size=1,
+                          max_size=2))
+def test_describe_and_validate_share_the_meta_contract(contract_tree, data,
+                                                       record, mutations):
+    """describe exits 0 exactly when `meta_problems` finds nothing, else 2
+    with its first problem, never with a traceback; validate reports every
+    one of the record's problems."""
+    root, n_records = contract_tree
+    path = root / "meta" / f"{record % n_records:06d}.json"
+    original = path.read_text(encoding="utf-8")
+    doc = json.loads(original)
+    for name in mutations:
+        META_MUTATIONS[name](doc, data.draw)
+    text = json.dumps(doc)
+    problems = meta_problems(ChartMeta.from_json(text))
+    err = io.StringIO()
+    try:
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main(["describe", "--meta", str(path), "--variants", "1"])
+        found = corpus.validate_corpus(root)
+    finally:
+        path.write_text(original, encoding="utf-8")
+    if problems:
+        assert (rc, err.getvalue()) == (
+            2, f"error: describe: {path}: {problems[0]}\n")
+    else:
+        assert (rc, err.getvalue()) == (0, "")
+    assert all(f"record {path.stem}: {p}" in found for p in problems)
 
 
 @pytest.fixture(scope="module")

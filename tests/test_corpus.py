@@ -1,7 +1,5 @@
 """Tests for corpus assembly, the manifest, and disk validation."""
 
-import copy
-import dataclasses
 import hashlib
 import json
 import math
@@ -859,24 +857,46 @@ class TestValidate:
         assert any("987654" in p for p in validate_corpus(fresh))
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc.__setitem__("y_unit", 5), "unit is an int, not text"),
+        (lambda doc: doc.__setitem__("y_unit", 5), "y_unit is an int, not text"),
         (lambda doc: doc["series"][0]["points"][0].__setitem__("x_label", 7),
-         "series[0].x_first is an int, not text")], ids=["y_unit", "x_label"])
+         "series[0].points[0].x_label is an int, not text")],
+        ids=["y_unit", "x_label"])
     def test_fact_that_is_not_text_is_named(self, fresh, edit, message):
         edit_json(fresh / "meta" / "000001.json", edit)
         problems = validate_corpus(fresh)
-        assert f"record 000001: facts not extractable: {message}" in problems
+        assert f"record 000001: {message}" in problems
 
-    def test_each_box_off_canvas_is_named(self, fresh):
-        meta = ChartMeta.from_json((fresh / "meta" / "000001.json").read_text())
-        names = corpus._bbox_names(meta)
-        assert len(names) == len(corpus._bboxes(meta)) == len(set(names))
-        for name in names:
-            moved = copy.deepcopy(meta)
-            box = box_named(moved, name)
-            box.x = -5.0
-            assert corpus._check_geometry("t", moved) == [
-                f"t: {name} bbox outside canvas: {dataclasses.asdict(box)}"]
+    @pytest.mark.parametrize("flip", [{"y": "z", "x": "z"}, {"y": "x", "x": "y"}],
+                             ids=["z", "flipped"])
+    def test_value_axis_orientation_is_the_kinds(self, fresh, flip):
+        """An orientation other than the chart kind's is a violation; "z"
+        is not read as "y"."""
+        path = fresh / "meta" / "000001.json"
+        doc = json.loads(path.read_text())
+        old = doc["value_axis"]["orientation"]
+        assert old == ("x" if doc["chart_kind"] == "horizontal-bar" else "y")
+        edit_json(path, lambda doc: doc["value_axis"].__setitem__(
+            "orientation", flip[old]))
+        assert (f"record 000001: value_axis.orientation {flip[old]!r} is not "
+                f"{old!r}") in validate_corpus(fresh)
+
+    def test_cut_series_is_one_violation(self, tmp_path, capsys):
+        """A two-series meta whose second series is one point short gives
+        one violation naming both point counts, and describe refuses it
+        with the same words."""
+        root = tmp_path / "corpus"
+        generate_corpus(CorpusConfig(seed=41, output_dir=str(root),
+                                     count_scale=0.002))
+        path = next(p for p in sorted((root / "meta").iterdir())
+                    if len(json.loads(p.read_text())["series"]) == 2)
+        doc = json.loads(path.read_text())
+        n = len(doc["series"][1]["points"])
+        edit_json(path, lambda doc: doc["series"][1]["points"].pop())
+        message = f"series have {n} and {n - 1} points, not one count above 0"
+        assert validate_corpus(root) == [f"record {path.stem}: {message}"]
+        assert cli.main(["describe", "--meta", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: describe: {path}: {message}\n")
 
     def test_orphan_file(self, fresh):
         (fresh / "charts" / "999999.svg").write_text("<svg/>")
@@ -1237,19 +1257,6 @@ class TestValidate:
         reason = et_error(path.read_bytes())
         assert [p for p in problems if p.startswith("record 000002")] == [
             f"record 000002: chart svg does not parse: {reason}"]
-
-
-def box_named(meta, name):
-    """The box of meta that a geometry violation names name."""
-    if name == "plot_area":
-        return meta.plot_area
-    tick = re.fullmatch(r"([xy])_tick\[(\d+)\]", name)
-    if tick:
-        return getattr(meta, f"{tick[1]}_ticks")[int(tick[2])].bbox
-    entry = re.fullmatch(r"legend_entry\[(\d+)\]\.(name|marker)", name)
-    if entry:
-        return getattr(meta.legend.entries[int(entry[1])], f"{entry[2]}_bbox")
-    return getattr(meta, name).bbox
 
 
 def edit_json(path, mutate):

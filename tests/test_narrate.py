@@ -694,7 +694,7 @@ class TestHallucinationCheck:
 
 
 class TestFactWords:
-    """The words the audit looks up, and the fact that is not text."""
+    """The words the audit looks up."""
 
     def test_stripped_marks_are_ascii_punctuation(self):
         assert narrate._PUNCTUATION == string.punctuation
@@ -704,25 +704,6 @@ class TestFactWords:
                                     title="Imports (1973), in '000s")
         assert {"imports", "1973", "in", "000s"} <= facts.fact_words
         assert "(1973)," not in facts.fact_words
-
-    @pytest.mark.parametrize("change, message", [
-        ({"unit": 5}, "unit is an int, not text"),
-        ({"title": None}, "title is a NoneType, not text"),
-        ({"entity_list": ("2013", 7.5)}, "entity_list[1] is a float, not text"),
-    ], ids=["unit", "title", "entity"])
-    def test_fact_that_is_not_text_is_named(self, change, message):
-        facts = dataclasses.replace(visitor_facts(), **change)
-        with pytest.raises(TypeError) as err:
-            facts.fact_words
-        assert str(err.value) == message
-
-    def test_series_fact_that_is_not_text_is_named(self):
-        facts = visitor_facts()
-        second = dataclasses.replace(facts.series[0], x_at_min=["2013"])
-        facts = dataclasses.replace(facts, series=facts.series + (second,))
-        with pytest.raises(TypeError,
-                           match=r"^series\[1\]\.x_at_min is a list, not text$"):
-            facts.fact_words
 
 
 class TestDigitTest:
