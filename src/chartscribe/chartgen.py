@@ -284,13 +284,19 @@ class ChartMeta:
         return _codec(ChartMeta)[1](json.loads(text))
 
 
+def _array(value, name: str) -> list:
+    if type(value) is list:  # a JSON object or string is not read as one
+        return value
+    raise TypeError(f"{name} is a {type(value).__name__}, not a list")
+
+
 @functools.cache
 def _codec(cls) -> Tuple[Callable, Callable]:
     """(encode, decode) between a meta record class and its JSON object,
     compiled once from its fields as `dataclasses` compiles `__init__`: a
     record field is an object, a List[record] field an array, any other
     passes through.  decode reads d[key] depth first in field order."""
-    env: Dict[str, object] = {"cls": cls}
+    env: Dict[str, object] = {"cls": cls, "_array": _array}
     enc, dec = [], []
     for f in fields(cls):
         is_list = get_origin(f.type) is list
@@ -300,7 +306,8 @@ def _codec(cls) -> Tuple[Callable, Callable]:
             env[f"enc_{f.name}"], env[f"dec_{f.name}"] = _codec(record)
             form = "[{}(v) for v in {}]" if is_list else "{}({})"
             get = form.format(f"enc_{f.name}", get)
-            read = form.format(f"dec_{f.name}", read)
+            read = form.format(f"dec_{f.name}", f"_array({read}, {f.name!r})"
+                               if is_list else read)
         enc.append(f"{f.name!r}: {get}")
         dec.append(read)
     exec(f"def encode(o): return {{{', '.join(enc)}}}\n"

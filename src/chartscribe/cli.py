@@ -77,14 +77,14 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    problems, seen = _validate(Path(args.corpus_dir))
+    problems, totals = _validate(Path(args.corpus_dir))
     for problem in problems:
         print(problem)
     if problems:
         print(f"{len(problems)} violation(s)")
         return 1
-    print(f"ok: {seen['charts']} charts, "
-          f"{seen['descriptions']} descriptions, 0 violations")
+    print(f"ok: {totals['charts']} charts, "
+          f"{totals['descriptions']} descriptions, 0 violations")
     return 0
 
 

@@ -20,7 +20,7 @@ its sentences, the move order, and the digit audit.  The digit audit runs
 once over all of a record's description lines, whose variants repeat most
 words, and line by line only when that finds a foreign token, so each
 message keeps its line number.  Each distinct move sequence is checked once
-per call.  The manifest must list every record the config plans.
+per call.  The manifest must be what generate writes for its config.
 """
 
 import contextlib
@@ -540,21 +540,22 @@ def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
             _write_payload(root, dirs, payload)
             entries.append(payload.entry)
 
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "config": config.to_dict(),
-        "totals": {
-            "charts": len(entries),
-            "descriptions": sum(e["n_descriptions"] for e in entries),
-        },
-        "cells": [{"category": category, "kind": kind, "count": count}
-                  for category, kind, count, _ in builder.cells],
-        "records": entries,
-    }
+    manifest = _manifest(FORMAT_VERSION, config.to_dict(), builder.cells,
+                         entries)
     _write_file(root / MANIFEST_NAME, (json.dumps(
         manifest, separators=(",", ":"), ensure_ascii=False) + "\n"
     ).encode("utf-8"))
     return manifest
+
+
+def _manifest(version, config, cells: list, entries: List[dict]) -> dict:
+    """The manifest document generate writes and validate rebuilds."""
+    return {"format_version": version, "config": config,
+            "totals": {"charts": len(entries), "descriptions": sum(
+                e["n_descriptions"] for e in entries)},
+            "cells": [{"category": category, "kind": kind, "count": count}
+                      for category, kind, count, _ in cells],
+            "records": entries}
 
 
 def load_manifest(corpus_dir) -> dict:
@@ -654,27 +655,33 @@ def stats(corpus_dir) -> Tuple[dict, str]:
 _MALFORMED = (ArithmeticError, AttributeError, LookupError, RecursionError,
               TypeError, ValueError)
 
-# the fields of a manifest record that the validator reads
-_RECORD_FIELDS = (("image_index", int), ("category", str), ("kind", str),
-                  ("n_descriptions", int), ("files", dict))
+# a key the stored manifest lacks, wherever validate reads or copies one
+_ABSENT = object()
 
 
-def _record_shape(entry) -> Optional[str]:
-    """Why a manifest record cannot be read, or None when it can: it needs
-    each (key, type) of _RECORD_FIELDS.  Its files must be exactly its
-    layout paths, so nothing outside the corpus root is ever opened."""
-    if not isinstance(entry, dict):
-        return f"is a {type(entry).__name__}, not an object"
-    for key, kind in _RECORD_FIELDS:
-        if key not in entry:
-            return f"has no {key}"
-        value = entry[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            return f"has {key} {value!r}, not of type {kind.__name__}"
-    expected = _record_files(entry["image_index"])
-    if entry["files"] != expected:
-        return f"has files {entry['files']!r}, not the layout paths {expected!r}"
-    return None
+def _differences(stored, expected, path: str = "") -> List[str]:
+    """How stored differs from expected, the part at path of the manifest
+    generate writes, one line per difference naming its path.  Values
+    compare as (type, value): true and 1.0 are not the int 1."""
+    if stored is expected:
+        return []
+    if stored is _ABSENT:
+        return [f"manifest: {path} is missing"]
+    if type(stored) is not type(expected):
+        return [f"manifest: {path} is a {type(stored).__name__}, not a "
+                f"{type(expected).__name__}"]
+    if type(expected) is dict:
+        return [line for key, value in expected.items()
+                for line in _differences(stored.get(key, _ABSENT), value,
+                                         f"{path}.{key}" if path else key)]
+    if type(expected) is list and len(stored) != len(expected):
+        return [f"manifest: {path} has {len(stored)} items, not "
+                f"{len(expected)}"]
+    if type(expected) is list:
+        return [line for i, pair in enumerate(zip(stored, expected))
+                for line in _differences(*pair, f"{path}[{i}]")]
+    return [] if stored == expected else [
+        f"manifest: {path} declares {stored!r}, not {expected!r}"]
 
 
 def _svg_error(data: bytes) -> Optional[str]:
@@ -741,10 +748,12 @@ def _decode_text(data: bytes) -> str:
     return text
 
 
-def _validate_record(dirs: Dict[str, int], entry: dict, seen_counts: dict,
+def _validate_record(dirs: Dict[str, int], entry: dict,
                      move_checks: Dict[tuple, List[str]],
                      variants: float) -> List[str]:
-    """Check one record whose manifest entry has passed `_record_shape`.
+    """Check one record's files against entry, the manifest entry generate
+    writes for it, and set there the `arity`, `trend_classes` and
+    `n_descriptions` its files give (one that cannot be read gives none).
 
     Each of the record's files is read once, as bytes, by name from its
     open layout directory, with no stat before; a file that cannot be read,
@@ -773,15 +782,13 @@ def _validate_record(dirs: Dict[str, int], entry: dict, seen_counts: dict,
         problems.append(f"{tag}: meta does not parse: {exc}")
         return problems
 
-    if type(meta.image_index) is not int or meta.image_index != idx:
-        problems.append(f"{tag}: meta image_index {meta.image_index} mismatch")
-    # as (type, value), as the plan is compared: true is not arity 1
-    for key, value in (("category", meta.category), ("kind", meta.chart_kind),
-                       ("arity", len(meta.series)),
-                       ("trend_classes", [sm.trend_class for sm in meta.series])):
+    for key, value in (("image_index", meta.image_index),
+                       ("category", meta.category), ("kind", meta.chart_kind)):
         if (type(entry.get(key)), entry.get(key)) != (type(value), value):
-            problems.append(f"{tag}: meta {key} {value!r} mismatch, "
-                            f"manifest says {entry.get(key)!r}")
+            problems.append(f"{tag}: meta {key} {value!r} mismatch, planned "
+                            f"{entry.get(key)!r}")
+    entry.update(arity=len(meta.series),
+                 trend_classes=[sm.trend_class for sm in meta.series])
 
     wrong = meta_problems(meta)
     problems += [f"{tag}: {problem}" for problem in wrong]
@@ -792,13 +799,11 @@ def _validate_record(dirs: Dict[str, int], entry: dict, seen_counts: dict,
         lines = _decode_text(data["descriptions"]).splitlines()
     except UnicodeDecodeError as exc:
         problems.append(f"{tag}: description file is not UTF-8: {exc}")
-        lines = []
+        return problems
     if not lines:
         problems.append(f"{tag}: description file is empty")
-    if len(lines) != entry["n_descriptions"]:
-        problems.append(
-            f"{tag}: {len(lines)} description lines, manifest says "
-            f"{entry['n_descriptions']}")
+        return problems
+    entry["n_descriptions"] = len(lines)
     descs: List[object] = []  # per line, its Description or parse error
     for line in lines:
         try:
@@ -848,129 +853,90 @@ def _validate_record(dirs: Dict[str, int], entry: dict, seen_counts: dict,
                 problems.append(
                     f"{tag}: description line {line_no} digit token "
                     f"{token!r} matches no chart fact")
-
-    seen_counts["charts"] += 1
-    seen_counts["descriptions"] += len(lines)
-    seen_counts["cells"][(entry["category"], entry["kind"])] = \
-        seen_counts["cells"].get((entry["category"], entry["kind"]), 0) + 1
     return problems
-
-
-def _manifest_part(manifest: dict, key: str, default, problems: List[str]):
-    """manifest[key] when it has the type of default; else default, and the
-    mismatch is reported."""
-    value = manifest.get(key, default)
-    if isinstance(value, type(default)):
-        return value
-    problems.append(f"manifest: {key} is a {type(value).__name__}, "
-                    f"not a {type(default).__name__}")
-    return default
-
-
-def _cell_key(cell) -> Optional[Tuple[str, str]]:
-    if (isinstance(cell, dict) and isinstance(cell.get("category"), str)
-            and isinstance(cell.get("kind"), str) and "count" in cell):
-        return cell["category"], cell["kind"]
-    return None
 
 
 def validate_corpus(corpus_dir) -> List[str]:
     """Re-check every invariant checkable from disk; empty list means clean.
 
     Never aborts early and never raises on a damaged corpus: all violations
-    across all records are collected, and a record whose manifest entry is
-    malformed is reported instead of read.  Only files at the layout paths
-    under the corpus root are opened: the layout directories once each, and
-    no symlink at a layout path is followed.
+    across all records are collected.  The manifest is compared with the
+    one generate writes for its config and the files on disk.  Only files
+    at the layout paths of the planned records are opened: the layout
+    directories once each, and no symlink at a layout path is followed.
     """
     return _validate(Path(corpus_dir))[0]
 
 
 def _validate(root: Path) -> Tuple[List[str], dict]:
-    """validate_corpus's violations, and the charts and description lines
-    it validated (on a clean corpus, the manifest's totals)."""
-    seen = {"charts": 0, "descriptions": 0, "cells": {}}
+    """validate_corpus's violations, and the totals of the manifest
+    generate writes for the corpus (on a clean corpus, the stored ones)."""
     try:
         manifest = load_manifest(root)
     except ManifestError as exc:
-        return [str(exc)], seen
+        return [str(exc)], {}
     except OSError as exc:
-        return [f"manifest: {exc}"], seen
+        return [f"manifest: {exc}"], {}
     with _layout_dirs(root, ignore=(OSError,)) as dirs:
         problems: List[str] = []
-        version = manifest.get("format_version")
-        # True and 1.0 compare equal to 1 but are not format versions
-        if type(version) is not int or version not in VALIDATED_VERSIONS:
-            problems.append(f"manifest: unknown format_version {version!r}")
         try:
             builder = _config_builder(manifest)
         except ManifestError as exc:
             problems.append(str(exc))
             builder = None
 
-        records = _manifest_part(manifest, "records", [], problems)
+        records = manifest.get("records")
+        records = records if type(records) is list else []
+        planned = range(builder.starts[-1]) if builder else None
         variants = builder.config.descriptions_per_chart if builder else math.inf
-        indices, listed = set(), set()
         move_checks: Dict[tuple, List[str]] = {}
-        for pos, entry in enumerate(records):
-            # an entry reported below as malformed still lists its index
-            if isinstance(entry, dict) and type(entry.get("image_index")) is int:
-                listed.add(entry["image_index"])
-            shape = _record_shape(entry)
-            if shape is not None:
-                problems.append(f"manifest: records[{pos}] {shape}")
-                continue
-            idx = entry["image_index"]
-            if idx in indices:
-                problems.append(f"manifest: duplicate image_index {idx}")
-            indices.add(idx)
-            if builder is not None:
-                # an index outside the plan differs in image_index itself
-                plan = (vars(builder.plan(idx)) if 0 <= idx < builder.starts[-1]
-                        else {"image_index": None})
-                # as (type, value): true and 1.0 are not cell_index 1
-                wrong = [key for key, value in plan.items() if (
-                    type(entry.get(key)), entry.get(key)) != (type(value), value)]
-                if wrong:
-                    problems.append(f"manifest: records[{pos}] has "
-                                    f"{', '.join(wrong)} other than the config plans")
-            problems.extend(_validate_record(dirs, entry, seen, move_checks,
-                                             variants))
-        if builder is not None:
-            # a planned record with no entry, files or count left would
-            # otherwise pass every count check
-            total = builder.starts[-1]
-            unlisted = [i for i in range(total) if i not in listed]
-            if unlisted:
-                shown = ", ".join(map(str, unlisted[:5]))
-                problems.append(
-                    f"manifest: no record lists image_index {shown}"
-                    f"{', ...' if len(unlisted) > 5 else ''}, of the "
-                    f"{total} the config plans")
+        entries: Dict[int, dict] = {}
 
-        totals = _manifest_part(manifest, "totals", {}, problems)
-        # as in a record, a count is a JSON int: true and 15.0 are not
-        for key, found in (("charts", "records validated"),
-                           ("descriptions", "description lines on disk")):
-            value = totals.get(key)
-            if type(value) is not int or value != seen[key]:
-                problems.append(f"manifest: totals.{key} {value} but "
-                                f"{seen[key]} {found}")
-        cells = _manifest_part(manifest, "cells", [], problems)
-        if builder is not None and [_cell_key(cell) for cell in cells] \
-                != [cell[:2] for cell in builder.cells]:
-            problems.append("manifest: cells do not list the config's grid")
-        for cell in cells:
-            key = _cell_key(cell)
-            if key is None:
-                problems.append(f"manifest: cell {cell!r} needs a category, "
-                                f"a kind and a count")
-                continue
-            actual = seen["cells"].get(key, 0)
-            if type(cell["count"]) is not int or cell["count"] != actual:
-                problems.append(
-                    f"manifest: cell {key[0]}/{key[1]} declares {cell['count']} "
-                    f"records, found {actual}")
+        def read(i: int, given: dict) -> dict:
+            # record i's entry: what its files do not give is given's
+            count = given.get("n_descriptions")
+            entries[i] = entry = {
+                **given, **(vars(builder.plan(i)) if builder else {}),
+                "files": _record_files(i),
+                "n_descriptions": count if type(count) is int else 0}
+            problems.extend(_validate_record(dirs, entry, move_checks,
+                                             variants))
+            return entry
+
+        matched = []  # the expected entry of each stored one, or itself
+        for pos, entry in enumerate(records):
+            idx = entry.get("image_index") if type(entry) is dict else None
+            if type(idx) is not int or planned is not None \
+                    and idx not in planned:
+                problems.append(f"manifest: records[{pos}].image_index is "
+                                f"{idx!r}, not an index the config plans")
+            elif idx in entries:
+                problems.append(f"manifest: records[{pos}] repeats "
+                                f"image_index {idx}")
+            else:
+                entry = read(idx, entry)
+            matched.append(entry)
+        unlisted = [i for i in planned or () if i not in entries]
+        if unlisted:
+            shown = ", ".join(map(str, unlisted[:5]))
+            problems.append(
+                f"manifest: no record lists image_index {shown}"
+                f"{', ...' if len(unlisted) > 5 else ''}, of the "
+                f"{len(planned)} the config plans")
+        for i in unlisted:
+            read(i, {})
+
+        # a version validate reads stands; true and 1.0 are not version 1
+        version = manifest.get("format_version")
+        expected = _manifest(version if type(version) is int and version
+                             in VALIDATED_VERSIONS else FORMAT_VERSION,
+                             manifest.get("config", _ABSENT),
+                             builder.cells if builder else [],
+                             list(entries.values()))
+        if builder is None:  # no grid to compare with
+            expected["cells"] = manifest.get("cells", _ABSENT)
+        expected["records"] = matched
+        problems.extend(_differences(manifest, expected))
 
         for _, sub, suffix in _LAYOUT:
             if sub not in dirs:
@@ -979,7 +945,7 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
                                 f"layout: missing directory {sub}/")
                 continue
             on_disk = set(os.listdir(dirs[sub]))
-            expected = {_record_name(i) + suffix for i in indices}
-            for orphan in sorted(on_disk - expected):
+            expected_names = {_record_name(i) + suffix for i in entries}
+            for orphan in sorted(on_disk - expected_names):
                 problems.append(f"layout: {sub}/{orphan} not in manifest")
-        return problems, seen
+        return problems, expected["totals"]

@@ -557,9 +557,17 @@ def series_to_dict(s):
             "points": [point_to_dict(p) for p in s.points]}
 
 
+def array(value, name):
+    """value, when it is a JSON array: a list field is decoded from no
+    other JSON value."""
+    if type(value) is not list:
+        raise TypeError(f"{name} is a {type(value).__name__}, not a list")
+    return value
+
+
 def series_from_dict(d):
     return SeriesMeta(d["name"], d["trend_class"],
-                      [point_from_dict(p) for p in d["points"]])
+                      [point_from_dict(p) for p in array(d["points"], "points")])
 
 
 def axis_to_dict(a):
@@ -603,11 +611,12 @@ def meta_from_dict(d):
         x_label=text_from_dict(d["x_label"]),
         y_label=text_from_dict(d["y_label"]),
         y_unit=d["y_unit"],
-        x_ticks=[tick_from_dict(t) for t in d["x_ticks"]],
-        y_ticks=[tick_from_dict(t) for t in d["y_ticks"]],
+        x_ticks=[tick_from_dict(t) for t in array(d["x_ticks"], "x_ticks")],
+        y_ticks=[tick_from_dict(t) for t in array(d["y_ticks"], "y_ticks")],
         legend=Legend(bbox_from_dict(d["legend"]["bbox"]),
-                      [entry_from_dict(e) for e in d["legend"]["entries"]]),
-        series=[series_from_dict(s) for s in d["series"]],
+                      [entry_from_dict(e) for e in array(
+                          d["legend"]["entries"], "entries")]),
+        series=[series_from_dict(s) for s in array(d["series"], "series")],
         plot_area=bbox_from_dict(d["plot_area"]),
         value_axis=axis_from_dict(d["value_axis"]),
         canvas=Canvas(d["canvas"]["width"], d["canvas"]["height"]),

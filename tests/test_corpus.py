@@ -638,16 +638,19 @@ class TestGenerateCorpus:
         with pytest.raises(ManifestError, match="format_version 1 cannot"):
             regenerate_record(out, 0)
 
-    @pytest.mark.parametrize("version", [3, True, 1.0, "2", None])
-    def test_unknown_version_fails_validate_and_regenerate(self, tiny_corpus,
-                                                           tmp_path, version):
+    @pytest.mark.parametrize("version, message", [
+        (3, "declares 3, not 2"), (True, "is a bool, not a int"),
+        (1.0, "is a float, not a int"), ("2", "is a str, not a int"),
+        (None, "is a NoneType, not a int")],
+        ids=["3", "True", "1.0", "2", "None"])
+    def test_unknown_version_fails_validate_and_regenerate(
+            self, tiny_corpus, tmp_path, version, message):
         out, _, manifest = tiny_corpus
         shutil.copytree(out, tmp_path / "copy")
         out = tmp_path / "copy"
         (out / MANIFEST_NAME).write_text(
             json.dumps(dict(manifest, format_version=version)))
-        assert validate_corpus(out) == [
-            f"manifest: unknown format_version {version!r}"]
+        assert validate_corpus(out) == [f"manifest: format_version {message}"]
         with pytest.raises(ManifestError,
                            match=f"format_version {version!r} cannot"):
             regenerate_record(out, 0)
@@ -903,11 +906,6 @@ class TestValidate:
         assert any("not in manifest" in p for p in validate_corpus(fresh))
 
     @staticmethod
-    def cell_count_problem(cell, declared):
-        return (f"manifest: cell {cell['category']}/{cell['kind']} declares "
-                f"{declared} records, found {cell['count']}")
-
-    @staticmethod
     def counts_made_floats(doc):
         # both totals and every cell count floats, the first cell count
         # true: each compares equal to the count it stands for
@@ -918,60 +916,61 @@ class TestValidate:
 
     @pytest.mark.parametrize("tamper, expected", [
         (lambda doc: doc["totals"].update(charts=17),
-         lambda doc: ["manifest: totals.charts 17 but 15 records validated"]),
+         ["manifest: totals.charts declares 17, not 15"]),
         (lambda doc: doc["totals"].update(charts=15.0),
-         lambda doc: ["manifest: totals.charts 15.0 but 15 records "
-                      "validated"]),
+         ["manifest: totals.charts is a float, not a int"]),
         (lambda doc: doc["cells"][0].update(count=True),
-         lambda doc: [TestValidate.cell_count_problem(doc["cells"][0],
-                                                      True)]),
-        (counts_made_floats, lambda doc: [
-            "manifest: totals.charts 15.0 but 15 records validated",
-            f"manifest: totals.descriptions "
-            f"{float(doc['totals']['descriptions'])} but "
-            f"{doc['totals']['descriptions']} description lines on disk",
-        ] + [TestValidate.cell_count_problem(
-            cell, True if i == 0 else float(cell["count"]))
-            for i, cell in enumerate(doc["cells"])]),
+         ["manifest: cells[0].count is a bool, not a int"]),
+        (lambda doc: doc["cells"][0].update(count=2),
+         ["manifest: cells[0].count declares 2, not 1"]),
+        (counts_made_floats, [
+            "manifest: totals.charts is a float, not a int",
+            "manifest: totals.descriptions is a float, not a int",
+            "manifest: cells[0].count is a bool, not a int",
+        ] + [f"manifest: cells[{i}].count is a float, not a int"
+             for i in range(1, 12)]),
     ], ids=["charts-plus-two", "charts-float", "cell-count-true",
-            "every-count-float-or-true"])
+            "cell-count-plus-one", "every-count-float-or-true"])
     def test_manifest_count_tamper(self, fresh, tamper, expected):
         # a count is a JSON int: true and 15.0 compare equal to 1 and 15
         # but are refused
         path = fresh / MANIFEST_NAME
         doc = json.loads(path.read_text())
         assert doc["totals"]["charts"] == 15 and doc["cells"][0]["count"] == 1
-        problems = expected(json.loads(path.read_text()))
         tamper(doc)
         path.write_text(json.dumps(doc))
-        assert validate_corpus(fresh) == problems
+        assert validate_corpus(fresh) == expected
 
     def test_cells_must_list_the_config_grid(self, fresh):
         # without its first cell, no cell check would see temporal-trend/line
         edit_json(fresh / MANIFEST_NAME, lambda doc: doc["cells"].pop(0))
-        assert validate_corpus(fresh) == [
-            "manifest: cells do not list the config's grid"]
+        assert validate_corpus(fresh) == ["manifest: cells has 11 items, not 12"]
 
     @pytest.mark.parametrize("tamper, expected", [
         # another seed plans other records: every one is flagged
-        (lambda doc: doc["config"].update(seed=42),
-         [f"manifest: records[{i}] has seed other than the config plans"
-          for i in range(15)]),
+        (lambda doc: doc["config"].update(seed=42), lambda doc, plan: [
+            f"manifest: records[{i}].seed declares "
+            f"{doc['records'][i]['seed']}, not {plan(i).seed}"
+            for i in range(15)]),
         (lambda doc: doc["records"][3].update(cell_index=1),
-         ["manifest: records[3] has cell_index other than the config plans"]),
+         lambda doc, plan: ["manifest: records[3].cell_index declares 1, "
+                            "not 0"]),
         # as a JSON int: true and 1.0 compare equal to 1
         (lambda doc: doc["records"][1].update(
             cell_index=True, seed=float(doc["records"][1]["seed"])),
-         ["manifest: records[1] has cell_index, seed other than the config "
-          "plans"]),
+         lambda doc, plan: ["manifest: records[1].cell_index is a bool, not "
+                            "a int", "manifest: records[1].seed is a float, "
+                            "not a int"]),
         (lambda doc: doc["records"][4].pop("seed"),
-         ["manifest: records[4] has seed other than the config plans"]),
+         lambda doc, plan: ["manifest: records[4].seed is missing"]),
     ], ids=["config-seed", "cell-index", "cell-index-true-seed-float",
             "no-seed"])
     def test_records_must_match_the_config_plan(self, fresh, tamper,
                                                 expected):
         edit_json(fresh / MANIFEST_NAME, tamper)
-        assert validate_corpus(fresh) == expected
+        doc = load_manifest(fresh)
+        plan = _RecordBuilder(CorpusConfig.from_dict(doc["config"])).plan
+        assert validate_corpus(fresh) == expected(doc, plan)
 
     def test_record_outside_the_config_plan(self, fresh):
         # the config plans 15 records; the 16th entry copies record 14's
@@ -988,24 +987,39 @@ class TestValidate:
             doc["records"].append(entry)
 
         edit_json(fresh / MANIFEST_NAME, add_record)
-        problems = validate_corpus(fresh)
-        assert problems[0] == ("manifest: records[15] has image_index other "
-                               "than the config plans")
+        # outside the plan, record 15's files are not read: they are orphans
+        assert validate_corpus(fresh) == [
+            "manifest: records[15].image_index is 15, not an index the "
+            "config plans",
+            "layout: charts/000015.svg not in manifest",
+            "layout: meta/000015.json not in manifest",
+            "layout: descriptions/000015.txt not in manifest"]
 
-    @pytest.mark.parametrize("key, value", [
-        ("arity", 7), ("arity", True), ("trend_classes", ["x"]),
-        ("trend_classes", None)],
-        ids=["arity-7", "arity-true", "trend-classes-x", "no-trend-classes"])
-    def test_records_must_match_their_meta_series(self, fresh, key, value):
+    def test_repeated_index_is_one_violation(self, fresh):
+        # the first entry listing an index is compared with the record's;
+        # a later one that repeats it is one violation, compared with none
+        edit_json(fresh / MANIFEST_NAME, lambda doc: doc["records"].append(
+            dict(doc["records"][2], seed=7)))
+        assert validate_corpus(fresh) == [
+            "manifest: records[15] repeats image_index 2"]
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("arity", 7, "arity declares 7, not 1"),
+        ("arity", True, "arity is a bool, not a int"),
+        ("trend_classes", ["x"],
+         "trend_classes[0] declares 'x', not 'linear-increase'"),
+        ("trend_classes", ["x", "y"], "trend_classes has 2 items, not 1"),
+        ("trend_classes", None, "trend_classes is a NoneType, not a list")],
+        ids=["arity-7", "arity-true", "trend-classes-x", "trend-classes-two",
+             "no-trend-classes"])
+    def test_records_must_match_their_meta_series(self, fresh, key, value,
+                                                  expected):
         series = json.loads((fresh / "meta" / "000003.json").read_text())[
             "series"]
-        actual = {"arity": len(series),
-                  "trend_classes": [s["trend_class"] for s in series]}[key]
+        assert [s["trend_class"] for s in series] == ["linear-increase"]
         edit_json(fresh / MANIFEST_NAME,
                   lambda doc: doc["records"][3].update({key: value}))
-        assert validate_corpus(fresh) == [
-            f"record 000003: meta {key} {actual!r} mismatch, manifest says "
-            f"{value!r}"]
+        assert validate_corpus(fresh) == [f"manifest: records[3].{expected}"]
 
     def test_meta_that_grew_a_series(self, fresh):
         path = fresh / "meta" / "000003.json"
@@ -1014,10 +1028,10 @@ class TestValidate:
         doc["series"].append(doc["series"][0])
         path.write_text(json.dumps(doc))
         assert validate_corpus(fresh) == [
-            f"record 000003: meta arity {len(before) + 1} mismatch, manifest "
-            f"says {len(before)}",
-            f"record 000003: meta trend_classes {before + before[:1]!r} "
-            f"mismatch, manifest says {before!r}"]
+            f"manifest: records[3].arity declares {len(before)}, not "
+            f"{len(before) + 1}",
+            f"manifest: records[3].trend_classes has {len(before)} items, "
+            f"not {len(before) + 1}"]
 
     @staticmethod
     def edit_variant_indices(root: Path, indices: dict) -> None:
@@ -1076,8 +1090,8 @@ class TestValidate:
             assert sorted(checks) == sorted(sequences)
 
     def test_planned_record_not_listed(self, tmp_path):
-        # record 14 is gone with its entry, its files and its counts, so
-        # every count agrees; the config still plans it
+        # record 14 is gone with its entry, its files and its counts; the
+        # config still plans it, its files and its counts
         out = tmp_path / "corpus"
         manifest = generate_corpus(CorpusConfig(seed=41, output_dir=str(out),
                                                 count_scale=0.002))
@@ -1096,17 +1110,26 @@ class TestValidate:
             doc["totals"]["descriptions"] -= entry["n_descriptions"]
 
         edit_json(out / MANIFEST_NAME, drop_record)
+        cell = next(i for i, (category, kind, _, _) in enumerate(
+            _RecordBuilder(CorpusConfig(seed=41, count_scale=0.002)).cells)
+            if (category, kind) == (entry["category"], entry["kind"]))
+        count = load_manifest(out)["cells"][cell]["count"]
         assert validate_corpus(out) == [
             "manifest: no record lists image_index 14, of the 15 the config "
-            "plans"]
+            "plans",
+            "record 000014: missing chart file 000014.svg",
+            "record 000014: missing meta file 000014.json",
+            "record 000014: missing descriptions file 000014.txt",
+            "manifest: totals.charts declares 14, not 15",
+            f"manifest: cells[{cell}].count declares {count}, not "
+            f"{count + 1}"]
 
     @pytest.mark.parametrize("field", ["kind", "files"])
     def test_malformed_record_still_lists_its_index(self, fresh, field):
         edit_json(fresh / MANIFEST_NAME,
                   lambda doc: doc["records"][4].pop(field))
-        problems = validate_corpus(fresh)
-        assert f"manifest: records[4] has no {field}" in problems
-        assert not any("no record lists" in p for p in problems)
+        assert validate_corpus(fresh) == [
+            f"manifest: records[4].{field} is missing"]
 
     def test_unlisted_records_are_one_violation(self, fresh):
         edit_json(fresh / MANIFEST_NAME, lambda doc: doc.update(records=[]))
@@ -1132,7 +1155,7 @@ class TestValidate:
         ("descriptions/000002.txt", lambda doc: doc.update(image_index=2.0),
          "record 000002: description line 0 image_index 2.0 mismatch"),
         ("meta/000002.json", lambda doc: doc.update(image_index=2.0),
-         "record 000002: meta image_index 2.0 mismatch"),
+         "record 000002: meta image_index 2.0 mismatch, planned 2"),
     ], ids=["description-true", "description-float", "meta-float"])
     def test_record_index_not_an_int(self, fresh, name, edit, expected):
         # true == 1 and 2.0 == 2, but neither is a JSON int
@@ -1279,20 +1302,24 @@ class TestValidateDamagedManifest:
     def test_record_without_files(self, fresh):
         edit_json(fresh / MANIFEST_NAME,
                   lambda doc: doc["records"][2].pop("files"))
-        assert "manifest: records[2] has no files" in validate_corpus(fresh)
+        assert validate_corpus(fresh) == ["manifest: records[2].files is missing"]
 
     @pytest.mark.parametrize("field", ["category", "n_descriptions", "kind"])
     def test_record_without_field(self, fresh, field):
         edit_json(fresh / MANIFEST_NAME,
                   lambda doc: doc["records"][4].pop(field))
-        assert f"manifest: records[4] has no {field}" in validate_corpus(fresh)
+        assert validate_corpus(fresh) == [
+            f"manifest: records[4].{field} is missing"]
 
     def test_image_index_not_an_int(self, fresh):
         edit_json(fresh / MANIFEST_NAME,
                   lambda doc: doc["records"][1].__setitem__("image_index", "x"))
         problems = validate_corpus(fresh)
-        assert any(p.startswith("manifest: records[1] has image_index 'x'")
-                   for p in problems)
+        assert problems == [
+            "manifest: records[1].image_index is 'x', not an index the config "
+            "plans",
+            "manifest: no record lists image_index 1, of the 15 the config "
+            "plans"]
 
     def test_records_not_a_list(self, fresh):
         edit_json(fresh / MANIFEST_NAME,
@@ -1311,9 +1338,11 @@ class TestValidateDamagedManifest:
         inside = {identity(p) for p in fresh.rglob("*")}
         opened = record_opens(monkeypatch)
         problems = validate_corpus(fresh)
-        assert any(p.startswith("manifest: records[3] has files") for p in problems)
-        assert not any("does not parse" in p for p in problems)
-        assert len(opened) == 3 + 3 * 14  # layout directories, files
+        # the stored path is compared, never opened: record 3 is read at
+        # its layout paths
+        assert problems == [f"manifest: records[3].files.chart declares "
+                            f"{target!r}, not 'charts/000003.svg'"]
+        assert len(opened) == 3 + 3 * 15  # layout directories, files
         assert set(opened) <= inside
 
     def test_manifest_not_an_object(self, fresh):
@@ -1524,6 +1553,123 @@ class TestValidateFuzz:
             path.write_text(original, encoding="utf-8")
         assert isinstance(problems, list)
         assert all(isinstance(p, str) for p in problems)
+
+
+def copied(root, tmp_path):
+    copy = tmp_path / "corpus"
+    shutil.copytree(root, copy)
+    return copy
+
+
+# what a test sets a manifest field to: another JSON type, or "other", a
+# value of the field's own type that differs
+REPLACEMENTS = {"true": True, "float": 1.0, "string": "ab", "null": None,
+                "list": [1], "other": None}
+# the fields of a record that its files or the config determine: attempt,
+# which nothing on disk does, is not compared
+RECORD_FIELDS = ("image_index", "category", "kind", "cell_index", "seed",
+                 "arity", "trend_classes", "n_descriptions", "files")
+
+
+def other_value(value):
+    """A value of value's JSON type that differs from it."""
+    if type(value) is int:
+        return value + 1000  # an image_index outside the plan too
+    if type(value) is str:
+        return value + "x"
+    if type(value) is list:
+        return value + ["x"]
+    return {**value, "chart": "x"}  # a record's files
+
+
+class TestValidateAgainstGenerate:
+    """validate compares the manifest with the one generate writes for its
+    config and the files on disk: one damaged file, or one field of the
+    manifest set to another type or value, is one violation."""
+
+    @pytest.mark.parametrize("damage, expected", [
+        (lambda root: (root / "meta" / "000003.json").unlink(),
+         "record 000003: missing meta file 000003.json"),
+        (lambda root: (root / "meta" / "000003.json").write_text(
+            '{"image_index": 3', encoding="utf-8"),
+         "record 000003: meta does not parse: Expecting ',' delimiter"),
+        (lambda root: (root / "descriptions" / "000003.txt").unlink(),
+         "record 000003: missing descriptions file 000003.txt"),
+        (lambda root: edit_json(root / MANIFEST_NAME,
+                                lambda doc: doc["records"].pop(3)),
+         "manifest: no record lists image_index 3, of the 15 the config "
+         "plans"),
+    ], ids=["deleted-meta", "truncated-meta", "deleted-descriptions",
+            "dropped-entry"])
+    def test_one_damaged_file_is_one_violation(self, fuzz_corpus, tmp_path,
+                                               damage, expected):
+        root = copied(fuzz_corpus[0], tmp_path)
+        damage(root)
+        problems = validate_corpus(root)
+        assert len(problems) == 1, problems
+        assert problems[0].startswith(expected)
+
+    @pytest.mark.parametrize("value", [{}, {"a": 1}, "ab"],
+                             ids=["empty-object", "object", "string"])
+    @pytest.mark.parametrize("field", ["x_ticks", "y_ticks", "legend.entries",
+                                       "series", "series[0].points"])
+    def test_list_field_is_decoded_only_from_an_array(self, fuzz_corpus,
+                                                      tmp_path, field, value):
+        root = copied(fuzz_corpus[0], tmp_path)
+        path = root / "meta" / "000000.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        parent, key = {"x_ticks": (doc, "x_ticks"), "y_ticks": (doc, "y_ticks"),
+                       "legend.entries": (doc["legend"], "entries"),
+                       "series": (doc, "series"),
+                       "series[0].points": (doc["series"][0], "points")}[field]
+        parent[key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        message = f"{key} is a {type(value).__name__}, not a list"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            ChartMeta.from_json(path.read_text(encoding="utf-8"))
+        assert validate_corpus(root) == [
+            f"record 000000: meta does not parse: {message}"]
+
+    @settings(max_examples=150)
+    @given(part=st.sampled_from(["records", "totals", "cells"]),
+           index=st.integers(0, 1000), key=st.integers(0, 1000),
+           replacement=st.sampled_from(sorted(REPLACEMENTS)))
+    def test_one_changed_field_is_one_violation(self, fuzz_corpus, part,
+                                                index, key, replacement):
+        root, n_records = fuzz_corpus
+        path = root / MANIFEST_NAME
+        original = path.read_text(encoding="utf-8")
+        doc = json.loads(original)
+        if part == "records":
+            index %= n_records
+            target, name = doc["records"][index], RECORD_FIELDS[
+                key % len(RECORD_FIELDS)]
+            where = f"records[{index}].{name}"
+        elif part == "cells":
+            index %= len(doc["cells"])
+            target, name = doc["cells"][index], ("category", "kind",
+                                                 "count")[key % 3]
+            where = f"cells[{index}].{name}"
+        else:
+            target, name = doc["totals"], ("charts", "descriptions")[key % 2]
+            where = f"totals.{name}"
+        old = target[name]
+        new = (other_value(old) if replacement == "other"
+               else REPLACEMENTS[replacement])
+        assert (type(new), new) != (type(old), old)
+        target[name] = new
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            problems = validate_corpus(root)
+        finally:
+            path.write_text(original, encoding="utf-8")
+        named = [p for p in problems
+                 if re.match(rf"manifest: {re.escape(where)}[ .\[]", p)]
+        assert len(named) == 1, problems
+        # a record whose image_index changed no longer lists its own
+        assert [p for p in problems if p not in named] == (
+            [f"manifest: no record lists image_index {index}, of the "
+             f"{n_records} the config plans"] if name == "image_index" else [])
 
 
 def et_error(data):
