@@ -903,7 +903,6 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
                                              variants))
             return entry
 
-        matched = []  # the expected entry of each stored one, or itself
         for pos, entry in enumerate(records):
             idx = entry.get("image_index") if type(entry) is dict else None
             if type(idx) is not int or planned is not None \
@@ -913,9 +912,9 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
             elif idx in entries:
                 problems.append(f"manifest: records[{pos}] repeats "
                                 f"image_index {idx}")
-            else:
-                entry = read(idx, entry)
-            matched.append(entry)
+            else:  # compared with the entry generate writes for idx
+                problems.extend(_differences(entry, read(idx, entry),
+                                             f"records[{pos}]"))
         unlisted = [i for i in planned or () if i not in entries]
         if unlisted:
             shown = ", ".join(map(str, unlisted[:5]))
@@ -935,7 +934,7 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
                              list(entries.values()))
         if builder is None:  # no grid to compare with
             expected["cells"] = manifest.get("cells", _ABSENT)
-        expected["records"] = matched
+        expected["records"] = records  # each entry is compared above
         problems.extend(_differences(manifest, expected))
 
         for _, sub, suffix in _LAYOUT:
