@@ -24,7 +24,7 @@ svg, meta = render(spec)
 facts = extract_facts(meta, series)
 print("series:", [s.name for s in facts.series])
 print("trends:", [s.trend_class for s in facts.series])
-print("cross: ", facts.cross.dominance)
+print("dominance:", facts.dominance)
 
 # Three variants from one seed; each sentence is tagged with its move
 descriptions = generate_description_set(meta, series, bank, Rng(5))

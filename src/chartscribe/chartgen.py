@@ -16,7 +16,7 @@ two decimals.
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple, get_args, get_origin
 
@@ -284,31 +284,44 @@ class ChartMeta:
         return _codec(ChartMeta)[1](json.loads(text))
 
 
-def _array(value, name: str) -> list:
-    if type(value) is list:  # a JSON object or string is not read as one
-        return value
-    raise TypeError(f"{name} is a {type(value).__name__}, not a list")
+def _items(decode, value, name: str) -> list:
+    """The records decode reads from value, a JSON array of objects: a JSON
+    object or string is not read as one, and when decoding raises a
+    TypeError, the first item that is not an object is named."""
+    if type(value) is not list:
+        raise TypeError(f"{name} is a {type(value).__name__}, not a list")
+    try:
+        return [*map(decode, value)]
+    except TypeError:
+        for i, item in enumerate(value):
+            if type(item) is not dict:
+                raise TypeError(f"{name}[{i}] is {_a(type(item).__name__)}, "
+                                f"not an object") from None
+        raise
 
 
 @functools.cache
 def _codec(cls) -> Tuple[Callable, Callable]:
-    """(encode, decode) between a meta record class and its JSON object,
-    compiled once from its fields as `dataclasses` compiles `__init__`: a
-    record field is an object, a List[record] field an array, any other
+    """(encode, decode) between a record class, a dataclass or a named
+    tuple, and its JSON object, compiled once from its fields as
+    `dataclasses` compiles `__init__`: a record field is an object, a
+    List[record] or Tuple[record, ...] field an array of objects, any other
     passes through.  decode reads d[key] depth first in field order."""
-    env: Dict[str, object] = {"cls": cls, "_array": _array}
+    env = {"cls": cls, "_items": _items}
     enc, dec = [], []
-    for f in fields(cls):
-        is_list = get_origin(f.type) is list
-        record = get_args(f.type)[0] if is_list else f.type
-        get, read = f"o.{f.name}", f"d[{f.name!r}]"
-        if is_dataclass(record):
-            env[f"enc_{f.name}"], env[f"dec_{f.name}"] = _codec(record)
-            form = "[{}(v) for v in {}]" if is_list else "{}({})"
-            get = form.format(f"enc_{f.name}", get)
-            read = form.format(f"dec_{f.name}", f"_array({read}, {f.name!r})"
-                               if is_list else read)
-        enc.append(f"{f.name!r}: {get}")
+    for name, kind in cls.__annotations__.items():
+        many = get_origin(kind) in (list, tuple)
+        record = get_args(kind)[0] if many else kind
+        get, read = f"o.{name}", f"d[{name!r}]"
+        if is_dataclass(record) or hasattr(record, "_fields"):  # named tuple
+            env[f"enc_{name}"], env[f"dec_{name}"] = _codec(record)
+            if many:
+                get = f"[*map(enc_{name}, {get})]"
+                read = f"_items(dec_{name}, {read}, {name!r})"
+                read = f"tuple({read})" if get_origin(kind) is tuple else read
+            else:
+                get, read = f"enc_{name}({get})", f"dec_{name}({read})"
+        enc.append(f"{name!r}: {get}")
         dec.append(read)
     exec(f"def encode(o): return {{{', '.join(enc)}}}\n"
          f"def decode(d): return cls({', '.join(dec)})", env)
@@ -332,9 +345,13 @@ def _not_a(want: type, value) -> Optional[str]:
             return None  # NaN fails the comparison
         return (f"{value!r} is not a finite number between {-NUMBER_LIMIT:g} "
                 f"and {NUMBER_LIMIT:g}")
-    name = type(value).__name__
-    return (f"is {'an' if name[0] in 'aeiou' else 'a'} {name}, not "
+    return (f"is {_a(type(value).__name__)}, not "
             f"{'text' if want is str else 'a number'}")
+
+
+def _a(noun: str) -> str:
+    """noun after its indefinite article: "a str", "an int"."""
+    return f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}"
 
 
 def _bboxes(meta: ChartMeta) -> list:

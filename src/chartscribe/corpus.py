@@ -810,8 +810,8 @@ def _validate_record(dirs: Dict[str, int], entry: dict,
             descs.append(Description.from_json_line(line))
         except _MALFORMED as exc:
             descs.append(exc)
-    texts = [desc.text if isinstance(desc, Description) else ""
-             for desc in descs]
+    texts = [" ".join(s.text for s in desc.sentences)
+             if isinstance(desc, Description) else "" for desc in descs]
     # whitespace ends every token, so the audit of all lines at once is
     # empty exactly when each line's is; only then are lines audited alone
     audit = facts is not None and bool(hallucination_check(" ".join(texts),
@@ -834,7 +834,7 @@ def _validate_record(dirs: Dict[str, int], entry: dict,
             problems.append(f"{tag}: description line {line_no} variant_index "
                             f"{variant!r} is not an int above {last_variant} "
                             f"and below {variants}")
-        if desc.stored_text != text:
+        if desc.text != text:
             problems.append(
                 f"{tag}: description line {line_no} text is not its "
                 f"sentences joined")
@@ -891,6 +891,13 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
         variants = builder.config.descriptions_per_chart if builder else math.inf
         move_checks: Dict[tuple, List[str]] = {}
         entries: Dict[int, dict] = {}
+        # a manifest whose description total is the sum of its entries'
+        # counts agrees with itself: a file that differs is then at fault
+        totals = manifest.get("totals")
+        declared = totals.get("descriptions") if type(totals) is dict else None
+        counted = type(declared) is int and declared == sum(
+            e["n_descriptions"] for e in records if type(e) is dict
+            and type(e.get("n_descriptions")) is int)
 
         def read(i: int, given: dict) -> dict:
             # record i's entry: what its files do not give is given's
@@ -901,6 +908,12 @@ def _validate(root: Path) -> Tuple[List[str], dict]:
                 "n_descriptions": count if type(count) is int else 0}
             problems.extend(_validate_record(dirs, entry, move_checks,
                                              variants))
+            n_lines = entry["n_descriptions"]
+            if counted and type(count) is int and n_lines != count:
+                problems.append(f"record {_record_name(i)}: "
+                                f"{entry['files']['descriptions']} has "
+                                f"{n_lines} lines, manifest says {count}")
+                entry["n_descriptions"] = count
             return entry
 
         for pos, entry in enumerate(records):

@@ -22,7 +22,7 @@ Move tags and their ordering contract:
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
 from operator import attrgetter
@@ -30,7 +30,7 @@ from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
 from .catalog import DataSeries
-from .chartgen import CATEGORIES, ChartMeta
+from .chartgen import CATEGORIES, ChartMeta, _codec
 from .evalmetrics import tokenize
 from .rng import Rng, derive_seed, TAG_DESCRIPTION
 from .templatebank import Template, TemplateBank, query
@@ -141,13 +141,6 @@ class SeriesFacts:
 
 
 @dataclass(frozen=True)
-class CrossFacts:
-    """Two-series relations; dominance is from the first series' viewpoint."""
-
-    dominance: str  # first | second | tie | mixed
-
-
-@dataclass(frozen=True)
 class ChartFacts:
     """Everything a template slot can print about one chart."""
 
@@ -161,7 +154,7 @@ class ChartFacts:
     n_categories: int
     entity_list: Tuple[str, ...]
     series: Tuple[SeriesFacts, ...]
-    cross: Optional[CrossFacts]
+    dominance: Optional[str]  # first | second | tie | mixed; None: one series
 
     @cached_property
     def fact_words(self) -> FrozenSet[str]:
@@ -240,7 +233,7 @@ def extract_facts(meta: ChartMeta,
             trend_class=sm.trend_class,
         ))
 
-    cross: Optional[CrossFacts] = None
+    dominance: Optional[str] = None
     if len(meta.series) == 2:
         diffs = [p.value - q.value
                  for p, q in zip(meta.series[0].points, meta.series[1].points)]
@@ -252,7 +245,6 @@ def extract_facts(meta: ChartMeta,
             dominance = "second"
         else:
             dominance = "mixed"
-        cross = CrossFacts(dominance)
 
     first = meta.series[0]
     return ChartFacts(
@@ -266,7 +258,7 @@ def extract_facts(meta: ChartMeta,
         n_categories=len(first.points),
         entity_list=tuple(p.x_label for p in first.points),
         series=tuple(per_series),
-        cross=cross,
+        dominance=dominance,
     )
 
 
@@ -353,26 +345,11 @@ class PlanParams:
 DEFAULT_PLAN_PARAMS = PlanParams()
 
 
-@dataclass(frozen=True)
-class MovePlan:
-    """Ordered move tags plus, per move, the series the sentence focuses on."""
-
-    moves: Tuple[str, ...]
-    targets: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.moves) != len(self.targets):
-            raise ValueError(
-                f"targets: {len(self.targets)} targets for {len(self.moves)} moves"
-            )
-
-    def __len__(self) -> int:
-        return len(self.moves)
-
-
 def plan_moves(category: str, rng: Rng, n_series: int = 1,
-               params: PlanParams = DEFAULT_PLAN_PARAMS) -> MovePlan:
-    """Draw a move sequence.
+               params: PlanParams = DEFAULT_PLAN_PARAMS
+               ) -> Tuple[Tuple[str, int], ...]:
+    """Draw a move sequence: one (move, target) step per sentence, the
+    target being the index of the series the sentence focuses on.
 
     Fixed draw order: the M2 coin, the M3 block counts (one per series for
     temporal charts, a single total for categorical), one M3_1 count per
@@ -387,11 +364,9 @@ def plan_moves(category: str, rng: Rng, n_series: int = 1,
     def draw_count(lo: int, hi: int) -> int:
         return lo + rng.randint(hi - lo + 1)
 
-    moves: List[str] = ["M1"]
-    targets: List[int] = [0]
+    steps: List[Tuple[str, int]] = [("M1", 0)]
     if rng.random() < params.p_move2:
-        moves.append("M2")
-        targets.append(0)
+        steps.append(("M2", 0))
 
     block_focus: List[int] = []
     if category.startswith("temporal"):
@@ -414,13 +389,9 @@ def plan_moves(category: str, rng: Rng, n_series: int = 1,
         entry.append(("M4", entry[0][1]))
 
     for entry in blocks:
-        for move, focus in entry:
-            moves.append(move)
-            targets.append(focus)
-
-    moves.append("M5")
-    targets.append(0)
-    return MovePlan(tuple(moves), tuple(targets))
+        steps += entry
+    steps.append(("M5", 0))
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +409,9 @@ def _oxford_join(items: Sequence[str]) -> str:
 
 
 def _comparison_phrase(facts: ChartFacts, series_index: int, rng: Rng) -> str:
-    if facts.cross is None:
+    if facts.dominance is None:
         raise RealizationError("comparison_phrase", "chart has a single series")
-    key = _RELATIONS[facts.cross.dominance][series_index]
+    key = _RELATIONS[facts.dominance][series_index]
     return rng.choice(COMPARISON_PHRASES[key])
 
 
@@ -526,44 +497,29 @@ class Sentence(NamedTuple):
 
 @dataclass(frozen=True)
 class Description:
-    """One description of a chart: its variant's sentences, in move order."""
+    """One description of a chart: its variant's sentences, in move order,
+    and their texts joined by spaces, which eval scores.  Its fields, in
+    order, are the keys of its JSON line."""
 
     image_index: int
     variant_index: int
     sentences: Tuple[Sentence, ...]
-    # the value of the "text" field of the JSON line this was decoded
-    # from (None when the line has none, or for a generated description):
-    # eval scores that field, and the validator checks it equals `text`
-    stored_text: object = field(default=None, compare=False, repr=False)
-
-    @property
-    def text(self) -> str:
-        return " ".join(s.text for s in self.sentences)
+    text: str
 
     @property
     def moves(self) -> Tuple[str, ...]:
         return tuple(s.move for s in self.sentences)
 
     def to_json_line(self) -> str:
-        doc = {
-            "image_index": self.image_index,
-            "variant_index": self.variant_index,
-            "sentences": [s._asdict() for s in self.sentences],
-            "text": self.text,
-        }
-        return json.dumps(doc, ensure_ascii=False)
+        return json.dumps(_codec(Description)[0](self), ensure_ascii=False)
 
     @classmethod
     def from_json_line(cls, line: str) -> "Description":
-        doc = json.loads(line)
-        sentences = tuple(Sentence(s["move"], s["template_id"], s["text"])
-                          for s in doc["sentences"])
-        if not all(isinstance(v, str) for s in sentences for v in s):
+        desc = _codec(cls)[1](json.loads(line))
+        if not all(isinstance(v, str) for s in desc.sentences for v in s):
             raise ValueError("sentence move, template_id and text must be "
                              "strings")
-        return cls(image_index=doc["image_index"],
-                   variant_index=doc["variant_index"], sentences=sentences,
-                   stored_text=doc.get("text"))
+        return desc
 
 
 def generate_description(meta: ChartMeta,
@@ -585,10 +541,10 @@ def generate_description(meta: ChartMeta,
 def _describe(facts: ChartFacts, bank: TemplateBank, variant_index: int,
               rng: Rng, params: PlanParams) -> Description:
     arity = len(facts.series)
-    plan = plan_moves(facts.category, rng, n_series=arity, params=params)
     used: Set[str] = set()
     sentences: List[Sentence] = []
-    for move, target in zip(plan.moves, plan.targets):
+    for move, target in plan_moves(facts.category, rng, n_series=arity,
+                                   params=params):
         trend = facts.series[target].trend_class
         hits = query(bank, move, facts.category, trend, arity)
         if move == "M1" and arity == 2:
@@ -602,7 +558,8 @@ def _describe(facts: ChartFacts, bank: TemplateBank, variant_index: int,
         used.add(template.id)
         sentences.append(Sentence(move, template.id,
                                   realize(template, facts, target, rng)))
-    return Description(facts.image_index, variant_index, tuple(sentences))
+    return Description(facts.image_index, variant_index, tuple(sentences),
+                       " ".join(s.text for s in sentences))
 
 
 def generate_description_set(meta: ChartMeta,
@@ -650,7 +607,8 @@ def baseline_generate(meta: ChartMeta,
         template = pool[rng.randint(len(pool))]
         sentences.append(Sentence(template.move, template.id,
                                   realize(template, facts, target, rng)))
-    return Description(meta.image_index, 0, tuple(sentences))
+    return Description(meta.image_index, 0, tuple(sentences),
+                       " ".join(s.text for s in sentences))
 
 
 # ---------------------------------------------------------------------------

@@ -558,10 +558,15 @@ def series_to_dict(s):
 
 
 def array(value, name):
-    """value, when it is a JSON array: a list field is decoded from no
-    other JSON value."""
+    """value, when it is a JSON array of objects: a list field is decoded
+    from no other JSON value, and an item that is not an object is named."""
     if type(value) is not list:
         raise TypeError(f"{name} is a {type(value).__name__}, not a list")
+    for i, item in enumerate(value):
+        if type(item) is not dict:
+            noun = type(item).__name__
+            raise TypeError(f"{name}[{i}] is {'an' if noun[0] in 'aeiou' else 'a'}"
+                            f" {noun}, not an object")
     return value
 
 

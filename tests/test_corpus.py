@@ -1204,7 +1204,10 @@ class TestValidate:
             doc["text"] = value
         lines[0] = json.dumps(doc, ensure_ascii=False)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # text is a field of the record: a line without one does not parse
         assert validate_corpus(fresh) == [
+            "record 000000: description line 0 does not parse: 'text'"
+            if value is None else
             "record 000000: description line 0 text is not its sentences "
             "joined"]
 
@@ -1555,6 +1558,11 @@ class TestValidateFuzz:
         assert all(isinstance(p, str) for p in problems)
 
 
+def cut_last_line(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+
+
 def copied(root, tmp_path):
     copy = tmp_path / "corpus"
     shutil.copytree(root, copy)
@@ -1598,8 +1606,11 @@ class TestValidateAgainstGenerate:
                                 lambda doc: doc["records"].pop(3)),
          "manifest: no record lists image_index 3, of the 15 the config "
          "plans"),
+        (lambda root: cut_last_line(root / "descriptions" / "000003.txt"),
+         "record 000003: descriptions/000003.txt has 2 lines, manifest "
+         "says 3"),
     ], ids=["deleted-meta", "truncated-meta", "deleted-descriptions",
-            "dropped-entry"])
+            "dropped-entry", "cut-descriptions"])
     def test_one_damaged_file_is_one_violation(self, fuzz_corpus, tmp_path,
                                                damage, expected):
         root = copied(fuzz_corpus[0], tmp_path)
@@ -1608,26 +1619,42 @@ class TestValidateAgainstGenerate:
         assert len(problems) == 1, problems
         assert problems[0].startswith(expected)
 
-    @pytest.mark.parametrize("value", [{}, {"a": 1}, "ab"],
-                             ids=["empty-object", "object", "string"])
+    @pytest.mark.parametrize("value", [{}, {"a": 1}, "ab", [1], ["ab"]],
+                             ids=["empty-object", "object", "string",
+                                  "int-item", "string-item"])
     @pytest.mark.parametrize("field", ["x_ticks", "y_ticks", "legend.entries",
-                                       "series", "series[0].points"])
+                                       "series", "series[0].points",
+                                       "sentences"])
     def test_list_field_is_decoded_only_from_an_array(self, fuzz_corpus,
                                                       tmp_path, field, value):
+        """A list field of a meta or description line is decoded from a
+        JSON array of objects only; the first value that is not is named."""
         root = copied(fuzz_corpus[0], tmp_path)
-        path = root / "meta" / "000000.json"
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        parent, key = {"x_ticks": (doc, "x_ticks"), "y_ticks": (doc, "y_ticks"),
-                       "legend.entries": (doc["legend"], "entries"),
-                       "series": (doc, "series"),
-                       "series[0].points": (doc["series"][0], "points")}[field]
-        parent[key] = value
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        message = f"{key} is a {type(value).__name__}, not a list"
+        if field == "sentences":
+            path, where = root / "descriptions" / "000000.txt", "description line 0"
+            decode = Description.from_json_line
+        else:
+            path, where = root / "meta" / "000000.json", "meta"
+            decode = ChartMeta.from_json
+        lines = path.read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[0])
+        keys = {"legend.entries": ("legend", "entries"),
+                "series[0].points": ("series", 0, "points")}.get(field, (field,))
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        lines[0] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if type(value) is list:
+            message = (f"{keys[-1]}[0] is "
+                       f"{'an int' if value[0] == 1 else 'a str'}, not an object")
+        else:
+            message = f"{keys[-1]} is a {type(value).__name__}, not a list"
         with pytest.raises(TypeError, match=re.escape(message)):
-            ChartMeta.from_json(path.read_text(encoding="utf-8"))
+            decode(lines[0])
         assert validate_corpus(root) == [
-            f"record 000000: meta does not parse: {message}"]
+            f"record 000000: {where} does not parse: {message}"]
 
     @settings(max_examples=150)
     @given(part=st.sampled_from(["records", "totals", "cells"]),

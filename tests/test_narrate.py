@@ -1,10 +1,12 @@
 """Fact extraction, number formatting, move planning, and text generation."""
 
 import dataclasses
+import hashlib
 import json
 import re
 import string
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from chartscribe import narrate
 
 from chartscribe.catalog import DataSeries, sample_series, synth_catalog
-from chartscribe.chartgen import ChartKind, build_chart_spec, render
+from chartscribe.chartgen import CATEGORIES, ChartKind, build_chart_spec, render
 from chartscribe.narrate import (
     COMPARISON_PHRASES, NUMBER_SLOTS, QUALIFIERS, TREND_PHRASES, ChartFacts,
     Description, FactsConsistencyError, RealizationError, Sentence, SeriesFacts,
@@ -22,7 +24,12 @@ from chartscribe.narrate import (
 )
 from chartscribe.evalmetrics import tokenize
 from chartscribe.rng import TAG_DESCRIPTION, Rng, derive_seed
-from chartscribe.templatebank import SLOT_VOCABULARY, Template, load_default_bank
+from chartscribe.templatebank import (MOVES, SLOT_VOCABULARY, Template,
+                                      load_default_bank)
+
+from test_corpus import JSON_VALUES, mutate_at
+
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 CATALOG = synth_catalog(11, 14, 18)
 BANK = load_default_bank()
@@ -59,7 +66,7 @@ def visitor_facts():
                       x_label="Year", y_label="number of visitors",
                       unit="million", n_categories=4,
                       entity_list=("2013", "2014", "2015", "2016"),
-                      series=(sf,), cross=None)
+                      series=(sf,), dominance=None)
 
 
 def template(text, move="M3", arity=0):
@@ -155,23 +162,22 @@ class TestExtractFacts:
 
     def test_dominance_first(self):
         meta = crafted_meta(crafted([5, 6, 7]), crafted([1, 2, 3], name="Beta"))
-        assert extract_facts(meta).cross.dominance == "first"
+        assert extract_facts(meta).dominance == "first"
 
     def test_dominance_second(self):
         meta = crafted_meta(crafted([1, 2, 3]), crafted([5, 6, 7], name="Beta"))
-        assert extract_facts(meta).cross.dominance == "second"
+        assert extract_facts(meta).dominance == "second"
 
     def test_dominance_tie(self):
         meta = crafted_meta(crafted([4, 4, 4]), crafted([4, 4, 4], name="Beta"))
-        assert extract_facts(meta).cross.dominance == "tie"
+        assert extract_facts(meta).dominance == "tie"
 
     def test_dominance_mixed_with_crossings(self):
         meta = crafted_meta(crafted([5, 1, 5]), crafted([3, 3, 3], name="Beta"))
-        cross = extract_facts(meta).cross
-        assert cross.dominance == "mixed"
+        assert extract_facts(meta).dominance == "mixed"
 
     def test_single_series_has_no_cross(self):
-        assert extract_facts(crafted_meta(crafted([1, 2, 3]))).cross is None
+        assert extract_facts(crafted_meta(crafted([1, 2, 3]))).dominance is None
 
     def test_trend_class_passthrough(self):
         _, meta = make_chart(True, 1, seed=21, min_len=5)
@@ -370,6 +376,12 @@ class TestRealizeOracle:
         assert all("a{}b".format(ch).split() == ["a", "b"] for ch in spaces)
 
 
+# sha256 of repr(tuple(zip(plan.moves, plan.targets))) for every category,
+# arity 1 and 2 and seed 0..9999, in that nesting, from the two-tuple planner
+PLAN_STEPS_SHA256 = (
+    "06a5fd28b1845ebc89aa98d16a44d9124aa48137a8fe1e2ded114de87cf230e4")
+
+
 class TestPlanMoves:
     """Move sequence construction and its statistical envelope."""
 
@@ -378,7 +390,7 @@ class TestPlanMoves:
             for category, arity in (("temporal-trend", 1), ("temporal-trend", 2),
                                     ("temporal-random", 1), ("categorical", 2)):
                 plan = plan_moves(category, Rng(seed), n_series=arity)
-                assert check_move_order(plan.moves) == []
+                assert check_move_order([m for m, _ in plan]) == []
 
     def test_mean_length_single_series_temporal(self):
         total = sum(len(plan_moves("temporal-trend", Rng(s))) for s in range(10000))
@@ -397,13 +409,13 @@ class TestPlanMoves:
     def test_two_series_temporal_targets_both(self):
         for seed in range(300):
             plan = plan_moves("temporal-trend", Rng(seed), n_series=2)
-            targeted = {t for m, t in zip(plan.moves, plan.targets) if m == "M3"}
+            targeted = {t for m, t in plan if m == "M3"}
             assert targeted == {0, 1}
 
     def test_single_series_targets_only_first(self):
         for seed in range(100):
             plan = plan_moves("temporal-random", Rng(seed))
-            assert set(plan.targets) == {0}
+            assert {t for _, t in plan} == {0}
 
     def test_deterministic(self):
         for seed in (0, 5, 99):
@@ -412,8 +424,21 @@ class TestPlanMoves:
             assert a == b
 
     def test_plans_vary_across_seeds(self):
-        plans = {plan_moves("temporal-trend", Rng(s)).moves for s in range(50)}
+        plans = {plan_moves("temporal-trend", Rng(s)) for s in range(50)}
         assert len(plans) > 5
+
+    def test_steps_match_the_pinned_move_and_target_plans(self):
+        """The steps equal, in the same draw order, the (move, target)
+        pairs of the planner that returned its moves and targets as two
+        tuples: the hash of their reprs over every category, both arities
+        and 10,000 seeds was taken from that planner."""
+        digest = hashlib.sha256()
+        for category in CATEGORIES:
+            for arity in (1, 2):
+                for seed in range(10000):
+                    plan = plan_moves(category, Rng(seed), n_series=arity)
+                    digest.update(repr(plan).encode())
+        assert digest.hexdigest() == PLAN_STEPS_SHA256
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -597,6 +622,126 @@ class TestBaseline:
             assert hallucination_check(d.text, extract_facts(meta)) == []
 
 
+def description_to_line(d):
+    """The hand-written encoder `Description.to_json_line` had before the
+    record codec wrote description lines: the oracle of the codec's."""
+    doc = {
+        "image_index": d.image_index,
+        "variant_index": d.variant_index,
+        "sentences": [s._asdict() for s in d.sentences],
+        "text": " ".join(s.text for s in d.sentences),
+    }
+    return json.dumps(doc, ensure_ascii=False)
+
+
+def description_from_line(line):
+    """The hand-written decoder it had: the line's index fields, its
+    sentences and its "text" value (None when it has none)."""
+    doc = json.loads(line)
+    sentences = tuple(Sentence(s["move"], s["template_id"], s["text"])
+                      for s in doc["sentences"])
+    if not all(isinstance(v, str) for s in sentences for v in s):
+        raise ValueError("sentence move, template_id and text must be "
+                         "strings")
+    return doc["image_index"], doc["variant_index"], sentences, doc.get("text")
+
+
+def decoded_fields(line):
+    d = Description.from_json_line(line)
+    return d.image_index, d.variant_index, d.sentences, d.text
+
+
+def outcome(decode, line):
+    """The decoded fields, or the type and text of what decoding raised."""
+    try:
+        return decode(line)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def named_fault(doc):
+    """What the codec raises where the hand-written decoder read on or
+    failed without naming the field, on a line with one fault: sentences
+    that is not an array of objects, or no "text"; None elsewhere.  The
+    codec reads the keys in field order, so only after the two indices."""
+    if type(doc) is not dict \
+            or not {"image_index", "variant_index", "sentences"} <= doc.keys():
+        return None
+    items = doc["sentences"]
+    if type(items) is not list:
+        return TypeError, f"sentences is a {type(items).__name__}, not a list"
+    for i, item in enumerate(items):
+        if type(item) is not dict:
+            noun = type(item).__name__
+            return TypeError, (f"sentences[{i}] is "
+                               f"{'an' if noun[0] in 'aeiou' else 'a'} "
+                               f"{noun}, not an object")
+    return None if "text" in doc else (KeyError, "'text'")
+
+
+# the description lines of two charts, one and two series
+DESCRIPTION_LINES = [
+    d.to_json_line() for series, meta in (make_chart(True, 1, seed=31),
+                                          make_chart(False, 2, seed=32))
+    for d in generate_description_set(meta, series, BANK, Rng(7))
+]
+
+sentences_st = st.lists(st.builds(Sentence, st.sampled_from(MOVES),
+                                  st.text(max_size=8), st.text(max_size=30)),
+                        max_size=5)
+
+
+class TestDescriptionCodec:
+    """Description lines through the record codec, against the
+    hand-written encoder and decoder they replaced."""
+
+    @settings(max_examples=200)
+    @given(image_index=st.integers(0, 10 ** 6),
+           variant_index=st.integers(0, 9), sentences=sentences_st)
+    def test_encoder_matches_oracle(self, image_index, variant_index,
+                                    sentences):
+        d = Description(image_index, variant_index, tuple(sentences),
+                        " ".join(s.text for s in sentences))
+        assert d.to_json_line() == description_to_line(d)
+        assert Description.from_json_line(d.to_json_line()) == d
+
+    def test_generated_lines_match_oracle(self):
+        for line in DESCRIPTION_LINES:
+            d = Description.from_json_line(line)
+            assert description_to_line(d) == d.to_json_line() == line
+            assert description_from_line(line) == decoded_fields(line)
+
+    @settings(max_examples=400)
+    @given(which=st.integers(0, len(DESCRIPTION_LINES) - 1),
+           steps=st.lists(st.integers(0, 1000), max_size=5),
+           action=st.sampled_from(["replace", "delete"]),
+           value=JSON_VALUES)
+    def test_decoder_matches_oracle_on_mutated_lines(self, which, steps,
+                                                     action, value):
+        doc = mutate_at(json.loads(DESCRIPTION_LINES[which]), steps, action,
+                        value)
+        line = json.dumps(doc, ensure_ascii=False)
+        got, named = outcome(decoded_fields, line), named_fault(doc)
+        want = named or outcome(description_from_line, line)
+        if named is None and type(want[0]) is type:
+            # the oracle read sentences first: a line without several keys
+            # raises the same error type at another one
+            assert (got[0], type(got[1])) == (want[0], str)
+        else:  # repr: each side decodes a NaN in the line to a new float
+            assert repr(got) == repr(want)
+
+
+def test_meta_schema_doc_lists_the_description_fields():
+    """The description-line tables of docs/meta-schema.md name exactly the
+    fields of Description and of Sentence, in order."""
+    text = (DOCS / "meta-schema.md").read_text(encoding="utf-8")
+    section = text.split("## Description lines", 1)[1].split("\n## ", 1)[0]
+    tables = [[row.split("|")[1].strip(" `") for row in block.splitlines()[2:]]
+              for block in re.findall(r"(?:^\|.*\n)+", section, re.M)]
+    assert tables == [[f.name for f in dataclasses.fields(Description)],
+                      list(Sentence._fields)]
+
+
 class TestSerialization:
     """JSON-lines round trip for descriptions."""
 
@@ -608,7 +753,8 @@ class TestSerialization:
         assert Description.from_json_line(line) == d
 
     def test_json_payload_shape(self):
-        d = Description(3, 0, (Sentence("M1", "m1-001", "A chart."),))
+        d = Description(3, 0, (Sentence("M1", "m1-001", "A chart."),),
+                        "A chart.")
         doc = json.loads(d.to_json_line())
         assert doc["image_index"] == 3
         assert doc["sentences"][0]["move"] == "M1"
