@@ -10,7 +10,6 @@ builder either raw or perturbed toward a requested trend class.
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from itertools import combinations
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -139,10 +138,10 @@ def _parse_years(labels: Sequence[str]) -> Optional[List[int]]:
 class Catalog:
     """Immutable-after-construction observation store.
 
-    observations: (indicator_id, entity_id) -> {year: value}.  Every value
-    is bound-checked against its indicator's value kind: a dict's on
-    construction (unless `load_catalog` checked it, row by row), a
-    synthetic pair's when it is drawn, on its first read.
+    observations: (indicator_id, entity_id) -> {year: value}.  A dict's
+    values are bound-checked against their indicator's value kind on
+    construction (unless `load_catalog` checked them, row by row); a
+    synthetic catalog's are in bounds by construction.
     `_index` (indicator -> {entity: covered years}) draws no values.
     """
 
@@ -160,17 +159,14 @@ class Catalog:
     )
 
     def __post_init__(self):
-        # no reference to self: a cycle would keep unused catalogs alive
-        check = partial(_check_pair, self.indicators, self.entities)
         if isinstance(self.observations, _SynthObservations):
-            self.observations.check = check
             self._index = self.observations.spans
             return
         index: Dict[str, Dict[str, Dict[int, float]]] = {}
         checked = isinstance(self.observations, _CheckedObservations)
         for key, by_year in self.observations.items():
             if not checked:
-                check(key, by_year)
+                _check_pair(self.indicators, self.entities, key, by_year)
             index.setdefault(key[0], {})[key[1]] = by_year
         self._index = {ind_id: dict(sorted(ents.items()))
                        for ind_id, ents in index.items()}
@@ -487,15 +483,15 @@ class _SynthSpans(Mapping):
 class _SynthObservations(Mapping):
     """(indicator id, entity id) -> {year: value} of a synthetic catalog.
     A pair's values are drawn on its first read, from its stream where
-    `spans.pair` left it, so any read order gives the same values; `check`
-    (set by the owning Catalog) sees them first.  Iteration, `len` and `in` draw
+    `spans.pair` left it, so any read order gives the same values, each
+    clamped into its value kind's bounds.  Iteration, `len` and `in` draw
     no values."""
 
     def __init__(self, seed: int, coverage: float, indicators: List[Indicator],
                  ent_ids: List[str]):
         self.spans = _SynthSpans(seed, coverage, [ind.id for ind in indicators],
                                  ent_ids)
-        self._seed, self.check = seed, None
+        self._seed = seed
         self._indicators = {ind.id: (i, ind) for i, ind in enumerate(indicators)}
         self._values: Dict[Tuple[str, str], Dict[int, float]] = {}
 
@@ -521,7 +517,6 @@ class _SynthObservations(Mapping):
                         out = float(round(out))
                     by_year[year] = out
                     v = v * math.exp(0.08 * rng.normal())
-            self.check(key, by_year)
             self._values[key] = by_year
         return by_year
 
@@ -572,7 +567,7 @@ def sample_series(catalog: Catalog, temporal: bool, arity: int, rng: Rng,
         # random picks first; exhaustive sorted scan as the fallback so a
         # sparse catalog still gets searched completely
         for _ in range(10):
-            yield ind_ids[rng.randint(len(ind_ids))]
+            yield rng.choice(ind_ids)
         yield from ind_ids
     tried = set()
     for ind_id in candidates():
@@ -619,7 +614,7 @@ def _sample_temporal(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
     if arity == 1:
         if not usable:
             return None
-        ent_id, runs = usable[rng.randint(len(usable))]
+        ent_id, runs = rng.choice(usable)
         ent_ids = [ent_id]
     else:
         if len(usable) < 2:
@@ -634,7 +629,7 @@ def _sample_temporal(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
         else:
             return None
         ent_ids = [usable[a][0], usable[b][0]]
-    run = runs[rng.randint(len(runs))]
+    run = rng.choice(runs)
     k = _draw_len(rng, min_len, len(run))
     start = rng.randint(len(run) - k + 1)
     years = run[start:start + k]
@@ -653,7 +648,7 @@ def _sample_categorical(catalog: Catalog, ind_id: str, arity: int, rng: Rng,
         years = sorted(y for y, ents in by_year.items() if len(ents) >= min_len)
         if not years:
             return None
-        year = years[rng.randint(len(years))]
+        year = rng.choice(years)
         named_years, common = [(ind.name, year)], by_year[year]
     else:
         # one indicator at two years over a shared entity set

@@ -289,7 +289,7 @@ def _items(decode, value, name: str) -> list:
     object or string is not read as one, and when decoding raises a
     TypeError, the first item that is not an object is named."""
     if type(value) is not list:
-        raise TypeError(f"{name} is a {type(value).__name__}, not a list")
+        raise TypeError(f"{name} is {_a(type(value).__name__)}, not a list")
     try:
         return [*map(decode, value)]
     except TypeError:
@@ -524,8 +524,8 @@ def build_chart_spec(series: List[DataSeries], kind: ChartKind, rng: Rng,
     else:
         colors = tuple(rng.sample(range(len(COLOR_PALETTE)), 2))
     bar_thickness = 0.4 + 0.5 * rng.random()
-    line_style = LINE_STYLES[rng.randint(len(LINE_STYLES))]
-    legend_position = LEGEND_POSITIONS[rng.randint(len(LEGEND_POSITIONS))]
+    line_style = rng.choice(LINE_STYLES)
+    legend_position = rng.choice(LEGEND_POSITIONS)
     style = StyleSpec(marker_shape, colors, bar_thickness, line_style, legend_position)
     # ChartSpec checks the series before the labels read them
     spec = ChartSpec(kind, list(series), "", "", "", style, image_index)
@@ -646,13 +646,11 @@ class _Svg:
             d = 0.71 * r
             self.path(f"M {cx - d:.2f} {cy - d:.2f} L {cx + d:.2f} {cy + d:.2f} "
                       f"M {cx - d:.2f} {cy + d:.2f} L {cx + d:.2f} {cy - d:.2f}", color)
-        elif shape in _ROUND_MARKERS:
+        else:  # StyleSpec bounds the index: the round markers are last
             radii, start = _ROUND_MARKERS[shape]
             angles = [start + 2 * i * math.pi / len(radii) for i in range(len(radii))]
             self.polygon([(cx + f * r * math.cos(a), cy + f * r * math.sin(a))
                           for f, a in zip(radii, angles)], color)
-        else:  # pragma: no cover
-            raise ParameterError(f"marker_shape: unknown shape {shape!r}")
 
     def finish(self) -> bytes:
         self.parts.append("</svg>")
@@ -661,8 +659,6 @@ class _Svg:
 
 def _fit_font(text: str, font_size: float, max_w: float) -> float:
     """Shrink the font until the fixed-metrics width fits max_w."""
-    if not text:
-        return font_size
     w = 0.6 * font_size * len(text)
     if w <= max_w:
         return font_size

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from .catalog import CatalogFormatError
-from .chartgen import ChartMeta, meta_problems
+from .chartgen import ChartMeta, meta_problems, _a
 from .corpus import (
     _MALFORMED, BUILTIN_BANK, ConfigError, ManifestError, _build_bank,
     _config_builder, _read_manifest, _validate, default_config,
@@ -134,14 +134,14 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
         if isinstance(doc, dict) and "text" in doc:
             key = doc.get("image_index", line_no)
             text = doc["text"]
-            if not isinstance(text, str):
-                raise CliError(f"eval: {path} line {line_no + 1}: \"text\" "
-                               f"must be a string, got {type(text).__name__}")
-            # true and 1.0 compare equal to 1 and would join record 1
-            if type(key) not in (int, str):
-                raise CliError(f"eval: {path} line {line_no + 1}: "
-                               f"\"image_index\" must be an int or a string, "
-                               f"not {type(key).__name__}")
+            # an image_index true or 1.0 equals 1 and would join record 1
+            for name, value, allowed in (("text", text, (str,)),
+                                         ("image_index", key, (int, str))):
+                if type(value) not in allowed:
+                    raise CliError(
+                        f"eval: {path} line {line_no + 1}: \"{name}\" is "
+                        f"{_a(type(value).__name__)}, not "
+                        f"{' or '.join(_a(t.__name__) for t in allowed)}")
             styles.add("json")
         else:
             key = line_no

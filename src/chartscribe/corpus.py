@@ -42,7 +42,7 @@ from .catalog import (
     synth_catalog,
 )
 from .chartgen import (CATEGORIES, KINDS, ChartKind, ChartMeta, render,
-                       build_chart_spec, meta_problems)
+                       build_chart_spec, meta_problems, _a)
 from .narrate import (
     DEFAULT_PLAN_PARAMS, DEFAULT_VARIANTS, PlanParams, Description,
     check_move_order, extract_facts, generate_description_set,
@@ -334,13 +334,12 @@ def _build_series(plan: RecordPlan, attempt_seed: int, rng: Rng,
     if plan.category == "temporal-trend":
         targets = [DIRECTIONAL_CLASSES[plan.cell_index % len(DIRECTIONAL_CLASSES)]]
         if arity == 2:
-            targets.append(DIRECTIONAL_CLASSES[rng.randint(len(DIRECTIONAL_CLASSES))])
+            targets.append(rng.choice(DIRECTIONAL_CLASSES))
         min_len = TREND_MIN_LEN
     elif plan.category != "temporal-random":
         return sample_series(catalog, temporal=False, arity=arity, rng=rng)
     elif rng.random() < 0.5:
-        targets = [FLAT_CLASSES[rng.randint(len(FLAT_CLASSES))]
-                   for _ in range(arity)]
+        targets = [rng.choice(FLAT_CLASSES) for _ in range(arity)]
         min_len = RANDOM_MIN_LEN
     else:
         for _ in range(_RAW_SAMPLE_ATTEMPTS):
@@ -437,13 +436,10 @@ class _RecordBuilder:
         spec = build_chart_spec(series, ChartKind(plan.kind), rng,
                                 image_index=plan.image_index)
         svg, meta = render(spec)
-        if meta.category != plan.category:
-            raise _RecordError(f"chart classified as {meta.category}, cell "
-                               f"wants {plan.category}")
 
         desc_rng = Rng(derive_seed(attempt_seed, TAG_DESCRIPTION))
         descriptions = generate_description_set(
-            meta, series, bank, desc_rng,
+            meta, None, bank, desc_rng,
             n_variants=self.config.descriptions_per_chart,
             params=self.config.plan_params)
 
@@ -668,8 +664,8 @@ def _differences(stored, expected, path: str = "") -> List[str]:
     if stored is _ABSENT:
         return [f"manifest: {path} is missing"]
     if type(stored) is not type(expected):
-        return [f"manifest: {path} is a {type(stored).__name__}, not a "
-                f"{type(expected).__name__}"]
+        return [f"manifest: {path} is {_a(type(stored).__name__)}, not "
+                f"{_a(type(expected).__name__)}"]
     if type(expected) is dict:
         return [line for key, value in expected.items()
                 for line in _differences(stored.get(key, _ABSENT), value,

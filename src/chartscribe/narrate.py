@@ -385,7 +385,7 @@ def plan_moves(category: str, rng: Rng, n_series: int = 1,
         blocks.append(entry)
 
     if rng.random() < params.p_move4:
-        entry = blocks[rng.randint(len(blocks))]
+        entry = rng.choice(blocks)
         entry.append(("M4", entry[0][1]))
 
     for entry in blocks:
@@ -554,7 +554,7 @@ def _describe(facts: ChartFacts, bank: TemplateBank, variant_index: int,
             hits = exact if exact else hits
         fresh = [t for t in hits if t.id not in used]
         pool = fresh if fresh else hits
-        template = pool[rng.randint(len(pool))]
+        template = rng.choice(pool)
         used.add(template.id)
         sentences.append(Sentence(move, template.id,
                                   realize(template, facts, target, rng)))
@@ -604,7 +604,7 @@ def baseline_generate(meta: ChartMeta,
             t for t in bank.templates
             if t.matches(t.move, facts.category, trend, arity)
         ]
-        template = pool[rng.randint(len(pool))]
+        template = rng.choice(pool)
         sentences.append(Sentence(template.move, template.id,
                                   realize(template, facts, target, rng)))
     return Description(meta.image_index, 0, tuple(sentences),
@@ -661,11 +661,8 @@ def _has_digit(tok: str) -> bool:
 
 def _digit_tokens(text: str) -> List[str]:
     """The digit-bearing tokens of text, in order, from one `tokenize`
-    call.  Words that are all letters are dropped first: such a word is a
-    single token without a digit, and whitespace ends every token, so the
-    other words tokenize as they would in the full text."""
-    words = [word for word in text.lower().split() if not word.isalpha()]
-    return [tok for tok in tokenize(" ".join(words)) if _has_digit(tok)]
+    call."""
+    return [tok for tok in tokenize(text) if _has_digit(tok)]
 
 
 def hallucination_check(text: str, facts: ChartFacts) -> List[str]:

@@ -145,8 +145,6 @@ def _validate_template(t: Template) -> None:
         raise UnknownMoveError(f"template {t.id}: unknown move {t.move!r}")
     if t.category not in CATEGORIES + ("any",):
         raise BankFormatError(f"template {t.id}: unknown category {t.category!r}")
-    if t.series_arity not in (0, 1, 2):
-        raise BankFormatError(f"template {t.id}: arity must be 1, 2, or any")
     if t.origin not in ("human", "paraphrase"):
         raise BankFormatError(f"template {t.id}: unknown origin {t.origin!r}")
     for cls in t.trend_applicability:

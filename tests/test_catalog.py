@@ -23,7 +23,6 @@ from chartscribe.catalog import (
     MAX_TICKS,
     MIN_TICKS,
     VALUE_CAP,
-    VALUE_KIND_BOUNDS,
     YEAR_MAX,
     YEAR_MIN,
     Catalog,
@@ -402,19 +401,18 @@ class TestLazySynthCatalog:
         finally:
             gc.enable()
 
-    def test_bound_check_runs_when_a_pair_is_drawn(self, monkeypatch):
-        cat = synth_catalog(3, 24, 30)
-        ind_id = next(i for i in cat.covered_indicators()
-                      if cat.indicators[i].value_kind == "float")
-        key = (ind_id, cat.entities_for(ind_id)[0])
-        monkeypatch.setitem(VALUE_KIND_BOUNDS, "float", (0.0, 0.1))
-        for _ in range(2):  # a pair that fails its check is not kept
-            with pytest.raises(CatalogFormatError,
-                               match=rf"outside \[0.0, 0.1\] for float "
-                                     rf"indicator '{ind_id}'"):
-                cat.observations[key]
-        monkeypatch.undo()
-        assert cat.observations[key] == synth_catalog_eager(3, 24, 30).observations[key]
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n_ind=st.integers(1, 24),
+           n_ent=st.integers(1, 30),
+           coverage=st.sampled_from([0.0, 0.05, 0.6, 1.0]))
+    def test_every_drawn_pair_passes_the_bound_check(self, seed, n_ind, n_ent,
+                                                      coverage):
+        """Synthetic values are in bounds by construction, so a drawn pair
+        is not checked: each passes the check a dict catalog's pairs get."""
+        cat = synth_catalog(seed, n_ind, n_ent, coverage)
+        for key in cat.observations:
+            _check_pair(cat.indicators, cat.entities, key,
+                        cat.observations[key])
 
 
 class TestSampleSeries:

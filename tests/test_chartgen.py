@@ -238,17 +238,31 @@ class TestBuildChartSpec:
 
 class TestStyleSpecValidation:
 
-    def test_duplicate_colors_rejected(self):
-        with pytest.raises(ParameterError):
-            StyleSpec(0, (3, 3), 0.5, "solid", "top-right")
+    @pytest.mark.parametrize("field, value, message", [
+        ("marker_shape", len(MARKER_SHAPES),
+         f"marker_shape: index {len(MARKER_SHAPES)} out of range"),
+        ("marker_shape", -1, "marker_shape: index -1 out of range"),
+        ("colors", (), "colors: need one or two palette indexes"),
+        ("colors", (1, 2, 4), "colors: need one or two palette indexes"),
+        ("colors", (len(COLOR_PALETTE),), "colors: palette index out of range"),
+        ("colors", (3, 3), "colors: two series need distinct colors"),
+        ("bar_thickness", 0.3, "bar_thickness: 0.3 outside [0.4, 0.9]"),
+        ("line_style", "wavy", "line_style: unknown style 'wavy'"),
+        ("legend_position", "center",
+         "legend_position: unknown position 'center'"),
+    ], ids=["marker-past-end", "marker-negative", "no-color", "three-colors",
+            "color-past-end", "duplicate-colors", "thin-bar", "wavy-line",
+            "centered-legend"])
+    def test_bad_field_rejected(self, field, value, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            dataclasses.replace(default_style(), **{field: value})
 
-    def test_thickness_bounds(self):
-        with pytest.raises(ParameterError):
-            StyleSpec(0, (1,), 0.3, "solid", "top-right")
-
-    def test_unknown_line_style(self):
-        with pytest.raises(ParameterError):
-            StyleSpec(0, (1,), 0.5, "wavy", "top-right")
+    def test_chart_needs_one_color_per_series(self):
+        a = temporal_series([1, 2, 3], name="Brazil")
+        b = temporal_series([2, 3, 4], name="Peru")
+        with pytest.raises(ArityError,
+                           match="style needs one color per series"):
+            ChartSpec(ChartKind.LINE, [a, b], "", "", "", default_style(1))
 
 
 class TestRender:
@@ -561,7 +575,9 @@ def array(value, name):
     """value, when it is a JSON array of objects: a list field is decoded
     from no other JSON value, and an item that is not an object is named."""
     if type(value) is not list:
-        raise TypeError(f"{name} is a {type(value).__name__}, not a list")
+        noun = type(value).__name__
+        raise TypeError(f"{name} is {'an' if noun[0] in 'aeiou' else 'a'} "
+                        f"{noun}, not a list")
     for i, item in enumerate(value):
         if type(item) is not dict:
             noun = type(item).__name__

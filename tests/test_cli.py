@@ -632,18 +632,19 @@ class TestEval:
         assert rc == 2
 
     @pytest.mark.parametrize("record, message, flag", [
-        ({"image_index": 1, "text": 5}, '"text" must be a string', "--hyp"),
+        ({"image_index": 1, "text": 5}, '"text" is an int, not a str',
+         "--hyp"),
         ({"image_index": [1], "text": "a"},
-         '"image_index" must be an int or a string, not list', "--hyp"),
+         '"image_index" is a list, not an int or a str', "--hyp"),
         ({"image_index": True, "text": "a"},
-         '"image_index" must be an int or a string, not bool', "--hyp"),
+         '"image_index" is a bool, not an int or a str', "--hyp"),
         # 1.0 == 1: the line would be scored as, or join, record 1
         ({"image_index": 1.0, "text": "a"},
-         '"image_index" must be an int or a string, not float', "--hyp"),
+         '"image_index" is a float, not an int or a str', "--hyp"),
         ({"image_index": 1.0, "text": "a"},
-         '"image_index" must be an int or a string, not float', "--ref"),
+         '"image_index" is a float, not an int or a str', "--ref"),
         ({"image_index": None, "text": "a"},
-         '"image_index" must be an int or a string, not NoneType', "--ref"),
+         '"image_index" is a NoneType, not an int or a str', "--ref"),
     ], ids=["text-not-string", "index-unhashable", "index-bool",
             "index-float-hyp", "index-float-ref", "index-null-ref"])
     def test_bad_json_line(self, tmp_path, capsys, record, message, flag):

@@ -12,10 +12,10 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from chartscribe import cli, corpus
-from chartscribe.catalog import synth_catalog, write_catalog
+from chartscribe.catalog import sample_series, synth_catalog, write_catalog
 from chartscribe.chartgen import ChartMeta
 from chartscribe.corpus import (
     CATEGORIES, CATEGORY_CODES, DEFAULT_CELL_COUNTS, KIND_CODES, KINDS,
@@ -24,9 +24,11 @@ from chartscribe.corpus import (
     regenerate_record, stats, validate_corpus, _decode_text, _RecordBuilder,
     _svg_error,
 )
-from chartscribe.narrate import Description, PlanParams
-from chartscribe.rng import derive_seed
-from chartscribe.trend import DIRECTIONAL_CLASSES, FLAT_CLASSES, classify_trend
+from chartscribe.narrate import Description, PlanParams, _check_consistency
+from chartscribe.rng import Rng, derive_seed
+from chartscribe.trend import (
+    DIRECTIONAL_CLASSES, FLAT_CLASSES, TrendUnrealizableError, classify_trend,
+)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -110,6 +112,15 @@ class TestConfig:
     def test_unknown_cell_rejected(self):
         with pytest.raises(ConfigError):
             CorpusConfig(seed=1, cell_counts={("temporal-trend", "pie"): 5})
+
+    @pytest.mark.parametrize("setting, message", [
+        (dict(descriptions_per_chart=0), "descriptions_per_chart: must be >= 1"),
+        (dict(cell_counts={("categorical", "line"): -1}),
+         "cell_counts: categorical/line count -1 < 0"),
+    ], ids=["no-descriptions", "negative-cell"])
+    def test_count_below_range_rejected(self, setting, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            CorpusConfig(seed=1, **setting)
 
     # load_config and generate_corpus check the bank and catalog files;
     # CorpusConfig opens none, so a manifest's echo reads anywhere
@@ -237,6 +248,13 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini")
+
+    def test_missing_corpus_section(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[generator]\np_move2 = 0.25\n")
+        with pytest.raises(ConfigError,
+                           match=r"^config: missing \[corpus\] section$"):
+            load_config(path)
 
     def test_bad_cell_key(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -409,6 +427,95 @@ class TestBuildRecord:
         assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] \
             == [("chartscribe.corpus", "WARNING",
                  "record 000031 attempt 0 failed: forced")]
+
+    def test_record_fails_after_every_attempt(self, builder, monkeypatch,
+                                              caplog):
+        def unrealizable(series, spec, rng):
+            raise TrendUnrealizableError(spec, 0)
+
+        monkeypatch.setattr(corpus, "perturb_to_trend", unrealizable)
+        plan = RecordPlan(31, "temporal-trend", "line", 0, 4242)
+        cause = (f"could not realize {DIRECTIONAL_CLASSES[0].value} in "
+                 f"{corpus._PERTURB_ATTEMPTS} perturbations")
+        with caplog.at_level("WARNING", logger="chartscribe.corpus"), \
+                pytest.raises(corpus.CorpusGenerationError) as err:
+            builder.build(plan)
+        assert str(err.value) == (f"record 000031 failed "
+                                  f"{corpus._RECORD_ATTEMPTS} attempts: {cause}")
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"record 000031 attempt {i} failed: {cause}")
+            for i in range(corpus._RECORD_ATTEMPTS)]
+
+    def test_gate_fails_after_its_perturbations(self, builder, monkeypatch):
+        perturbed = []
+        real_perturb = corpus.perturb_to_trend
+        monkeypatch.setattr(corpus, "perturb_to_trend", lambda *args:
+                            perturbed.append(args) or real_perturb(*args))
+        monkeypatch.setattr(corpus, "classify_trend", lambda values: None)
+        series = sample_series(builder.sources[0], temporal=True, arity=1,
+                               rng=Rng(1), min_len=corpus.TREND_MIN_LEN)[0]
+        target = DIRECTIONAL_CLASSES[2]
+        with pytest.raises(corpus._RecordError,
+                           match=f"^could not realize {target.value} in 8 "
+                                 f"perturbations$"):
+            corpus._gate_perturb(series, target, 7, 0)
+        assert len(perturbed) == corpus._PERTURB_ATTEMPTS == 8
+
+    def test_random_cell_fails_after_its_raw_samples(self, builder,
+                                                     monkeypatch):
+        sampled = []
+        real_sample = corpus.sample_series
+        monkeypatch.setattr(corpus, "sample_series", lambda *args, **kwargs:
+                            sampled.append(kwargs) or real_sample(*args,
+                                                                  **kwargs))
+        monkeypatch.setattr(corpus, "classify_trend",
+                            lambda values: DIRECTIONAL_CLASSES[0])
+
+        def draws_raw_data(seed):
+            rng = Rng(seed)
+            rng.random()  # the arity coin
+            return rng.random() >= 0.5
+
+        seed = next(filter(draws_raw_data, range(100)))
+        plan = RecordPlan(0, "temporal-random", "line", 0, seed)
+        with pytest.raises(corpus._RecordError,
+                           match="^no flat raw sample in 40 attempts$"):
+            corpus._build_series(plan, seed, Rng(seed), builder.sources[0])
+        assert len(sampled) == corpus._RAW_SAMPLE_ATTEMPTS == 40
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           cell=st.sampled_from(sorted(DEFAULT_CELL_COUNTS)),
+           cell_index=st.integers(0, 1100))
+    def test_rendered_chart_lands_in_the_plan_category(self, builder, seed,
+                                                       cell, cell_index):
+        """render classifies the values `_build_series` gated, so a chart
+        is never built for one cell and classified as another: trend cells
+        get a directional target, random cells flat targets or an all-flat
+        raw sample, categorical cells non-temporal data."""
+        plan = RecordPlan(0, *cell, cell_index, seed)
+        try:
+            payload = builder._attempt(plan, 0)
+        except corpus._RecordError:
+            reject()
+        assert meta_of(payload).category == plan.category
+
+    def test_stored_meta_agrees_with_the_drawn_series(self, monkeypatch):
+        """generate describes a chart from its meta alone: render copies
+        each series' name, the shared labels and the values into the meta,
+        so the check a library caller's series get passes on every record."""
+        drawn = {}
+        real_render = corpus.render
+
+        def keep_series(spec):
+            drawn[spec.image_index] = spec.series
+            return real_render(spec)
+
+        monkeypatch.setattr(corpus, "render", keep_series)
+        builder = _RecordBuilder(CorpusConfig(seed=41, count_scale=0.02))
+        for image_index in range(builder.starts[-1]):
+            meta = meta_of(builder(image_index))
+            _check_consistency(meta, drawn[image_index])
 
     def test_descriptions_parse_with_matching_index(self, builder):
         plan = RecordPlan(23, "temporal-trend", "scatter", 2, 777)
@@ -639,9 +746,9 @@ class TestGenerateCorpus:
             regenerate_record(out, 0)
 
     @pytest.mark.parametrize("version, message", [
-        (3, "declares 3, not 2"), (True, "is a bool, not a int"),
-        (1.0, "is a float, not a int"), ("2", "is a str, not a int"),
-        (None, "is a NoneType, not a int")],
+        (3, "declares 3, not 2"), (True, "is a bool, not an int"),
+        (1.0, "is a float, not an int"), ("2", "is a str, not an int"),
+        (None, "is a NoneType, not an int")],
         ids=["3", "True", "1.0", "2", "None"])
     def test_unknown_version_fails_validate_and_regenerate(
             self, tiny_corpus, tmp_path, version, message):
@@ -918,16 +1025,16 @@ class TestValidate:
         (lambda doc: doc["totals"].update(charts=17),
          ["manifest: totals.charts declares 17, not 15"]),
         (lambda doc: doc["totals"].update(charts=15.0),
-         ["manifest: totals.charts is a float, not a int"]),
+         ["manifest: totals.charts is a float, not an int"]),
         (lambda doc: doc["cells"][0].update(count=True),
-         ["manifest: cells[0].count is a bool, not a int"]),
+         ["manifest: cells[0].count is a bool, not an int"]),
         (lambda doc: doc["cells"][0].update(count=2),
          ["manifest: cells[0].count declares 2, not 1"]),
         (counts_made_floats, [
-            "manifest: totals.charts is a float, not a int",
-            "manifest: totals.descriptions is a float, not a int",
-            "manifest: cells[0].count is a bool, not a int",
-        ] + [f"manifest: cells[{i}].count is a float, not a int"
+            "manifest: totals.charts is a float, not an int",
+            "manifest: totals.descriptions is a float, not an int",
+            "manifest: cells[0].count is a bool, not an int",
+        ] + [f"manifest: cells[{i}].count is a float, not an int"
              for i in range(1, 12)]),
     ], ids=["charts-plus-two", "charts-float", "cell-count-true",
             "cell-count-plus-one", "every-count-float-or-true"])
@@ -959,8 +1066,8 @@ class TestValidate:
         (lambda doc: doc["records"][1].update(
             cell_index=True, seed=float(doc["records"][1]["seed"])),
          lambda doc, plan: ["manifest: records[1].cell_index is a bool, not "
-                            "a int", "manifest: records[1].seed is a float, "
-                            "not a int"]),
+                            "an int", "manifest: records[1].seed is a float, "
+                            "not an int"]),
         (lambda doc: doc["records"][4].pop("seed"),
          lambda doc, plan: ["manifest: records[4].seed is missing"]),
     ], ids=["config-seed", "cell-index", "cell-index-true-seed-float",
@@ -1005,7 +1112,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("key, value, expected", [
         ("arity", 7, "arity declares 7, not 1"),
-        ("arity", True, "arity is a bool, not a int"),
+        ("arity", True, "arity is a bool, not an int"),
         ("trend_classes", ["x"],
          "trend_classes[0] declares 'x', not 'linear-increase'"),
         ("trend_classes", ["x", "y"], "trend_classes has 2 items, not 1"),
@@ -1327,7 +1434,7 @@ class TestValidateDamagedManifest:
     def test_records_not_a_list(self, fresh):
         edit_json(fresh / MANIFEST_NAME,
                   lambda doc: doc.__setitem__("records", 5))
-        assert "manifest: records is a int, not a list" in \
+        assert "manifest: records is an int, not a list" in \
             validate_corpus(fresh)
 
     @pytest.mark.parametrize("relative", [True, False])
@@ -1609,8 +1716,10 @@ class TestValidateAgainstGenerate:
         (lambda root: cut_last_line(root / "descriptions" / "000003.txt"),
          "record 000003: descriptions/000003.txt has 2 lines, manifest "
          "says 3"),
+        (lambda root: (root / "descriptions" / "000003.txt").write_bytes(b""),
+         "record 000003: description file is empty"),
     ], ids=["deleted-meta", "truncated-meta", "deleted-descriptions",
-            "dropped-entry", "cut-descriptions"])
+            "dropped-entry", "cut-descriptions", "emptied-descriptions"])
     def test_one_damaged_file_is_one_violation(self, fuzz_corpus, tmp_path,
                                                damage, expected):
         root = copied(fuzz_corpus[0], tmp_path)
@@ -1619,8 +1728,8 @@ class TestValidateAgainstGenerate:
         assert len(problems) == 1, problems
         assert problems[0].startswith(expected)
 
-    @pytest.mark.parametrize("value", [{}, {"a": 1}, "ab", [1], ["ab"]],
-                             ids=["empty-object", "object", "string",
+    @pytest.mark.parametrize("value", [{}, {"a": 1}, "ab", 5, [1], ["ab"]],
+                             ids=["empty-object", "object", "string", "int",
                                   "int-item", "string-item"])
     @pytest.mark.parametrize("field", ["x_ticks", "y_ticks", "legend.entries",
                                        "series", "series[0].points",
@@ -1646,11 +1755,11 @@ class TestValidateAgainstGenerate:
         parent[keys[-1]] = value
         lines[0] = json.dumps(doc)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        noun = {int: "an int", str: "a str", dict: "a dict"}
         if type(value) is list:
-            message = (f"{keys[-1]}[0] is "
-                       f"{'an int' if value[0] == 1 else 'a str'}, not an object")
+            message = f"{keys[-1]}[0] is {noun[type(value[0])]}, not an object"
         else:
-            message = f"{keys[-1]} is a {type(value).__name__}, not a list"
+            message = f"{keys[-1]} is {noun[type(value)]}, not a list"
         with pytest.raises(TypeError, match=re.escape(message)):
             decode(lines[0])
         assert validate_corpus(root) == [

@@ -186,6 +186,10 @@ class TestRougeN:
     def test_short_hypothesis_zero_for_high_order(self):
         assert rouge_n(toks("a"), [toks("a b")], 2) == 0.0
 
+    def test_rejects_order_zero(self):
+        with pytest.raises(ValueError, match="n: must be >= 1, got 0"):
+            rouge_n(toks("a"), [toks("a")], 0)
+
 
 class TestRougeL:
     """LCS-based F1, maximized over references."""

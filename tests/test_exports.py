@@ -2,8 +2,10 @@
 tracer wraps, and the package exports.  A deletion that leaves one of them
 dangling fails here, not in a traced benchmark run or at
 `from chartscribe import *`.  Also what a bare `import chartscribe` loads,
-and what its dataclasses cost it."""
+and what its dataclasses cost it, and that it needs nothing beyond the
+standard library."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -114,3 +116,24 @@ def test_no_dataclass_docstring_is_generated():
     assert len(classes) >= 28
     assert [name for name, cls in classes
             if (cls.__doc__ or "").startswith(f"{name}(")] == []
+
+
+def test_runtime_is_the_standard_library_alone():
+    # every module the package imports, at the top or inside a function,
+    # is the standard library's or its own, and the project declares no
+    # dependency
+    imported = set()
+    for path in sorted((ROOT / "src" / "chartscribe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert {"json", "math"} <= imported
+    assert sorted(imported - sys.stdlib_module_names - {"chartscribe"}) == []
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(
+        encoding="utf-8"))["project"]
+    assert project.get("dependencies", []) == []
+    assert "optional-dependencies" not in project

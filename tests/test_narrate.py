@@ -17,7 +17,8 @@ from chartscribe.catalog import DataSeries, sample_series, synth_catalog
 from chartscribe.chartgen import CATEGORIES, ChartKind, build_chart_spec, render
 from chartscribe.narrate import (
     COMPARISON_PHRASES, NUMBER_SLOTS, QUALIFIERS, TREND_PHRASES, ChartFacts,
-    Description, FactsConsistencyError, RealizationError, Sentence, SeriesFacts,
+    Description, FactsConsistencyError, PlanParams, RealizationError, Sentence,
+    SeriesFacts,
     baseline_generate, check_move_order, extract_facts,
     format_number, generate_description, generate_description_set,
     hallucination_check, plan_moves, realize,
@@ -196,10 +197,18 @@ class TestExtractFacts:
         with pytest.raises(FactsConsistencyError):
             extract_facts(meta, [tampered])
 
-    def test_consistency_rejects_arity_mismatch(self):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s[:1], "series: metadata has 2 series, got 1"),
+        (lambda s: [dataclasses.replace(s[0], series_name="Atlantis"), s[1]],
+         "series[0]: name 'Atlantis' != metadata "),
+        (lambda s: [s[0], dataclasses.replace(
+            s[1], x_labels=[str(int(y) + 1) for y in s[1].x_labels])],
+         "series[1]: x labels disagree"),
+    ], ids=["series-count", "series-name", "x-labels"])
+    def test_consistency_names_the_mismatch(self, edit, message):
         series, meta = make_chart(True, 2, seed=35, min_len=4)
-        with pytest.raises(FactsConsistencyError):
-            extract_facts(meta, series[:1])
+        with pytest.raises(FactsConsistencyError, match=re.escape(message)):
+            extract_facts(meta, edit(series))
 
 
 class TestRealize:
@@ -391,6 +400,15 @@ class TestPlanMoves:
                                     ("temporal-random", 1), ("categorical", 2)):
                 plan = plan_moves(category, Rng(seed), n_series=arity)
                 assert check_move_order([m for m, _ in plan]) == []
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(m3_min=3, m3_max=2), "m3_min/m3_max: need 1 <= 3 <= 2"),
+        (dict(m31_min=0), "m31_min/m31_max: need 1 <= 0 <= 2"),
+        (dict(p_move4=-0.5), "p_move4: probability -0.5 outside [0, 1]"),
+    ], ids=["m3-min-above-max", "m31-min-zero", "p-move4-negative"])
+    def test_bad_params_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PlanParams(**kwargs)
 
     def test_mean_length_single_series_temporal(self):
         total = sum(len(plan_moves("temporal-trend", Rng(s))) for s in range(10000))
@@ -669,7 +687,9 @@ def named_fault(doc):
         return None
     items = doc["sentences"]
     if type(items) is not list:
-        return TypeError, f"sentences is a {type(items).__name__}, not a list"
+        noun = type(items).__name__
+        return TypeError, (f"sentences is {'an' if noun[0] in 'aeiou' else 'a'}"
+                           f" {noun}, not a list")
     for i, item in enumerate(items):
         if type(item) is not dict:
             noun = type(item).__name__
@@ -829,7 +849,7 @@ class TestHallucinationCheck:
             assert hallucination_check("It hit 42 million.", facts) == ["42"]
         # the digit tokens of the facts once, then the foreign text each time
         assert len(reads) == 1
-        assert len(calls) == 3 and calls[1:] == ["42 million."] * 2
+        assert len(calls) == 3 and calls[1:] == ["It hit 42 million."] * 2
 
     def test_allowed_set_matches_one_tokenize_call_per_text(self):
         _, meta = make_chart(True, 2, seed=5, min_len=5)

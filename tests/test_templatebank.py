@@ -1,5 +1,7 @@
 """Tests for template bank loading, validation, and queries."""
 
+import re
+
 import pytest
 
 from chartscribe.templatebank import (
@@ -260,9 +262,15 @@ class TestParseErrors:
         with pytest.raises(BankFormatError):
             parse_bank("x1\tM1\tany")
 
-    def test_bad_arity(self):
-        with pytest.raises(BankFormatError):
-            parse_bank(bank_line("x1", "M1", arity="3"))
+    @pytest.mark.parametrize("field, value, message", [
+        ("category", "pie", "<bank>:1: template x1: unknown category 'pie'"),
+        ("arity", "3", "<bank>:1: bad arity '3'"),
+        ("origin", "robot", "<bank>:1: template x1: unknown origin 'robot'"),
+        ("trend", " , ", "<bank>:1: empty trend list"),
+    ], ids=["category", "arity", "origin", "empty-trend-list"])
+    def test_bad_field_rejected(self, field, value, message):
+        with pytest.raises(BankFormatError, match=f"^{re.escape(message)}$"):
+            parse_bank(bank_line("x1", "M1", **{field: value}))
 
     def test_stray_brace(self):
         with pytest.raises(BankFormatError):
