@@ -114,8 +114,9 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
     """Parse an eval input file into {key: [text, ...]}.
 
     Lines that parse as JSON objects are keyed by their image_index, an
-    int or a string, and contribute their "text" field; anything else is a
-    plain text line keyed by line number.  A file must not mix the styles.
+    int or a string, or by line number if they have none, and contribute
+    their "text" field; anything else is a plain text line keyed by line
+    number.  A file must not mix the styles: plain, keyed or unkeyed JSON.
     """
     texts: Dict[object, List[str]] = {}
     styles = set()
@@ -142,14 +143,15 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
                         f"eval: {path} line {line_no + 1}: \"{name}\" is "
                         f"{_a(type(value).__name__)}, not "
                         f"{' or '.join(_a(t.__name__) for t in allowed)}")
-            styles.add("json")
+            styles.add("JSON lines with image_index" if "image_index" in doc
+                       else "JSON lines without image_index")
         else:
             key = line_no
             text = line
-            styles.add("plain")
+            styles.add("plain-text lines")
         texts.setdefault(key, []).append(text)
     if len(styles) > 1:
-        raise CliError(f"eval: {path} mixes JSON and plain-text lines")
+        raise CliError(f"eval: {path} mixes {' and '.join(sorted(styles))}")
     if not texts:
         raise CliError(f"eval: {path} is empty")
     return texts

@@ -16,22 +16,24 @@ Scores are reported on a 0..100 scale.
 A hypothesis is scored against its whole reference set at once, from one
 table.  A `References`, prepared once per set and shared by its
 hypotheses, packs every reference's token positions into one int per
-token, each reference in a field of its own.  ROUGE-L runs the bit-vector
-LCS recurrence (Crochemore et al. 2001) over the hypothesis once for all
-references.  BLEU and ROUGE-N read the same table: the mask of hypothesis
-token i shifted up one and ANDed with the mask of token i + 1 marks where
-that bigram ends in every reference, and so on up the orders.  Each
-occurrence of an n-gram in the hypothesis then uses up the lowest unused
-mark of every field at once, so the marks used in a field are the clipped
-overlap with that reference, and the occurrences that found a mark are
-BLEU's clipped count.  One such pass over orders 1 to 4 scores a pair.
-The per-reference loops this replaced are kept in the tests as oracles.
+token, read from a byte bitmap, each reference in a field of its own.
+ROUGE-L runs the bit-vector LCS recurrence (Crochemore et al. 2001) over
+the hypothesis once for all references.  BLEU and ROUGE-N read the same
+table: the mask of hypothesis token i shifted up one and ANDed with the
+mask of token i + 1 marks where that bigram ends in every reference, and
+so on up the orders.  Each occurrence of an n-gram in the hypothesis then
+uses up the lowest unused mark of every field at once, with one add, so
+the marks used in a field are the clipped overlap with that reference,
+and the occurrences that found a mark are BLEU's clipped count.  One such
+pass over orders 1 to 4 scores a pair.  The per-reference loops and the
+shift-and-OR table build this replaced are kept in the tests as oracles.
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import DefaultDict, Dict, Iterable, List, Sequence, Tuple, Union
 
 Tokens = Tuple[str, ...]
 
@@ -94,21 +96,22 @@ class References:
         """Token -> one int holding every reference's position mask, each
         reference in a field of its own with a zero guard bit above it;
         the int of all field bits; each field's bits; the lowest bit of
-        every field; and every guard bit."""
-        masks: Dict[str, int] = {}
+        every field; and every guard bit.  A token's int is read at once
+        from a byte bitmap of its positions, not shifted and ORed."""
+        size = (sum(self.lengths) + len(self.lengths) + 7) >> 3
+        bitmaps: DefaultDict[str, bytearray] = defaultdict(
+            lambda: bytearray(size))
         fields = []
         lows = guards = off = 0
-        bits = [1 << i for i in range(max(self.lengths))]
         for ref, length in zip(self.tokens, self.lengths):
-            own: Dict[str, int] = {}
-            for tok, bit in zip(ref, bits):
-                own[tok] = own.get(tok, 0) | bit
-            for tok, mask in own.items():
-                masks[tok] = masks.get(tok, 0) | (mask << off)
+            for i, tok in enumerate(ref, off):
+                bitmaps[tok][i >> 3] |= 1 << (i & 7)
             fields.append(((1 << length) - 1) << off)
             lows |= 1 << off
             guards |= 1 << (off + length)
             off += length + 1
+        masks = {tok: int.from_bytes(bits, "little")
+                 for tok, bits in bitmaps.items()}
         return masks, sum(fields), tuple(fields), lows, guards
 
     def lcs(self, hyp: Sequence[str]) -> List[int]:
@@ -139,12 +142,14 @@ class References:
         onto its guard bit, so no n-gram spans two references.  Equal
         n-grams have equal masks and different ones disjoint masks.  Each
         occurrence in hyp uses up, in every field, the lowest bit of its
-        mask not yet used: (m | guards) - lows subtracts one from every
+        mask not yet used: m + (guards - lows) subtracts one from every
         field, borrowing at most from its guard bit, so m & that clears
-        each field's lowest bit.  An occurrence that finds a bit left in
-        any field is clipped in; the bits used in a field are the overlap
-        with that reference."""
+        each field's lowest bit.  It equals (m | guards) - lows, as m
+        never holds a guard bit, with one wide operation fewer.  An
+        occurrence that finds a bit left in any field is clipped in; the
+        bits used in a field are the overlap with that reference."""
         masks, full, fields, lows, guards = self._packed
+        step = guards - lows
         first = [masks.get(tok, 0) for tok in hyp]
         ends = first
         out = []
@@ -159,7 +164,7 @@ class References:
                     m &= free
                     if m:
                         clipped += 1
-                        free ^= m ^ (m & ((m | guards) - lows))
+                        free ^= m ^ (m & (m + step))
             used = full ^ free
             out.append((clipped, [(used & f).bit_count() for f in fields]))
         return out
@@ -204,12 +209,6 @@ def _bleu(matches: Sequence[int], c: int, lengths: Sequence[int]) -> float:
     return 100.0 * bp * math.exp(log_sum / len(matches))
 
 
-def _f1(precision: float, recall: float) -> float:
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
-
-
 def rouge_n(hyp: Sequence[str], refs: RefsLike, n: int) -> float:
     """ROUGE-N F1, maximum over references."""
     if n < 1:
@@ -222,13 +221,14 @@ def _rouge_n(overlaps: Sequence[int], c: int, lengths: Sequence[int],
              n: int) -> float:
     """`rouge_n` of a hypothesis of c tokens whose clipped overlaps of
     order n with the references are overlaps."""
-    hyp_total = max(c - n + 1, 0)
+    hyp_total = c - n + 1
     best = 0.0
     for ref_len, overlap in zip(lengths, overlaps):
-        ref_total = max(ref_len - n + 1, 0)
-        if hyp_total == 0 or ref_total == 0:
-            continue
-        best = max(best, _f1(overlap / hyp_total, overlap / ref_total))
+        if overlap:  # else F1 is 0; n-grams are on both sides
+            p, r = overlap / hyp_total, overlap / (ref_len - n + 1)
+            f1 = 2 * p * r / (p + r)
+            if f1 > best:
+                best = f1
     return 100.0 * best
 
 
@@ -240,8 +240,11 @@ def rouge_l(hyp: Sequence[str], refs: RefsLike) -> float:
     m = len(hyp)
     best = 0.0
     for lcs, ref_len in zip(refs.lcs(hyp), refs.lengths):
-        if ref_len:
-            best = max(best, _f1(lcs / m, lcs / ref_len))
+        if lcs:  # a zero LCS has F1 0
+            p, r = lcs / m, lcs / ref_len
+            f1 = 2 * p * r / (p + r)
+            if f1 > best:
+                best = f1
     return 100.0 * best
 
 

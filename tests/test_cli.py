@@ -623,6 +623,32 @@ class TestEval:
         assert rc == 2
         assert "mixes" in capsys.readouterr().err
 
+    def test_unkeyed_json_line_does_not_join_a_keyed_record(self, tmp_path,
+                                                            capsys):
+        # the first line is keyed by its line number, 0, and once joined
+        # record 0 (BLEU 50.00, exit 0)
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text(json.dumps({"text": "the value rose"}) + "\n"
+                       + json.dumps({"image_index": 0,
+                                     "text": "a different record"}) + "\n")
+        ref = tmp_path / "ref.jsonl"
+        ref.write_text(json.dumps({"image_index": 0, "text": "the value rose"})
+                       + "\n")
+        rc = main(["eval", "--hyp", str(hyp), "--ref", str(ref)])
+        assert rc == 2
+        one_line_error(capsys, f"eval: {hyp} mixes JSON lines with "
+                       "image_index and JSON lines without image_index")
+
+    def test_unkeyed_json_lines_are_keyed_by_line_number(self, tmp_path,
+                                                         capsys):
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text(json.dumps({"text": "the cat sat"}) + "\n")
+        ref = tmp_path / "ref.jsonl"
+        ref.write_text(json.dumps({"text": "the cat sat down"}) + "\n")
+        rc = main(["eval", "--hyp", str(hyp), "--ref", str(ref)])
+        assert rc == 0
+        assert "71.65" in capsys.readouterr().out
+
     def test_empty_file(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chartscribe.evalmetrics import (
-    EmptyReportError, References, ScoredPair, _f1, bleu,
+    EmptyReportError, References, ScoredPair, bleu,
     corpus_report, format_report, rouge_l, rouge_n, score_pair, tokenize,
 )
 
@@ -291,6 +291,26 @@ PINNED = (
 )
 
 
+# the eval benchmark's shape: 30 references and 4 hypotheses of 100 words,
+# the last one a 20-word text said five times, so its n-grams repeat; the
+# scores the shift-and-OR table build gave
+BENCH_SCALE_REFS = tuple(words(s, 100) for s in range(300, 330))
+BENCH_SCALE = (
+    (words(400, 100),
+     {"bleu4": 21.34358213439415, "rouge1": 81.0,
+      "rouge2": 22.22222222222222, "rougeL": 33.0}),
+    (words(401, 100),
+     {"bleu4": 20.593359027054323, "rouge1": 80.00000000000001,
+      "rouge2": 23.232323232323232, "rougeL": 35.0}),
+    (words(402, 100),
+     {"bleu4": 21.169334235723223, "rouge1": 83.99999999999999,
+      "rouge2": 21.212121212121215, "rougeL": 37.0}),
+    (" ".join([words(403, 20)] * 5),
+     {"bleu4": 10.502954963531131, "rouge1": 67.0,
+      "rouge2": 7.07070707070707, "rougeL": 39.0}),
+)
+
+
 class TestPreparedReferences:
     """Scores stay exact when the reference side is prepared once."""
 
@@ -299,6 +319,11 @@ class TestPreparedReferences:
     def test_pinned_scores(self, hyp, refs, expected):
         assert score_pair(hyp, refs).scores == expected
         assert score_pair(hyp, References.from_texts(refs)).scores == expected
+
+    def test_pinned_scores_at_benchmark_scale(self):
+        refs = References.from_texts(BENCH_SCALE_REFS)
+        assert [score_pair(hyp, refs).scores for hyp, _ in BENCH_SCALE] == \
+            [expected for _, expected in BENCH_SCALE]
 
     def test_shared_set_matches_fresh_lists(self):
         ref_texts = [words(s, 40 + s) for s in range(10, 16)]
@@ -358,6 +383,24 @@ def position_masks(tokens):
     return masks
 
 
+def packed_oracle(refs):
+    """`References._packed` by the shift-and-OR build it replaced: each
+    reference's own position masks, shifted to its field and ORed into
+    the table's ints."""
+    lengths = [len(r) for r in refs]
+    masks = {}
+    fields = []
+    lows = guards = off = 0
+    for ref, length in zip(refs, lengths):
+        for tok, mask in position_masks(ref).items():
+            masks[tok] = masks.get(tok, 0) | (mask << off)
+        fields.append(((1 << length) - 1) << off)
+        lows |= 1 << off
+        guards |= 1 << (off + length)
+        off += length + 1
+    return masks, sum(fields), tuple(fields), lows, guards
+
+
 def lcs_masked_oracle(masks, m, b):
     """LCS length of b and the length-m sequence behind `masks`, one
     reference a pass: V starts as m one-bits and, for each token of b,
@@ -391,6 +434,12 @@ def bleu_oracle(hyp, refs, max_n):
     return 100.0 * bp * math.exp(log_sum / max_n)
 
 
+def f1_oracle(precision, recall):
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
 def rouge_n_oracle(hyp, refs, n):
     hyp_counts = ngram_counts(hyp, n)
     hyp_total = max(len(hyp) - n + 1, 0)
@@ -400,7 +449,7 @@ def rouge_n_oracle(hyp, refs, n):
         if hyp_total == 0 or ref_total == 0:
             continue
         overlap = clipped_oracle(hyp_counts, ngram_counts(ref, n))
-        best = max(best, _f1(overlap / hyp_total, overlap / ref_total))
+        best = max(best, f1_oracle(overlap / hyp_total, overlap / ref_total))
     return 100.0 * best
 
 
@@ -412,7 +461,7 @@ def rouge_l_oracle(hyp, refs):
     for ref in refs:
         if ref:
             lcs = lcs_masked_oracle(masks, len(hyp), ref)
-            best = max(best, _f1(lcs / len(hyp), lcs / len(ref)))
+            best = max(best, f1_oracle(lcs / len(hyp), lcs / len(ref)))
     return 100.0 * best
 
 
@@ -429,7 +478,7 @@ def overlaps_oracle(hyp, refs, max_n):
     return out
 
 
-EDGE_LENGTHS = (0, 63, 64, 65, 127, 128, 129)
+EDGE_LENGTHS = (0, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129)
 FILL_LENGTHS = (1, 2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129)
 
 
@@ -437,8 +486,9 @@ FILL_LENGTHS = (1, 2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129)
 def scoring_cases(draw):
     """A hypothesis and 1, 2, 3 or 40 references over 2 to 4 tokens, so
     n-grams repeat.  References may be empty or sit at the 64-bit word
-    boundaries; the hypothesis is empty, one token, random, or longer
-    than every reference."""
+    boundaries or at the byte boundaries of the table's bitmaps; the
+    hypothesis is empty, one token, random, or longer than every
+    reference."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     alphabet = "abcd"[:draw(st.integers(2, 4))]
     count = draw(st.sampled_from((1, 2, 3, 40)))
@@ -455,6 +505,12 @@ def scoring_cases(draw):
 class TestAgainstOracles:
     """Overlaps, LCS lengths and scores equal those of the per-reference
     loops, to the bit."""
+
+    @settings(max_examples=150)
+    @given(scoring_cases())
+    def test_packed_table(self, case):
+        _, refs = case
+        assert References(refs)._packed == packed_oracle(refs)
 
     @settings(max_examples=150)
     @given(scoring_cases())
