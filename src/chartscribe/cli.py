@@ -27,7 +27,7 @@ from .catalog import CatalogFormatError
 from .chartgen import ChartMeta, meta_problems, _a
 from .corpus import (
     _MALFORMED, BUILTIN_BANK, ConfigError, ManifestError, _build_bank,
-    _config_builder, _read_manifest, _validate, default_config,
+    _config_builder, _read_manifest_head, _validate, default_config,
     generate_corpus, load_config, stats,
 )
 from .evalmetrics import (
@@ -113,9 +113,9 @@ def _cmd_describe(args) -> int:
 def _read_scored_lines(path) -> Dict[object, List[str]]:
     """Parse an eval input file into {key: [text, ...]}.
 
-    Lines that parse as JSON objects are keyed by their image_index, an
-    int or a string, or by line number if they have none, and contribute
-    their "text" field; anything else is a plain text line keyed by line
+    Lines that parse as JSON objects must have a "text" field, and are
+    keyed by their image_index, an int or a string, or by line number if
+    they have none; anything else is a plain text line keyed by line
     number.  A file must not mix the styles: plain, keyed or unkeyed JSON.
     """
     texts: Dict[object, List[str]] = {}
@@ -132,7 +132,9 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
             doc = json.loads(line)
         except (json.JSONDecodeError, RecursionError):
             doc = None
-        if isinstance(doc, dict) and "text" in doc:
+        if isinstance(doc, dict):
+            if "text" not in doc:
+                raise CliError(f'eval: {path} line {line_no + 1}: no "text"')
             key = doc.get("image_index", line_no)
             text = doc["text"]
             # an image_index true or 1.0 equals 1 and would join record 1
@@ -146,8 +148,7 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
             styles.add("JSON lines with image_index" if "image_index" in doc
                        else "JSON lines without image_index")
         else:
-            key = line_no
-            text = line
+            key, text = line_no, line
             styles.add("plain-text lines")
         texts.setdefault(key, []).append(text)
     if len(styles) > 1:
@@ -166,7 +167,7 @@ def _cmd_eval(args) -> int:
 
     # the kind of record i is its config's plan of i: the records are not read
     planner = (None if args.by_kind is None
-               else _config_builder(_read_manifest(Path(args.by_kind))))
+               else _config_builder(_read_manifest_head(Path(args.by_kind))))
 
     pairs = []
     missing = [key for key in hyps if key not in refs]

@@ -72,6 +72,10 @@ def __getattr__(name: str):
 FORMAT_VERSION = 2
 VALIDATED_VERSIONS = (1, 2)
 MANIFEST_NAME = "manifest.json"
+# a manifest's members, in generate's order, and the JSON before a value
+_MANIFEST_KEYS = ("format_version", "config", "totals", "cells", "records")
+_MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*("(?:[^"\\]|\\.)*")'
+                     r'[ \t\n\r]*:[ \t\n\r]*')
 BUILTIN_BANK = "builtin"  # the template_bank value naming the packaged bank
 
 # seed words of the record streams: position in CATEGORIES and KINDS, from 1
@@ -554,10 +558,35 @@ def _manifest(version, config, cells: list, entries: List[dict]) -> dict:
             "records": entries}
 
 
-def load_manifest(corpus_dir) -> dict:
+def _manifest_path(corpus_dir) -> Path:
     path = Path(corpus_dir) / MANIFEST_NAME
     if not path.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {corpus_dir}")
+    return path
+
+
+def load_manifest(corpus_dir) -> dict:
+    return _read_manifest(_manifest_path(corpus_dir))
+
+
+def _read_manifest_head(path: Path) -> dict:
+    """_read_manifest(path) less "records", whose text is not decoded when
+    generate's four members come before it, in its order: damage in or
+    after "records", or a member repeated after it, then goes unseen."""
+    try:  # a byte that is not UTF-8 is a lone surrogate, refused in the head
+        text = path.read_bytes().decode("utf-8", "surrogateescape")
+        head, at = {}, 0
+        for name, opener in zip(_MANIFEST_KEYS, "{,,,,"):
+            member = _MEMBER.match(text, at)
+            if not member or member[1] != opener \
+                    or json.decoder.scanstring(member[2], 1)[0] != name:
+                break
+            if name == "records":
+                text[:member.end()].encode("utf-8")
+                return head
+            head[name], at = json.JSONDecoder().raw_decode(text, member.end())
+    except (ValueError, RecursionError):
+        pass
     return _read_manifest(path)
 
 
@@ -588,7 +617,7 @@ def regenerate_record(corpus_dir, image_index: int) -> List[str]:
     if not isinstance(image_index, int) or isinstance(image_index, bool):
         raise TypeError(f"image_index: need an int, got {image_index!r}")
     root = Path(corpus_dir)
-    manifest = load_manifest(root)
+    manifest = _read_manifest_head(_manifest_path(root))
     version = manifest.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise ManifestError(
@@ -608,7 +637,7 @@ def stats(corpus_dir) -> Tuple[dict, str]:
     """Category x kind grid plus description totals, as a dict and an
     aligned text table: the grid the manifest's config plans, and the
     description count of its totals."""
-    manifest = load_manifest(corpus_dir)
+    manifest = _read_manifest_head(_manifest_path(corpus_dir))
     builder = _config_builder(manifest)
     grid = {(category, kind): n for category, kind, n, _ in builder.cells}
     charts = builder.starts[-1]

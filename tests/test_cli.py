@@ -639,6 +639,33 @@ class TestEval:
         one_line_error(capsys, f"eval: {hyp} mixes JSON lines with "
                        "image_index and JSON lines without image_index")
 
+    @pytest.mark.parametrize("ref_line", [
+        # once scored as the raw JSON text: BLEU 8.83, exit 0
+        "the sales rose",
+        # once "1 hypothesis key(s) have no reference, first: 0"
+        json.dumps({"image_index": 1, "text": "the sales rose"}),
+    ], ids=["plain-reference", "keyed-reference"])
+    def test_json_line_without_text(self, tmp_path, capsys, ref_line):
+        hyp = tmp_path / "hyp.jsonl"
+        index = 0 if ref_line.startswith("the") else 1
+        hyp.write_text(json.dumps({"image_index": index,
+                                   "hyp": "the sales rose"}) + "\n")
+        ref = tmp_path / "ref.jsonl"
+        ref.write_text(ref_line + "\n")
+        rc = main(["eval", "--hyp", str(hyp), "--ref", str(ref)])
+        assert rc == 2
+        one_line_error(capsys, f'eval: {hyp} line 1: no "text"')
+
+    def test_reference_line_without_text(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text(json.dumps({"image_index": 1, "text": "a"}) + "\n")
+        ref = tmp_path / "ref.jsonl"
+        ref.write_text(json.dumps({"image_index": 1, "text": "a"}) + "\n\n"
+                       + json.dumps({"image_index": 1}) + "\n")
+        rc = main(["eval", "--hyp", str(hyp), "--ref", str(ref)])
+        assert rc == 2
+        one_line_error(capsys, f'eval: {ref} line 3: no "text"')
+
     def test_unkeyed_json_lines_are_keyed_by_line_number(self, tmp_path,
                                                          capsys):
         hyp = tmp_path / "hyp.jsonl"

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -592,6 +593,23 @@ class TestGenerateCorpus:
         generate_corpus(CorpusConfig(seed=5, output_dir=str(b), count_scale=0.002),
                         jobs=2)
         assert tree_hash(a) == tree_hash(b)
+
+    def test_tree_does_not_depend_on_hash_seed(self, tmp_path):
+        # str hashes, and so set order, change with PYTHONHASHSEED
+        hashes = set()
+        for hash_seed, jobs in (("0", "1"), ("12345", "1"), ("7", "2")):
+            out = tmp_path / f"hash-seed-{hash_seed}"
+            done = subprocess.run(
+                [sys.executable, "-m", "chartscribe.cli", "generate",
+                 "--seed", "41", "--count-scale", "0.002", "--out", str(out),
+                 "--jobs", jobs],
+                env=dict(os.environ, PYTHONPATH=str(SRC),
+                         PYTHONHASHSEED=hash_seed),
+                capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.startswith("wrote 15 charts")
+            hashes.add(tree_hash(out))
+        assert len(hashes) == 1
 
     @pytest.mark.parametrize("cells, workers", [
         (DEFAULT_CELL_COUNTS, [15]), ({("categorical", "line"): 1}, []),
@@ -1663,6 +1681,191 @@ class TestValidateFuzz:
             path.write_text(original, encoding="utf-8")
         assert isinstance(problems, list)
         assert all(isinstance(p, str) for p in problems)
+
+
+HEAD_KEYS = corpus._MANIFEST_KEYS
+FINITE_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+WHITESPACE = st.text(" \t\n\r", max_size=2)
+
+
+def read_head(path):
+    """What _read_manifest_head gives for path, its result or its error
+    text, and whether it read the whole manifest."""
+    with mock.patch.object(corpus, "_read_manifest",
+                           wraps=corpus._read_manifest) as whole:
+        try:
+            got = corpus._read_manifest_head(path)
+        except ManifestError as exc:
+            got = str(exc)
+    return got, whole.called
+
+
+def read_whole(path):
+    try:
+        return corpus._read_manifest(path)
+    except ManifestError as exc:
+        return str(exc)
+
+
+def without_records(doc: dict) -> dict:
+    return {key: value for key, value in doc.items() if key != "records"}
+
+
+@st.composite
+def manifest_texts(draw):
+    """(text, its uncut text, whether the head reader may stop at
+    "records"): the five members generate writes, in its order or shuffled,
+    with keys repeated before "records", whitespace between tokens, a value
+    or a separator before "records" that is not JSON, and the text cut
+    inside "records"."""
+    rarely = st.integers(0, 3).map(lambda n: n == 3)
+    keys = list(draw(st.just(HEAD_KEYS) | st.permutations(HEAD_KEYS)))
+    for _ in range(draw(st.integers(1, 2)) if draw(rarely) else 0):
+        keys.insert(draw(st.integers(0, keys.index("records"))),
+                    draw(st.sampled_from(HEAD_KEYS + ("extra",))))
+    values = [json.dumps(draw(FINITE_JSON)) for _ in keys]
+    fast = tuple(keys[:5]) == HEAD_KEYS
+    first_records = keys.index("records")
+    if first_records and draw(rarely):  # a value that is not JSON
+        values[draw(st.integers(0, first_records - 1))] = draw(
+            st.sampled_from(["[1,", "nul", '"a', "01", "-"]))
+        fast = False
+    openers = ["{"] + [","] * (len(keys) - 1)
+    if draw(rarely):  # "{" or "," missing or wrong up to "records"
+        at = draw(st.integers(0, first_records))
+        openers[at] = draw(st.sampled_from(["{" if at else ",", "", "[",
+                                            ";", ",,"]))
+        fast = False
+    parts, cut_from = [], None
+    for i, (key, value) in enumerate(zip(keys, values)):
+        parts += [draw(WHITESPACE), openers[i], draw(WHITESPACE),
+                  json.dumps(key), draw(WHITESPACE), ":"]
+        if i == 4:
+            cut_from = len("".join(parts))
+        parts += [draw(WHITESPACE), value, draw(WHITESPACE)]
+    text = "".join(parts + ["}", draw(WHITESPACE)])
+    if fast and draw(st.booleans()):
+        return text[:draw(st.integers(cut_from, len(text) - 1))], text, fast
+    return text, text, fast
+
+
+class TestManifestHead:
+    """stats, eval --by-kind and regenerate_record stop decoding a
+    manifest at "records" when the members before it are the four generate
+    writes there, in its order; any other manifest is decoded whole, with
+    _read_manifest's result or error."""
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("head") / MANIFEST_NAME
+
+    def check(self, path, uncut: str, fast: bool):
+        got, whole = read_head(path)
+        assert whole is not fast
+        if fast:
+            assert got == without_records(json.loads(uncut))
+        else:
+            assert got == read_whole(path)
+
+    @settings(max_examples=300)
+    @given(drawn=manifest_texts(), junk=st.binary(max_size=3))
+    def test_drawn_manifests(self, scratch, drawn, junk):
+        text, uncut, fast = drawn
+        # bytes after a cut inside "records" are never decoded
+        scratch.write_bytes(text.encode("utf-8")
+                            + (junk if text != uncut else b""))
+        self.check(scratch, uncut, fast)
+
+    @settings(max_examples=100)
+    @given(text=FINITE_JSON.filter(lambda v: not isinstance(v, dict)).map(
+        json.dumps) | st.text(max_size=8))
+    def test_not_an_object(self, scratch, text):
+        scratch.write_text(text, encoding="utf-8")
+        self.check(scratch, "", False)
+
+    @pytest.mark.parametrize("seed, scale", [
+        (41, 0.002), (13, 0.002), (2026, 0.004), (41, 0.02)])
+    def test_generated_manifests(self, tmp_path, seed, scale):
+        out = tmp_path / "corpus"
+        generate_corpus(CorpusConfig(seed=seed, output_dir=str(out),
+                                     count_scale=scale))
+        path = out / MANIFEST_NAME
+        text = path.read_text(encoding="utf-8")
+        assert tuple(json.loads(text)) == HEAD_KEYS
+        self.check(path, text, True)
+        # indented, as format version 1 was written
+        doc = json.loads(text)
+        doc["format_version"] = 1
+        path.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n",
+                        encoding="utf-8")
+        self.check(path, path.read_text(encoding="utf-8"), True)
+
+    @pytest.mark.parametrize("damage", [
+        lambda t: t.replace(b'"config":{', b'"config":' + DEEP_JSON.encode()
+                            + b',"x":{'),
+        lambda t: t.replace(b'"seed"', b'"se\xffed"'),
+        lambda t: "\ufeff".encode("utf-8") + t,
+    ], ids=["nested-too-deep", "not-utf8", "byte-order-mark"])
+    def test_damaged_head(self, scratch, damage):
+        text = json.dumps({"format_version": 2, "config": {"seed": 1},
+                           "totals": {}, "cells": [], "records": []},
+                          separators=(",", ":")).encode("utf-8")
+        scratch.write_bytes(damage(text))
+        self.check(scratch, "", False)
+        assert isinstance(read_head(scratch)[0], str)  # refused
+
+    def test_commands_decode_no_record_entry(self, tmp_path, capsys):
+        tree = tmp_path / "clean"
+        generate_corpus(CorpusConfig(seed=41, output_dir=str(tree),
+                                     count_scale=0.002))
+        keys = tmp_path / "keys.jsonl"
+        keys.write_text("".join(
+            json.dumps({"image_index": i, "text": f"chart {i} shown"}) + "\n"
+            for i in range(15)))
+
+        def results(name: str, manifest: bytes):
+            """stats' table, the eval --by-kind report and the bytes
+            regenerate_record writes for record 3, under manifest"""
+            copy = tmp_path / name
+            shutil.copytree(tree, copy)
+            (copy / MANIFEST_NAME).write_bytes(manifest)
+            files = [copy / rel for rel in corpus._record_files(3).values()]
+            for path in files:
+                path.write_bytes(b"stale")
+            regenerate_record(copy, 3)
+            assert cli.main(["eval", "--hyp", str(keys), "--ref", str(keys),
+                             "--by-kind", str(copy / MANIFEST_NAME)]) == 0
+            return (stats(copy)[1], capsys.readouterr().out,
+                    [path.read_bytes() for path in files])
+
+        text = (tree / MANIFEST_NAME).read_bytes()
+        clean = results("clean-copy", text)
+        assert clean[2] == [(tree / rel).read_bytes()
+                            for rel in corpus._record_files(3).values()]
+        opened = text.index(b'"records":[') + len(b'"records":[')
+        cut = text[:opened] + b'\xff\x00{"image_index": junk'
+        with mock.patch.object(corpus, "_read_manifest",
+                               side_effect=AssertionError("read whole")):
+            assert results("cut", cut) == clean
+        assert validate_corpus(tmp_path / "cut")[0].startswith(
+            "manifest: manifest.json does not parse: ")
+
+        # another key order is read whole, with the same results
+        sorted_keys = json.dumps(json.loads(text), sort_keys=True).encode()
+        with mock.patch.object(corpus, "_read_manifest",
+                               wraps=corpus._read_manifest) as whole:
+            assert results("sorted", sorted_keys) == clean
+        assert whole.call_count == 3
+
+        # a member repeated after "records" is validate's to see
+        repeated = text.rstrip()[:-1] + b',"config":{"seed":1}}\n'
+        assert results("repeated", repeated) == clean
+        assert validate_corpus(tmp_path / "repeated")
 
 
 def cut_last_line(path):
