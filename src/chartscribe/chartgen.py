@@ -22,7 +22,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, get_args, get_ori
 
 from .catalog import DataSeries, _parse_years
 from .rng import Rng
-from .trend import FLAT_CLASSES, ParameterError, TrendClass, classify_trend
+from .trend import (CATEGORIES, FLAT_CLASSES, REACHABLE_CELLS, ParameterError,
+                    classify_trend)
 
 CANVAS_W = 640
 CANVAS_H = 480
@@ -77,25 +78,6 @@ class ChartKind(str, Enum):
 
 
 KINDS = tuple(kind.value for kind in ChartKind)
-CATEGORIES = ("temporal-trend", "temporal-random", "categorical")
-
-_FLAT = tuple(c.value for c in FLAT_CLASSES)
-_DIRECTIONAL = tuple(c.value for c in TrendClass if c not in FLAT_CLASSES)
-
-# Every (category, trend, arity) combination the planner can ask for.
-# temporal-trend charts include flat trends: a two-series chart is in that
-# category as soon as one series is directional, and a sentence may focus
-# on the other one.
-REACHABLE_CELLS: Tuple[Tuple[str, Optional[str], int], ...] = tuple(
-    (category, trend, arity)
-    for category, trends in (
-        ("temporal-trend", _DIRECTIONAL + _FLAT),
-        ("temporal-random", _FLAT),
-        ("categorical", (None,)),
-    )
-    for trend in trends
-    for arity in (1, 2)
-)
 
 
 class ArityError(ValueError):

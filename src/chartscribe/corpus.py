@@ -491,15 +491,28 @@ def _layout_dirs(root: Path, ignore: tuple = ()):
             os.close(fd)
 
 
+class _NewFile(type(Path())):
+    """A path that Path.write_bytes, which the benchmark's tracer times,
+    creates as a new file with O_EXCL and O_NOFOLLOW, by name in the
+    directory open as dir_fd (None: the path as it is): neither a name
+    planted there nor a directory swapped for a symlink is written through."""
+
+    dir_fd: Optional[int] = None
+
+    def open(self, *args, **kwargs):
+        return open(self, *args, **kwargs, opener=lambda name, flags: os.open(
+            name, flags | os.O_EXCL | os.O_NOFOLLOW, 0o666, dir_fd=self.dir_fd))
+
+
 def _write_file(path: Path, data: bytes, dir_fd: Optional[int] = None) -> None:
-    """Write data to path; a symlink, hard link or non-regular file there is
-    unlinked first (by name in dir_fd, if given), never written through."""
-    name = path if dir_fd is None else path.name
+    """Write data to path as a new file, by name in dir_fd if given: what
+    is there (a symlink, a hard link, any file) is unlinked first, never
+    written through."""
+    target = _NewFile(path if dir_fd is None else path.name)
+    target.dir_fd = dir_fd
     with contextlib.suppress(FileNotFoundError):
-        st = os.stat(name, dir_fd=dir_fd, follow_symlinks=False)
-        if not stat.S_ISREG(st.st_mode) or st.st_nlink > 1:
-            os.unlink(name, dir_fd=dir_fd)
-    path.write_bytes(data)
+        os.unlink(target, dir_fd=dir_fd)
+    target.write_bytes(data)
 
 
 def _write_payload(root: Path, dirs: Dict[str, int],
@@ -592,7 +605,7 @@ def _read_manifest_head(path: Path) -> dict:
 
 def _read_manifest(path: Path) -> dict:
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(_decode_text(path.read_bytes()))
     except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
         raise ManifestError(
             f"manifest: {path.name} does not parse: {exc}") from None

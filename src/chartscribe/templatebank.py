@@ -20,8 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .chartgen import CATEGORIES, REACHABLE_CELLS
-from .trend import TrendClass
+from .trend import CATEGORIES, REACHABLE_CELLS, TrendClass
 
 MOVES = ("M1", "M2", "M3", "M3_1", "M4", "M5")
 

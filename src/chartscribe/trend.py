@@ -15,7 +15,7 @@ observed trend class coincide on essentially every output.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .rng import Rng, derive_seed, TAG_TREND_RESAMPLE
 
@@ -76,6 +76,28 @@ DIRECTIONAL_CLASSES = (
 )
 
 FLAT_CLASSES = (TrendClass.RANDOM_FLUCTUATION, TrendClass.PLATEAU)
+
+# The chart categories; a chart's category comes from its series' trend
+# classes (chartgen), and the template bank indexes its cells by them.
+CATEGORIES = ("temporal-trend", "temporal-random", "categorical")
+
+_FLAT = tuple(c.value for c in FLAT_CLASSES)
+_DIRECTIONAL = tuple(c.value for c in TrendClass if c not in FLAT_CLASSES)
+
+# Every (category, trend, arity) combination the planner can ask for.
+# temporal-trend charts include flat trends: a two-series chart is in that
+# category as soon as one series is directional, and a sentence may focus
+# on the other one.
+REACHABLE_CELLS: Tuple[Tuple[str, Optional[str], int], ...] = tuple(
+    (category, trend, arity)
+    for category, trends in (
+        ("temporal-trend", _DIRECTIONAL + _FLAT),
+        ("temporal-random", _FLAT),
+        ("categorical", (None,)),
+    )
+    for trend in trends
+    for arity in (1, 2)
+)
 
 
 class ShapeTransform(str, Enum):

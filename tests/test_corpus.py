@@ -1612,6 +1612,37 @@ class TestWritesDoNotFollowLinks:
         assert target.read_text(encoding="utf-8") == "outside the corpus"
         assert (root / rel).is_symlink()
 
+    def test_layout_directory_swapped_after_open_is_not_followed(
+            self, fresh, tmp_path):
+        # the write goes by name into the directory that was opened, not
+        # through the path that now names a symlink
+        root, outside = Path(fresh.output_dir), tmp_path / "outside"
+        outside.mkdir()
+        payload = _RecordBuilder(fresh)(0)
+        with corpus._layout_dirs(root) as dirs:
+            (root / "charts").rename(tmp_path / "moved")
+            (root / "charts").symlink_to(outside, target_is_directory=True)
+            corpus._write_payload(root, dirs, payload)
+        assert list(outside.iterdir()) == []
+        assert (tmp_path / "moved" / "000000.svg").read_bytes() \
+            == payload.data["chart"]
+
+    def test_symlink_planted_after_the_unlink_is_not_followed(
+            self, fresh, tmp_path, monkeypatch):
+        root, outside = Path(fresh.output_dir), tmp_path / "outside"
+        outside.write_text("outside the corpus", encoding="utf-8")
+        unlink = os.unlink
+
+        def unlink_then_plant(name, *, dir_fd=None):
+            unlink(name, dir_fd=dir_fd)
+            os.symlink(outside, name, dir_fd=dir_fd)
+
+        monkeypatch.setattr(os, "unlink", unlink_then_plant)
+        with pytest.raises(FileExistsError):
+            regenerate_record(root, 1)
+        monkeypatch.undo()
+        assert outside.read_text(encoding="utf-8") == "outside the corpus"
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -2164,3 +2195,43 @@ class TestDecodeText:
         decode_file.write_bytes(data)
         assert outcome(_decode_text, data) == \
             outcome(decode_file.read_text, "utf-8")
+
+
+def read_manifest_by_read_text(path):
+    """_read_manifest's result or error text when it decoded the file with
+    Path.read_text, as it did before it decoded the bytes it read."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        return f"manifest: {path.name} does not parse: {exc}"
+    if not isinstance(manifest, dict):
+        return f"manifest: is a {type(manifest).__name__}, not an object"
+    return manifest
+
+
+# pieces of a manifest: JSON tokens, a string holding a raw carriage
+# return, and the pieces read_text decodes or rejects
+MANIFEST_PIECES = [b"{", b"}", b"[", b"]", b'"k"', b":", b",", b"1", b" ",
+                   b'"\r"', *DECODE_PIECES]
+
+
+class TestReadManifest:
+    """_read_manifest decodes the bytes it read with _decode_text, to the
+    result and error texts Path.read_text gave it."""
+
+    @pytest.mark.parametrize("data", [
+        b'{"a": 1,\r\n "b": [2]}\r\n', b'{"a":\r1}', b"\xef\xbb\xbf{}",
+        b'{"a": "\xff"}', b'{"a": "\xe2\x82"}', b'[1]\r\n', b"\r\n"],
+        ids=["crlf", "cr", "bom", "not-utf8", "cut-character", "array",
+             "empty"])
+    def test_hand_cases(self, decode_file, data):
+        decode_file.write_bytes(data)
+        assert read_whole(decode_file) == read_manifest_by_read_text(
+            decode_file)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(MANIFEST_PIECES), max_size=12))
+    def test_matches_read_text(self, decode_file, pieces):
+        decode_file.write_bytes(b"".join(pieces))
+        assert read_whole(decode_file) == read_manifest_by_read_text(
+            decode_file)

@@ -2,8 +2,9 @@
 tracer wraps, and the package exports.  A deletion that leaves one of them
 dangling fails here, not in a traced benchmark run or at
 `from chartscribe import *`.  Also what a bare `import chartscribe` loads,
-and what its dataclasses cost it, and that it needs nothing beyond the
-standard library."""
+what the catalog-and-bank set-up loads and may import, what its
+dataclasses cost it, and that it needs nothing beyond the standard
+library."""
 
 import ast
 import dataclasses
@@ -78,6 +79,97 @@ def test_exports_are_the_public_imports():
     exec("from chartscribe import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(chartscribe.__all__)
+
+
+# the exports, in the order the package lists them
+EXPORTS = [
+    "Rng", "derive_seed", "mix64",
+    "GbmParams", "ShapeTransform", "TrendClass", "TrendSpec",
+    "apply_transform", "classify_trend", "gbm_path", "preset",
+    "synth_trend_series",
+    "Catalog", "DataSeries", "load_catalog", "perturb_to_trend",
+    "sample_series", "synth_catalog", "write_catalog",
+    "ChartKind", "ChartMeta", "ChartSpec", "build_chart_spec", "render",
+    "Template", "TemplateBank", "load_bank", "load_default_bank", "query",
+    "ChartFacts", "Description", "PlanParams", "baseline_generate",
+    "check_move_order", "extract_facts", "format_number",
+    "generate_description", "generate_description_set",
+    "hallucination_check", "plan_moves", "realize",
+    "References", "bleu", "corpus_report", "format_report", "rouge_l",
+    "rouge_n", "score_pair", "tokenize",
+    "CorpusConfig", "default_config", "generate_corpus", "load_config",
+    "load_manifest", "regenerate_record", "stats", "validate_corpus",
+]
+SUBMODULES = ["rng", "trend", "catalog", "chartgen", "templatebank",
+              "narrate", "evalmetrics", "corpus"]
+# what a catalog and the packaged bank need: no chart, narration, eval or
+# corpus code
+SETUP_MODULES = ["catalog", "rng", "templatebank", "trend"]
+
+
+def test_all_is_the_export_list():
+    assert chartscribe.__all__ == EXPORTS
+    assert set(EXPORTS) <= set(dir(chartscribe))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chartscribe.no_such_name
+
+
+def fresh_import(code: str):
+    """What code, run after `import chartscribe` in a fresh interpreter,
+    prints with repr, and the chartscribe submodules loaded by then."""
+    script = ("import sys, chartscribe\n"
+              f"{code}\n"
+              "print(repr(sorted(name.partition('.')[2] for name in sys.modules\n"
+              "                  if name.startswith('chartscribe.'))))")
+    out = subprocess.run([sys.executable, "-S", "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    return [ast.literal_eval(line) for line in out.stdout.splitlines()]
+
+
+def test_bare_import_loads_no_submodule():
+    assert fresh_import("") == [[]]
+
+
+def test_catalog_and_bank_load_only_the_setup_modules():
+    assert fresh_import("chartscribe.synth_catalog(41, 24, 30)\n"
+                        "chartscribe.load_default_bank()") == [SETUP_MODULES]
+
+
+def test_every_submodule_resolves_after_a_bare_import():
+    printed, _ = fresh_import(
+        f"print(repr([getattr(chartscribe, m).__name__ for m in {SUBMODULES!r}]))")
+    assert printed == [f"chartscribe.{m}" for m in SUBMODULES]
+
+
+def package_imports(module: str):
+    """The package modules that module's top-level `from .x import` and
+    `from . import x` statements name."""
+    tree = ast.parse((ROOT / "src" / "chartscribe" / f"{module}.py").read_text(
+        encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module
+                         else [alias.name for alias in node.names])
+    return names
+
+
+@pytest.mark.parametrize("module", SETUP_MODULES)
+def test_setup_modules_import_only_each_other(module):
+    # an edge like templatebank -> chartgen would load the chart code, and
+    # all it imports, into every catalog-and-bank set-up
+    assert sorted(package_imports(module) - set(SETUP_MODULES)) == []
+
+
+def test_category_constants_have_one_definition():
+    from chartscribe import chartgen, templatebank, trend
+    for name in ("CATEGORIES", "REACHABLE_CELLS"):
+        assert getattr(chartgen, name) is getattr(trend, name)
+        assert getattr(templatebank, name) is getattr(trend, name)
 
 
 def test_pool_hook_exists():
