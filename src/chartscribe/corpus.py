@@ -76,6 +76,7 @@ MANIFEST_NAME = "manifest.json"
 _MANIFEST_KEYS = ("format_version", "config", "totals", "cells", "records")
 _MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*("(?:[^"\\]|\\.)*")'
                      r'[ \t\n\r]*:[ \t\n\r]*')
+_HEAD_BYTES = 1 << 16  # the manifest prefix its head is read from
 BUILTIN_BANK = "builtin"  # the template_bank value naming the packaged bank
 
 # seed words of the record streams: position in CATEGORIES and KINDS, from 1
@@ -461,17 +462,29 @@ class _RecordBuilder:
             "descriptions": desc_text.encode("utf-8")})
 
 
-# each parallel-generation worker's builder, made by its pool initializer
-_worker_builder: Optional[_RecordBuilder] = None
+# a pool worker's state: its config, then (builder, dirs, dirs' opener)
+_worker = None
 
 
 def _worker_init(config: CorpusConfig) -> None:
-    global _worker_builder
-    _worker_builder = _RecordBuilder(config)
+    global _worker
+    _worker = config
 
 
-def _worker_build(image_index: int) -> RecordPayload:
-    return _worker_builder(image_index)
+def _worker_build(image_index: int) -> dict:
+    """Build record image_index, write its files, return its manifest
+    entry.  The first record opens the layout directories, so an OSError
+    reaches the parent as itself (from the pool initializer it would be
+    BrokenProcessPool); held with their opener, they stay open until the
+    worker exits."""
+    global _worker
+    if isinstance(_worker, CorpusConfig):
+        opened = _layout_dirs(Path(_worker.output_dir))
+        _worker = (_RecordBuilder(_worker), opened.__enter__(), opened)
+    builder, dirs, _ = _worker
+    payload = builder(image_index)
+    _write_payload(Path(builder.config.output_dir), dirs, payload)
+    return payload.entry
 
 
 @contextlib.contextmanager
@@ -506,13 +519,15 @@ class _NewFile(type(Path())):
 
 def _write_file(path: Path, data: bytes, dir_fd: Optional[int] = None) -> None:
     """Write data to path as a new file, by name in dir_fd if given: what
-    is there (a symlink, a hard link, any file) is unlinked first, never
-    written through."""
+    is there (a symlink, a hard link, any file) is unlinked and the file
+    created again, never written through."""
     target = _NewFile(path if dir_fd is None else path.name)
     target.dir_fd = dir_fd
-    with contextlib.suppress(FileNotFoundError):
+    try:
+        target.write_bytes(data)
+    except FileExistsError:
         os.unlink(target, dir_fd=dir_fd)
-    target.write_bytes(data)
+        target.write_bytes(data)
 
 
 def _write_payload(root: Path, dirs: Dict[str, int],
@@ -539,19 +554,18 @@ def generate_corpus(config: CorpusConfig, jobs: int = 1) -> dict:
     # and bank: never more of them than records
     workers = min(jobs, total)
     entries: List[dict] = []
-    with contextlib.ExitStack() as stack:
-        dirs = stack.enter_context(_layout_dirs(root))
+    with _layout_dirs(root) as dirs:
         if workers <= 1:
-            payloads = map(builder, range(total))
-        else:
-            pool = stack.enter_context(sys.modules[__name__].ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init,
-                initargs=(config,)))
-            payloads = pool.map(_worker_build, range(total),
-                                chunksize=max(1, total // (workers * 8)))
-        for payload in payloads:
-            _write_payload(root, dirs, payload)
-            entries.append(payload.entry)
+            for payload in map(builder, range(total)):
+                _write_payload(root, dirs, payload)
+                entries.append(payload.entry)
+        else:  # each worker writes its records; only entries come back
+            with sys.modules[__name__].ProcessPoolExecutor(
+                    max_workers=workers, initializer=_worker_init,
+                    initargs=(config,)) as pool:
+                entries = list(pool.map(
+                    _worker_build, range(total),
+                    chunksize=max(1, total // (workers * 8))))
 
     manifest = _manifest(FORMAT_VERSION, config.to_dict(), builder.cells,
                          entries)
@@ -583,11 +597,12 @@ def load_manifest(corpus_dir) -> dict:
 
 
 def _read_manifest_head(path: Path) -> dict:
-    """_read_manifest(path) less "records", whose text is not decoded when
-    generate's four members come before it, in its order: damage in or
-    after "records", or a member repeated after it, then goes unseen."""
-    try:  # a byte that is not UTF-8 is a lone surrogate, refused in the head
-        text = path.read_bytes().decode("utf-8", "surrogateescape")
+    """_read_manifest(path) less "records", unread when generate's four
+    members come before it, in its order, in the first _HEAD_BYTES bytes:
+    damage from "records" on, or a member repeated after it, goes unseen."""
+    try:  # a byte not UTF-8, or of a cut character, is a lone surrogate
+        with path.open("rb") as file:
+            text = file.read(_HEAD_BYTES).decode("utf-8", "surrogateescape")
         head, at = {}, 0
         for name, opener in zip(_MANIFEST_KEYS, "{,,,,"):
             member = _MEMBER.match(text, at)
@@ -595,7 +610,7 @@ def _read_manifest_head(path: Path) -> dict:
                     or json.decoder.scanstring(member[2], 1)[0] != name:
                 break
             if name == "records":
-                text[:member.end()].encode("utf-8")
+                text[:member.end()].encode("utf-8")  # refuses a surrogate
                 return head
             head[name], at = json.JSONDecoder().raw_decode(text, member.end())
     except (ValueError, RecursionError):

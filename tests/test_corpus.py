@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -637,13 +638,47 @@ class TestGenerateCorpus:
 
         mapped = []
         monkeypatch.setattr("chartscribe.corpus.ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr("chartscribe.corpus._worker_builder", None)
+        monkeypatch.setattr("chartscribe.corpus._worker", None)
         config = CorpusConfig(seed=41, output_dir=str(tmp_path / "out"),
                               cell_counts=cells, count_scale=0.002)
         generate_corpus(config, jobs=64)
         assert started == workers
         # the workers are handed image indices, not plans
         assert mapped == [list(range(15))] * len(workers)
+
+    def test_workers_return_entries_not_file_bytes(self, tmp_path,
+                                                   monkeypatch):
+        # an in-process stand-in for the pool keeps what each task returns
+        returned = []
+
+        class FakePool:
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                for item in items:
+                    returned.append(fn(item))
+                    yield returned[-1]
+
+        monkeypatch.setattr("chartscribe.corpus.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("chartscribe.corpus._worker", None)
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        entries = generate_corpus(CorpusConfig(
+            seed=41, output_dir=str(serial), count_scale=0.002))["records"]
+        generate_corpus(CorpusConfig(seed=41, output_dir=str(parallel),
+                                     count_scale=0.002), jobs=2)
+        # each result is the serial manifest entry, plain JSON with no
+        # bytes, a few hundred bytes pickled; the worker wrote the files
+        assert returned == entries
+        assert json.loads(json.dumps(returned)) == entries
+        assert max(len(pickle.dumps(r)) for r in returned) < 1024
+        assert tree_hash(parallel) == tree_hash(serial)
 
     def test_bad_jobs(self):
         with pytest.raises(ValueError):
@@ -1627,6 +1662,31 @@ class TestWritesDoNotFollowLinks:
         assert (tmp_path / "moved" / "000000.svg").read_bytes() \
             == payload.data["chart"]
 
+    @pytest.mark.parametrize("via", ["generate_corpus", "cli"])
+    def test_layout_directory_swapped_before_the_workers_open_theirs(
+            self, fresh, tmp_path, monkeypatch, capsys, via):
+        # the parent has opened its layout directories; each worker opens
+        # its own, refuses the symlink, and its OSError reaches the parent
+        root, outside = Path(fresh.output_dir), tmp_path / "outside"
+        outside.mkdir()
+        start_pool = corpus.ProcessPoolExecutor
+
+        def swap_then_start(*args, **kwargs):
+            (root / "charts").rename(tmp_path / "moved")
+            (root / "charts").symlink_to(outside, target_is_directory=True)
+            return start_pool(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "ProcessPoolExecutor", swap_then_start)
+        if via == "cli":
+            assert cli.main(["generate", "--seed", "41", "--count-scale",
+                             "0.002", "--out", str(root), "--jobs", "2"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            with pytest.raises(OSError):
+                generate_corpus(fresh, jobs=2)
+        assert list(outside.iterdir()) == []
+
     def test_symlink_planted_after_the_unlink_is_not_followed(
             self, fresh, tmp_path, monkeypatch):
         root, outside = Path(fresh.output_dir), tmp_path / "outside"
@@ -1752,14 +1812,16 @@ def manifest_texts(draw):
     """(text, its uncut text, whether the head reader may stop at
     "records"): the five members generate writes, in its order or shuffled,
     with keys repeated before "records", whitespace between tokens, a value
-    or a separator before "records" that is not JSON, and the text cut
-    inside "records"."""
+    or a separator before "records" that is not JSON, values with or
+    without characters beyond ASCII, and the text cut inside "records"."""
     rarely = st.integers(0, 3).map(lambda n: n == 3)
+    plain = draw(st.booleans())
     keys = list(draw(st.just(HEAD_KEYS) | st.permutations(HEAD_KEYS)))
     for _ in range(draw(st.integers(1, 2)) if draw(rarely) else 0):
         keys.insert(draw(st.integers(0, keys.index("records"))),
                     draw(st.sampled_from(HEAD_KEYS + ("extra",))))
-    values = [json.dumps(draw(FINITE_JSON)) for _ in keys]
+    values = [json.dumps(draw(FINITE_JSON), ensure_ascii=plain)
+              for _ in keys]
     fast = tuple(keys[:5]) == HEAD_KEYS
     first_records = keys.index("records")
     if first_records and draw(rarely):  # a value that is not JSON
@@ -1811,6 +1873,55 @@ class TestManifestHead:
         scratch.write_bytes(text.encode("utf-8")
                             + (junk if text != uncut else b""))
         self.check(scratch, uncut, fast)
+
+    @settings(max_examples=300)
+    @given(drawn=manifest_texts(), data=st.data())
+    def test_drawn_manifests_cut_by_the_prefix(self, scratch, drawn, data):
+        # a prefix that ends before the colon after "records", in a member,
+        # a value or a character, sends the read whole
+        text, uncut, fast = drawn
+        raw = text.encode("utf-8")
+        size = data.draw(st.integers(0, len(raw)), label="prefix bytes")
+        if fast:  # no value is long enough to hold the key "records"
+            colon = text.index(":", text.index('"records"'))
+            fast = size > len(text[:colon].encode("utf-8"))
+        scratch.write_bytes(raw)
+        with mock.patch.object(corpus, "_HEAD_BYTES", size):
+            self.check(scratch, uncut, fast)
+
+    def test_every_prefix_of_a_manifest_beyond_ascii(self, scratch):
+        # two-, three- and four-byte characters in the head and in
+        # "records", each cut at some prefix length
+        text = json.dumps({
+            "format_version": 2, "config": {"template_bank": "bänk€𝄞.tsv"},
+            "totals": {"charts": 1}, "cells": [],
+            "records": [{"kind": "ü€𝄞"}]}, ensure_ascii=False)
+        raw = text.encode("utf-8")
+        colon = len(text[:text.index(":", text.index('"records"'))].encode())
+        scratch.write_bytes(raw)
+        for size in range(len(raw) + 1):
+            with mock.patch.object(corpus, "_HEAD_BYTES", size):
+                self.check(scratch, text, size > colon)
+
+    @pytest.mark.parametrize("where", ["config", "records"])
+    def test_character_cut_at_the_prefix_boundary(self, scratch, where):
+        # "€" (three bytes) starts at the prefix's last byte, in the head's
+        # config or in "records"
+        def manifest(value: str) -> str:
+            return json.dumps({
+                "format_version": 2,
+                "config": {"x": value} if where == "config" else {},
+                "totals": {}, "cells": [],
+                "records": [value] if where == "records" else []},
+                ensure_ascii=False)
+
+        pad = "x" * (corpus._HEAD_BYTES - 1 - manifest("€").index("€"))
+        text = manifest(pad + "€")
+        raw = text.encode("utf-8")
+        assert raw[corpus._HEAD_BYTES - 1:corpus._HEAD_BYTES + 2] \
+            == "€".encode("utf-8")
+        scratch.write_bytes(raw)
+        self.check(scratch, text, where == "records")
 
     @settings(max_examples=100)
     @given(text=FINITE_JSON.filter(lambda v: not isinstance(v, dict)).map(
