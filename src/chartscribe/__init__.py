@@ -3,6 +3,11 @@ templated analytical descriptions, plus n-gram metrics to score them."""
 
 __version__ = "0.1.0"
 
+# defaults shared by the submodules and the CLI's parser, which shows them
+# before any submodule loads
+BUILTIN_BANK = "builtin"  # the template_bank value naming the packaged bank
+DEFAULT_VARIANTS = 3  # descriptions drawn per chart when the caller does not say
+
 # the public names, by the submodule that defines each; `import chartscribe`
 # loads none of the submodules, and a name or a submodule is imported on
 # its first lookup (PEP 562), then kept in this module's globals

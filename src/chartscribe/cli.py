@@ -13,6 +13,11 @@ Five subcommands cover the corpus life cycle:
 
 `validate` exits nonzero when violations are found; everything else exits
 nonzero only on usage or I/O errors.
+
+Each subcommand imports the modules it uses when it runs, so an `eval`
+without `--by-kind` loads no corpus, chart, narration or catalog code.
+`evalmetrics` stays a top-level import, so `score_pair` is an attribute of
+this module, where it can be wrapped or patched.
 """
 
 import argparse
@@ -21,29 +26,39 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from .catalog import CatalogFormatError
-from .chartgen import ChartMeta, meta_problems, _a
-from .corpus import (
-    _MALFORMED, BUILTIN_BANK, ConfigError, ManifestError, _build_bank,
-    _config_builder, _read_manifest_head, _validate, default_config,
-    generate_corpus, load_config, stats,
-)
+from . import BUILTIN_BANK, DEFAULT_VARIANTS
 from .evalmetrics import (
     SIGNATURE, References, corpus_report, format_report, score_pair,
 )
-from .narrate import DEFAULT_VARIANTS, generate_description_set
-from .rng import Rng
-from .templatebank import BankFormatError
 
 
 class CliError(Exception):
     """User-facing failure; main() prints it and exits 2."""
 
 
+# the error classes main turns into exit 2 besides CliError and OSError,
+# by the module that defines them
+_USER_ERRORS = {"chartscribe.corpus": ("ConfigError", "ManifestError"),
+                "chartscribe.templatebank": ("BankFormatError",),
+                "chartscribe.catalog": ("CatalogFormatError",)}
+
+
+def _user_errors() -> Tuple[type, ...]:
+    """The classes main reports in one line: those of the modules loaded
+    by now, as a class whose module never loaded cannot have been raised."""
+    classes = [CliError, OSError]
+    for name, attrs in _USER_ERRORS.items():
+        module = sys.modules.get(name)
+        if module is not None:
+            classes += [getattr(module, attr) for attr in attrs]
+    return tuple(classes)
+
+
 def _cmd_generate(args) -> int:
     import logging  # only generate logs: its record retries
+    from .corpus import default_config, generate_corpus, load_config
     logging.basicConfig(level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     if args.config is None and args.seed is None:
@@ -71,12 +86,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .corpus import stats
     _, table = stats(args.corpus_dir)
     print(table)
     return 0
 
 
 def _cmd_validate(args) -> int:
+    from .corpus import _validate
     problems, totals = _validate(Path(args.corpus_dir))
     for problem in problems:
         print(problem)
@@ -89,6 +106,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_describe(args) -> int:
+    from .chartgen import ChartMeta, meta_problems
+    from .corpus import _MALFORMED, _build_bank
+    from .narrate import generate_description_set
+    from .rng import Rng
     if args.variants < 1:
         raise CliError(f"describe: --variants must be >= 1, got {args.variants}")
     meta_path = Path(args.meta)
@@ -141,6 +162,7 @@ def _read_scored_lines(path) -> Dict[object, List[str]]:
             for name, value, allowed in (("text", text, (str,)),
                                          ("image_index", key, (int, str))):
                 if type(value) not in allowed:
+                    from .chartgen import _a
                     raise CliError(
                         f"eval: {path} line {line_no + 1}: \"{name}\" is "
                         f"{_a(type(value).__name__)}, not "
@@ -166,8 +188,10 @@ def _cmd_eval(args) -> int:
             refs.setdefault(key, []).extend(texts)
 
     # the kind of record i is its config's plan of i: the records are not read
-    planner = (None if args.by_kind is None
-               else _config_builder(_read_manifest_head(Path(args.by_kind))))
+    planner = None
+    if args.by_kind is not None:
+        from .corpus import _config_builder, _read_manifest_head
+        planner = _config_builder(_read_manifest_head(Path(args.by_kind)))
 
     pairs = []
     missing = [key for key in hyps if key not in refs]
@@ -248,8 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, ManifestError, BankFormatError,
-            CatalogFormatError, OSError) as exc:
+    except _user_errors() as exc:  # evaluated once the handler has run
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

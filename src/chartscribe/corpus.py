@@ -37,6 +37,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from . import BUILTIN_BANK, DEFAULT_VARIANTS
 from .catalog import (
     Catalog, DataSeries, load_catalog, perturb_to_trend, sample_series,
     synth_catalog,
@@ -44,7 +45,7 @@ from .catalog import (
 from .chartgen import (CATEGORIES, KINDS, ChartKind, ChartMeta, render,
                        build_chart_spec, meta_problems, _a)
 from .narrate import (
-    DEFAULT_PLAN_PARAMS, DEFAULT_VARIANTS, PlanParams, Description,
+    DEFAULT_PLAN_PARAMS, PlanParams, Description,
     check_move_order, extract_facts, generate_description_set,
     hallucination_check,
 )
@@ -77,7 +78,6 @@ _MANIFEST_KEYS = ("format_version", "config", "totals", "cells", "records")
 _MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*("(?:[^"\\]|\\.)*")'
                      r'[ \t\n\r]*:[ \t\n\r]*')
 _HEAD_BYTES = 1 << 16  # the manifest prefix its head is read from
-BUILTIN_BANK = "builtin"  # the template_bank value naming the packaged bank
 
 # seed words of the record streams: position in CATEGORIES and KINDS, from 1
 CATEGORY_CODES = {category: i for i, category in enumerate(CATEGORIES, 1)}

@@ -24,9 +24,16 @@ mask of token i + 1 marks where that bigram ends in every reference, and
 so on up the orders.  Each occurrence of an n-gram in the hypothesis then
 uses up the lowest unused mark of every field at once, with one add, so
 the marks used in a field are the clipped overlap with that reference,
-and the occurrences that found a mark are BLEU's clipped count.  One such
-pass over orders 1 to 4 scores a pair.  The per-reference loops and the
-shift-and-OR table build this replaced are kept in the tests as oracles.
+and the occurrences that found a mark are BLEU's clipped count.
+
+`score_pair` walks its hypothesis once (`References.pair_counts`): each
+token takes one LCS step, extends the end masks of orders 1 to 4 from the
+previous token's, and clips each order against that order's own unused
+marks.  A token that no reference holds ends every n-gram and leaves the
+LCS as it is.  `bleu`, `rouge_n` and `rouge_l` take any order, so they
+keep the per-order pass (`References.overlaps`) and the LCS pass
+(`References.lcs`).  The per-reference loops and the shift-and-OR table
+build these replaced are kept in the tests as oracles.
 """
 
 import math
@@ -169,6 +176,57 @@ class References:
             out.append((clipped, [(used & f).bit_count() for f in fields]))
         return out
 
+    def pair_counts(self, hyp: Sequence[str]) -> Tuple[
+            List[int], Tuple[List[int], List[int]], List[int]]:
+        """BLEU's clipped counts of orders 1 to 4, the overlaps of orders 1
+        and 2 with each reference and the LCS lengths, as `overlaps(hyp, 4)`
+        and `lcs(hyp)` give them, from one walk over hyp.  Each token takes
+        one `lcs` step, extends each order's end mask from the previous
+        token's (shifted up one, ANDed with the token's mask) and clips it
+        as `overlaps` does.  A token in no reference has mask 0: it ends
+        every n-gram and leaves the LCS as it is.  An n-gram ends where its
+        (n - 1)-gram suffix does, so e3 lies within e2 and e2 within e1: an
+        order whose lower order's mask was 0 keeps its own 0."""
+        masks, full, fields, lows, guards = self._packed
+        step = guards - lows
+        get = masks.get
+        v = free1 = free2 = free3 = free4 = full
+        e1 = e2 = e3 = c1 = c2 = c3 = c4 = 0
+        for tok in hyp:
+            m = get(tok, 0)
+            if not m:
+                e1 = e2 = e3 = 0
+                continue
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+            if e3:
+                x = (e3 << 1) & m & free4
+                if x:
+                    c4 += 1
+                    free4 ^= x ^ (x & (x + step))
+            if e2:
+                e3 = (e2 << 1) & m
+                x = e3 & free3
+                if x:
+                    c3 += 1
+                    free3 ^= x ^ (x & (x + step))
+            if e1:
+                e2 = (e1 << 1) & m
+                x = e2 & free2
+                if x:
+                    c2 += 1
+                    free2 ^= x ^ (x & (x + step))
+            e1 = m
+            x = m & free1
+            if x:
+                c1 += 1
+                free1 ^= x ^ (x & (x + step))
+        used1, used2, zeros = full ^ free1, full ^ free2, full ^ v
+        return ([c1, c2, c3, c4],
+                ([(used1 & f).bit_count() for f in fields],
+                 [(used2 & f).bit_count() for f in fields]),
+                [(zeros & f).bit_count() for f in fields])
+
 
 RefsLike = Union[References, Sequence[Sequence[str]]]
 
@@ -235,13 +293,17 @@ def _rouge_n(overlaps: Sequence[int], c: int, lengths: Sequence[int],
 def rouge_l(hyp: Sequence[str], refs: RefsLike) -> float:
     """ROUGE-L F1 from LCS length, maximum over references."""
     refs = _references(refs)
-    if not hyp:
-        return 0.0
-    m = len(hyp)
+    return _rouge_l(refs.lcs(hyp), len(hyp), refs.lengths)
+
+
+def _rouge_l(lcs_lengths: Sequence[int], c: int,
+             lengths: Sequence[int]) -> float:
+    """`rouge_l` of a hypothesis of c tokens whose LCS lengths with the
+    references are lcs_lengths."""
     best = 0.0
-    for lcs, ref_len in zip(refs.lcs(hyp), refs.lengths):
-        if lcs:  # a zero LCS has F1 0
-            p, r = lcs / m, lcs / ref_len
+    for lcs, ref_len in zip(lcs_lengths, lengths):
+        if lcs:  # a zero LCS has F1 0, and an empty hypothesis has only those
+            p, r = lcs / c, lcs / ref_len
             f1 = 2 * p * r / (p + r)
             if f1 > best:
                 best = f1
@@ -266,16 +328,17 @@ def score_pair(hyp_text: str, ref_texts: Union[References, Sequence[str]],
                kind: str = "") -> ScoredPair:
     """Tokenize and score one hypothesis against its references, given as
     texts or as a `References.from_texts` set shared across hypotheses:
-    BLEU-4, ROUGE-1, ROUGE-2 and ROUGE-L, from one overlap pass."""
+    BLEU-4, ROUGE-1, ROUGE-2 and ROUGE-L, from one pass over the
+    hypothesis (`References.pair_counts`)."""
     refs = (ref_texts if isinstance(ref_texts, References)
             else References.from_texts(ref_texts))
     hyp = tokenize(hyp_text)
-    orders = refs.overlaps(hyp, 4)
+    clipped, (unigrams, bigrams), lcs = refs.pair_counts(hyp)
     c, lengths = len(hyp), refs.lengths
-    scores = {"bleu4": _bleu([clipped for clipped, _ in orders], c, lengths),
-              "rouge1": _rouge_n(orders[0][1], c, lengths, 1),
-              "rouge2": _rouge_n(orders[1][1], c, lengths, 2),
-              "rougeL": rouge_l(hyp, refs)}
+    scores = {"bleu4": _bleu(clipped, c, lengths),
+              "rouge1": _rouge_n(unigrams, c, lengths, 1),
+              "rouge2": _rouge_n(bigrams, c, lengths, 2),
+              "rougeL": _rouge_l(lcs, c, lengths)}
     return ScoredPair(scores, kind)
 
 

@@ -29,6 +29,7 @@ from operator import attrgetter
 from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
+from . import DEFAULT_VARIANTS
 from .catalog import DataSeries
 from .chartgen import CATEGORIES, ChartMeta, _codec
 from .evalmetrics import tokenize
@@ -56,9 +57,6 @@ KIND_PHRASES = {
 }
 
 QUALIFIERS = ("about", "approximately", "nearly", "around")
-
-# descriptions drawn per chart when the caller does not say
-DEFAULT_VARIANTS = 3
 
 # One phrase set per trend class.  Every phrase is unique across classes so
 # a description can never be read as claiming a different trend than the

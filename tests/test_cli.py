@@ -879,3 +879,95 @@ class TestParser:
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+def generate_ini(setting, name):
+    return (f"[corpus]\nseed = 1\ncount_scale = 0.002\noutput_dir = out\n"
+            f"{setting} = {name}\n")
+
+
+# what each error case writes into its directory
+ERROR_FILES = {
+    "bad.ini": "[corpus]\nseed = one\n",
+    "bad.tsv": INPUT_FILES["bad.tsv"].decode(),
+    "bad.csv": INPUT_FILES["bad.csv"].decode(),
+    "bad.dict.csv": INPUT_FILES["bad.dict.csv"].decode(),
+    "ref.txt": "a b c\n",
+    "stats/manifest.json": "not json\n",
+    "bank.ini": generate_ini("template_bank", "bad.tsv"),
+    "catalog.ini": generate_ini("catalog_source", "bad.csv"),
+}
+
+
+# error class -> the arguments that raise it, relative to the case's
+# directory, and what its one line says
+ERROR_CASES = {
+    "CliError": (["generate"], "generate: need --config or --seed"),
+    "ConfigError": (["generate", "--config", "bad.ini"],
+                    "[corpus] seed = 'one' is not an integer"),
+    "ManifestError": (["stats", "stats"], "manifest.json does not parse"),
+    "BankFormatError": (["generate", "--config", "bank.ini"],
+                        "bad.tsv:1: expected 7 tab-separated fields"),
+    "CatalogFormatError": (["generate", "--config", "catalog.ini"],
+                           "bad.csv:2: data row needs 4 fields"),
+    "OSError": (["eval", "--hyp", "stats", "--ref", "ref.txt"],
+                "Is a directory"),
+}
+
+
+class TestLoadsOnFirstUse:
+    """Each subcommand imports what it uses: the parser and eval load no
+    corpus, chart, narration or catalog code, and every error class main
+    maps is still one line and exit 2 in a process that loaded only what
+    its subcommand needs."""
+
+    def test_eval_loads_no_generator_module(self, tmp_path):
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("the values rose\nexports fell\n")
+        code = (
+            "import sys\n"
+            "def loaded():\n"
+            "    print('loaded', [m for m in ('corpus', 'chartgen', 'narrate',\n"
+            "                                 'catalog')\n"
+            "                     if 'chartscribe.' + m in sys.modules])\n"
+            "from chartscribe import cli\n"
+            "loaded()\n"
+            f"assert cli.main(['eval', '--hyp', {str(hyp)!r}, '--ref',\n"
+            f"                 {str(hyp)!r}]) == 0\n"
+            "loaded()\n")
+        done = subprocess.run([sys.executable, "-S", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert [line for line in done.stdout.splitlines()
+                if line.startswith("loaded")] == ["loaded []"] * 2
+        assert "overall" in done.stdout
+
+    def test_parser_defaults_are_the_package_defaults(self):
+        args = build_parser().parse_args(["describe", "--meta", "m.json"])
+        config = corpus.default_config(seed=0)
+        assert (args.bank, args.variants) == \
+            (config.template_bank, config.descriptions_per_chart) == \
+            ("builtin", 3)
+
+    @pytest.mark.parametrize("name", list(ERROR_CASES))
+    def test_error_class_is_one_line_and_exit_2(self, tmp_path, monkeypatch,
+                                                 name):
+        (tmp_path / "stats").mkdir()
+        for file_name, text in ERROR_FILES.items():
+            (tmp_path / file_name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        argv, message = ERROR_CASES[name]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(Exception) as raised:
+            args.func(args)
+        assert name in [cls.__name__ for cls in type(raised.value).__mro__]
+        # a fresh interpreter has loaded only what the subcommand imports
+        done = subprocess.run([sys.executable, "-m", "chartscribe.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and \
+            done.stderr.count("\n") == 1, done.stderr
+        assert message in done.stderr
+        assert not (tmp_path / "out").exists()

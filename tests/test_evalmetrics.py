@@ -1,13 +1,14 @@
 """Tokenizer and overlap-metric behavior, including the frozen oracle values."""
 
 import importlib.util
+import itertools
 import math
 import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chartscribe.evalmetrics import (
     EmptyReportError, References, ScoredPair, bleu,
@@ -341,17 +342,23 @@ class TestPreparedReferences:
         with pytest.raises(ValueError):
             References([])
 
-    def test_one_overlap_pass_per_pair(self, monkeypatch):
+    def test_one_scoring_pass_per_pair(self, monkeypatch):
         passes = []
-        overlaps = References.overlaps
+        pair_counts = References.pair_counts
 
-        def counted(self, hyp, max_n):
-            passes.append(max_n)
-            return overlaps(self, hyp, max_n)
-        monkeypatch.setattr(References, "overlaps", counted)
-        hyp, refs, expected = PINNED[0]
-        assert score_pair(hyp, refs).scores == expected
-        assert passes == [4]
+        def counted(self, hyp):
+            passes.append(hyp)
+            return pair_counts(self, hyp)
+
+        def refuse(self, *args):
+            raise AssertionError("score_pair walked the hypothesis again")
+
+        monkeypatch.setattr(References, "pair_counts", counted)
+        monkeypatch.setattr(References, "overlaps", refuse)
+        monkeypatch.setattr(References, "lcs", refuse)
+        for hyp, refs, expected in PINNED:
+            assert score_pair(hyp, refs).scores == expected
+        assert passes == [tokenize(hyp) for hyp, _, _ in PINNED]
 
 
 # The per-reference loops the packed table replaced: the oracles.
@@ -483,12 +490,13 @@ FILL_LENGTHS = (1, 2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129)
 
 
 @st.composite
-def scoring_cases(draw):
+def scoring_cases(draw, absent=False):
     """A hypothesis and 1, 2, 3 or 40 references over 2 to 4 tokens, so
     n-grams repeat.  References may be empty or sit at the 64-bit word
     boundaries or at the byte boundaries of the table's bitmaps; the
     hypothesis is empty, one token, random, or longer than every
-    reference."""
+    reference.  With absent, up to 6 tokens that no reference holds are
+    put into the hypothesis at random places."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     alphabet = "abcd"[:draw(st.integers(2, 4))]
     count = draw(st.sampled_from((1, 2, 3, 40)))
@@ -499,7 +507,21 @@ def scoring_cases(draw):
     hyp_len = draw(st.one_of(st.just(0), st.just(1), st.integers(0, 40),
                              st.integers(longest + 1, longest + 8)))
     refs = [[rng.choice(alphabet) for _ in range(n)] for n in lengths]
-    return [rng.choice(alphabet) for _ in range(hyp_len)], refs
+    hyp = [rng.choice(alphabet) for _ in range(hyp_len)]
+    if absent:
+        for _ in range(draw(st.integers(0, 6))):
+            hyp.insert(rng.randint(0, len(hyp)), "z")
+    return hyp, refs
+
+
+def pair_counts_oracle(hyp, refs):
+    """`References.pair_counts` from the oracles: the clipped counts of
+    orders 1 to 4, the overlaps of orders 1 and 2 with each reference, and
+    the LCS lengths."""
+    orders = overlaps_oracle(hyp, refs, 4)
+    masks = position_masks(hyp)
+    return ([clipped for clipped, _ in orders], (orders[0][1], orders[1][1]),
+            [lcs_masked_oracle(masks, len(hyp), r) for r in refs])
 
 
 class TestAgainstOracles:
@@ -538,6 +560,33 @@ class TestAgainstOracles:
         assert orders == overlaps_oracle(hyp, refs, 3)
         # "a b" occurs 4 times in hyp and at most twice in one reference
         assert orders[1] == (3, [3, 1, 2])
+        assert References(refs).pair_counts(hyp) == \
+            pair_counts_oracle(hyp, refs)
+
+    @settings(max_examples=300)
+    @given(st.one_of(scoring_cases(), scoring_cases(absent=True)))
+    @example((["a", "z", "b"], [["a", "b"]]))
+    @example((["a", "b", "q", "a", "b", "c"], [["a", "b", "c"], ["b", "a"]]))
+    @example((["x", "x", "x", "y", "x", "x", "x"], [["x"] * 4, ["x"] * 8]))
+    def test_pair_counts(self, case):
+        hyp, refs = case
+        prepared = References(refs)
+        counts = prepared.pair_counts(hyp)
+        assert counts == pair_counts_oracle(hyp, refs)
+        orders = prepared.overlaps(hyp, 4)
+        assert counts == ([clipped for clipped, _ in orders],
+                          (orders[0][1], orders[1][1]), prepared.lcs(hyp))
+
+    @pytest.mark.parametrize("hyp", [
+        list(hyp) for length in range(4)
+        for hyp in itertools.product("abz", repeat=length)],
+        ids=lambda hyp: "".join(hyp) or "empty")
+    def test_pair_counts_of_short_hypotheses(self, hyp):
+        # every hypothesis of 0 to 3 tokens over two reference tokens and
+        # one that no reference holds; each set has one reference too
+        for refs in ([["a", "b", "a"]], [["b", "a"], ["a", "b", "b"], []]):
+            assert References(refs).pair_counts(hyp) == \
+                pair_counts_oracle(hyp, refs)
 
     @settings(max_examples=150)
     @given(scoring_cases())
