@@ -40,7 +40,8 @@ class CliError(Exception):
 
 # the error classes main turns into exit 2 besides CliError and OSError,
 # by the module that defines them
-_USER_ERRORS = {"chartscribe.corpus": ("ConfigError", "ManifestError"),
+_USER_ERRORS = {"chartscribe.corpus": ("ConfigError", "ManifestError",
+                                       "CorpusGenerationError"),
                 "chartscribe.templatebank": ("BankFormatError",),
                 "chartscribe.catalog": ("CatalogFormatError",)}
 

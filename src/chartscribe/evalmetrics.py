@@ -13,27 +13,15 @@ character loop that defines the tokenizer is kept in the tests as its oracle.
 
 Scores are reported on a 0..100 scale.
 
-A hypothesis is scored against its whole reference set at once, from one
-table.  A `References`, prepared once per set and shared by its
-hypotheses, packs every reference's token positions into one int per
-token, read from a byte bitmap, each reference in a field of its own.
-ROUGE-L runs the bit-vector LCS recurrence (Crochemore et al. 2001) over
-the hypothesis once for all references.  BLEU and ROUGE-N read the same
-table: the mask of hypothesis token i shifted up one and ANDed with the
-mask of token i + 1 marks where that bigram ends in every reference, and
-so on up the orders.  Each occurrence of an n-gram in the hypothesis then
-uses up the lowest unused mark of every field at once, with one add, so
-the marks used in a field are the clipped overlap with that reference,
-and the occurrences that found a mark are BLEU's clipped count.
-
-`score_pair` walks its hypothesis once (`References.pair_counts`): each
-token takes one LCS step, extends the end masks of orders 1 to 4 from the
-previous token's, and clips each order against that order's own unused
-marks.  A token that no reference holds ends every n-gram and leaves the
-LCS as it is.  `bleu`, `rouge_n` and `rouge_l` take any order, so they
-keep the per-order pass (`References.overlaps`) and the LCS pass
-(`References.lcs`).  The per-reference loops and the shift-and-OR table
-build these replaced are kept in the tests as oracles.
+A hypothesis is scored against its whole reference set at once.  A
+`References`, prepared once per set and shared by its hypotheses, packs
+every reference's token positions into one int per token, read from a
+byte bitmap, each reference in a field of its own.  Every metric walks
+the hypothesis once over that table (`References.pair_counts`), taking
+one step of the bit-vector LCS (Crochemore et al. 2001) and clipping the
+n-grams of orders 1 to 4 against every reference at once.  The
+per-reference loops and the shift-and-OR table build this replaced are
+kept in the tests as oracles.
 """
 
 import math
@@ -121,72 +109,32 @@ class References:
                  for tok, bits in bitmaps.items()}
         return masks, sum(fields), tuple(fields), lows, guards
 
-    def lcs(self, hyp: Sequence[str]) -> List[int]:
-        """Longest common subsequence length of hyp with each reference,
-        by one pass of the bit-vector recurrence over hyp: V starts as the
-        field bits and, per token, U = V & mask, V = (V + U) | (V - U).
-        A carry out of a field stops at its guard bit, and U is a subset
-        of V, so the subtraction never borrows.  The zero bits of a field
-        count that reference's LCS."""
-        masks, full, fields = self._packed[:3]
-        v = full
-        get = masks.get
-        for y in hyp:
-            u = v & get(y, 0)
-            v = ((v + u) | (v - u)) & full
-        zeros = full ^ v
-        return [(zeros & f).bit_count() for f in fields]
-
-    def overlaps(self, hyp: Sequence[str],
-                 max_n: int) -> List[Tuple[int, List[int]]]:
-        """Per n-gram order 1 to max_n: the clipped overlap with each
-        n-gram's highest count in any one reference (BLEU), and the
-        clipped overlap with each reference (ROUGE-N).
-
-        The order-n mask of hyp position i, the order-(n - 1) mask shifted
-        up one and ANDed with the mask of token i + n - 1, has a bit set
-        where that n-gram ends in a reference; a field's top bit shifts
-        onto its guard bit, so no n-gram spans two references.  Equal
-        n-grams have equal masks and different ones disjoint masks.  Each
-        occurrence in hyp uses up, in every field, the lowest bit of its
-        mask not yet used: m + (guards - lows) subtracts one from every
-        field, borrowing at most from its guard bit, so m & that clears
-        each field's lowest bit.  It equals (m | guards) - lows, as m
-        never holds a guard bit, with one wide operation fewer.  An
-        occurrence that finds a bit left in any field is clipped in; the
-        bits used in a field are the overlap with that reference."""
-        masks, full, fields, lows, guards = self._packed
-        step = guards - lows
-        first = [masks.get(tok, 0) for tok in hyp]
-        ends = first
-        out = []
-        for n in range(1, max_n + 1):
-            if n > 1:
-                ends = [(m << 1) & b if m else 0
-                        for m, b in zip(ends, first[n - 1:])]
-            clipped = 0
-            free = full
-            for m in ends:
-                if m:
-                    m &= free
-                    if m:
-                        clipped += 1
-                        free ^= m ^ (m & (m + step))
-            used = full ^ free
-            out.append((clipped, [(used & f).bit_count() for f in fields]))
-        return out
-
     def pair_counts(self, hyp: Sequence[str]) -> Tuple[
             List[int], Tuple[List[int], List[int]], List[int]]:
         """BLEU's clipped counts of orders 1 to 4, the overlaps of orders 1
-        and 2 with each reference and the LCS lengths, as `overlaps(hyp, 4)`
-        and `lcs(hyp)` give them, from one walk over hyp.  Each token takes
-        one `lcs` step, extends each order's end mask from the previous
-        token's (shifted up one, ANDed with the token's mask) and clips it
-        as `overlaps` does.  A token in no reference has mask 0: it ends
-        every n-gram and leaves the LCS as it is.  An n-gram ends where its
-        (n - 1)-gram suffix does, so e3 lies within e2 and e2 within e1: an
-        order whose lower order's mask was 0 keeps its own 0."""
+        and 2 with each reference and the LCS lengths, from one walk.
+
+        The LCS: V starts as the field bits and, per token, U = V & mask,
+        V = (V + U) | (V - U).  A carry out of a field stops at its guard
+        bit, and U is a subset of V, so the subtraction never borrows.  The
+        zero bits of a field count that reference's LCS.
+
+        Order n's end mask, order n - 1's from the previous token shifted up
+        one and ANDed with the token's mask, has a bit set where that n-gram
+        ends in a reference; a field's top bit shifts onto its guard bit, so no
+        n-gram spans two references.  Equal n-grams have equal masks and
+        different ones disjoint masks.  An n-gram ends where its (n - 1)-gram
+        suffix does, so e3 lies within e2 and e2 within e1: an order whose
+        lower order's mask was 0 keeps its own 0.  A token in no reference has
+        mask 0: it ends every n-gram and leaves the LCS as it is.  Each
+        occurrence uses up, in every field, the lowest bit of its mask that its
+        order has not used: x never holds a guard bit, so x + (guards - lows)
+        is (x | guards) - lows, which subtracts one from every field, borrowing
+        at most from its guard bit, and x & that clears each field's lowest
+        bit.  An occurrence that finds a bit left in any field is clipped in,
+        and the bits used in a field are the overlap with that reference.  Each
+        order clips against its own unused bits, so its counts do not depend on
+        which other orders are read."""
         masks, full, fields, lows, guards = self._packed
         step = guards - lows
         get = masks.get
@@ -236,14 +184,13 @@ def _references(refs: RefsLike) -> References:
 
 
 def bleu(hyp: Sequence[str], refs: RefsLike, max_n: int = 4) -> float:
-    """BLEU with uniform weights, brevity penalty, and add-one smoothing
-    applied to n >= 2 orders that have zero matches.  Zero unigram overlap
-    scores 0."""
-    if max_n < 1:
-        raise ValueError(f"max_n: must be >= 1, got {max_n}")
+    """BLEU of orders 1 to max_n (at most 4) with uniform weights, brevity
+    penalty, and add-one smoothing applied to n >= 2 orders that have zero
+    matches.  Zero unigram overlap scores 0."""
+    if not 1 <= max_n <= 4:
+        raise ValueError(f"max_n: must be in 1..4, got {max_n}")
     refs = _references(refs)
-    return _bleu([clipped for clipped, _ in refs.overlaps(hyp, max_n)],
-                 len(hyp), refs.lengths)
+    return _bleu(refs.pair_counts(hyp)[0][:max_n], len(hyp), refs.lengths)
 
 
 def _bleu(matches: Sequence[int], c: int, lengths: Sequence[int]) -> float:
@@ -268,11 +215,12 @@ def _bleu(matches: Sequence[int], c: int, lengths: Sequence[int]) -> float:
 
 
 def rouge_n(hyp: Sequence[str], refs: RefsLike, n: int) -> float:
-    """ROUGE-N F1, maximum over references."""
-    if n < 1:
-        raise ValueError(f"n: must be >= 1, got {n}")
+    """ROUGE-N F1 for n 1 or 2, maximum over references."""
+    if not 1 <= n <= 2:
+        raise ValueError(f"n: must be in 1..2, got {n}")
     refs = _references(refs)
-    return _rouge_n(refs.overlaps(hyp, n)[-1][1], len(hyp), refs.lengths, n)
+    overlaps = refs.pair_counts(hyp)[1][n - 1]
+    return _rouge_n(overlaps, len(hyp), refs.lengths, n)
 
 
 def _rouge_n(overlaps: Sequence[int], c: int, lengths: Sequence[int],
@@ -293,7 +241,7 @@ def _rouge_n(overlaps: Sequence[int], c: int, lengths: Sequence[int],
 def rouge_l(hyp: Sequence[str], refs: RefsLike) -> float:
     """ROUGE-L F1 from LCS length, maximum over references."""
     refs = _references(refs)
-    return _rouge_l(refs.lcs(hyp), len(hyp), refs.lengths)
+    return _rouge_l(refs.pair_counts(hyp)[2], len(hyp), refs.lengths)
 
 
 def _rouge_l(lcs_lengths: Sequence[int], c: int,

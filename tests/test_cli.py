@@ -896,6 +896,8 @@ ERROR_FILES = {
     "stats/manifest.json": "not json\n",
     "bank.ini": generate_ini("template_bank", "bad.tsv"),
     "catalog.ini": generate_ini("catalog_source", "bad.csv"),
+    "infeasible.ini": "[corpus]\nseed = 1\ncount_scale = 0.001\n"
+                      "output_dir = out\ncatalog_source = synthetic(1, 2)\n",
 }
 
 
@@ -912,6 +914,9 @@ ERROR_CASES = {
                            "bad.csv:2: data row needs 4 fields"),
     "OSError": (["eval", "--hyp", "stats", "--ref", "ref.txt"],
                 "Is a directory"),
+    "CorpusGenerationError": (["generate", "--config", "infeasible.ini"],
+                              "record 000000 failed 6 attempts: catalog has "
+                              "no observations"),
 }
 
 
@@ -967,7 +972,18 @@ class TestLoadsOnFirstUse:
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 2, done.stderr
-        assert done.stderr.startswith("error: ") and \
-            done.stderr.count("\n") == 1, done.stderr
-        assert message in done.stderr
-        assert not (tmp_path / "out").exists()
+        # only a record that keeps failing logs its retries first
+        lines = done.stderr.splitlines(keepends=True)
+        retries = [line for line in lines if line.startswith(
+            "WARNING chartscribe.corpus: record ")]
+        assert bool(retries) == (name == "CorpusGenerationError")
+        error = "".join(lines[len(retries):])
+        assert error.startswith("error: ") and error.count("\n") == 1, \
+            done.stderr
+        assert message in error
+        out = tmp_path / "out"
+        if name == "CorpusGenerationError":
+            # generate makes its empty directories before the first record
+            assert not [path for path in out.rglob("*") if path.is_file()]
+        else:
+            assert not out.exists()
