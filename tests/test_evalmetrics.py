@@ -547,18 +547,28 @@ class TestAgainstOracles:
         _, refs = case
         assert References(refs)._packed == packed_oracle(refs)
 
-    def test_overlap_fills_every_field(self):
-        """One token repeated: each reference holds each n-gram as often as
+    @settings(max_examples=150)
+    @given(scoring_cases())
+    def test_overlaps(self, case):
+        hyp, refs = case
+        clipped, overlaps, _ = References(refs).pair_counts(hyp)
+        orders = overlaps_oracle(hyp, refs, 4)
+        assert clipped == [count for count, _ in orders]
+        assert overlaps == (orders[0][1], orders[1][1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_overlap_fills_every_field(self, n):
+        """One token repeated: each reference holds its n-gram as often as
         the reference allows, the hypothesis more often still."""
         refs = [["x"] * length for length in FILL_LENGTHS]
         longest = max(FILL_LENGTHS)
         hyp = ["x"] * (longest + 3)
         counts = References(refs).pair_counts(hyp)
         assert counts == pair_counts_oracle(hyp, refs)
-        assert counts[0] == [longest - n + 1 for n in range(1, 5)]
-        assert counts[1] == tuple([max(length - n + 1, 0)
-                                   for length in FILL_LENGTHS]
-                                  for n in (1, 2))
+        assert counts[0][n - 1] == longest - n + 1
+        if n <= 2:
+            assert counts[1][n - 1] == [max(length - n + 1, 0)
+                                        for length in FILL_LENGTHS]
         assert counts[2] == list(FILL_LENGTHS)
 
     def test_hypothesis_repeats_past_every_reference(self):
@@ -589,6 +599,14 @@ class TestAgainstOracles:
         for refs in ([["a", "b", "a"]], [["b", "a"], ["a", "b", "b"], []]):
             assert References(refs).pair_counts(hyp) == \
                 pair_counts_oracle(hyp, refs)
+
+    @settings(max_examples=150)
+    @given(scoring_cases())
+    def test_lcs_lists(self, case):
+        hyp, refs = case
+        masks = position_masks(hyp)
+        assert References(refs).pair_counts(hyp)[2] == \
+            [lcs_masked_oracle(masks, len(hyp), r) for r in refs]
 
     @settings(max_examples=150)
     @given(scoring_cases())
